@@ -57,7 +57,6 @@ fn bench_hadar_decision() {
                     realloc_stall: 10.0,
                     features: Default::default(),
                     machine_factors: &[],
-                    round_threads: 1,
                 };
                 let usage = Usage::empty(&cluster);
                 let queue: Vec<&JobState> = states.iter().collect();

@@ -39,7 +39,6 @@ fn main() {
                 realloc_stall: 10.0,
                 features: Default::default(),
                 machine_factors: &[],
-                round_threads: 1,
             };
             let queue: Vec<&JobState> = states.iter().collect();
             let a = audit_round(&queue, &env, &prices);

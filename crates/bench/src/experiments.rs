@@ -107,8 +107,14 @@ pub fn run_scenario_with_telemetry(
     Ok(outcome)
 }
 
-/// The directory experiment binaries write CSVs to.
+/// The directory experiment binaries write CSVs to: `HADAR_RESULTS_DIR`,
+/// else `results` under the working directory. The crate's unit tests run
+/// the figures in quick mode and write to a per-process temp directory
+/// instead, so a test run never touches checked-in results.
 pub fn results_dir() -> std::path::PathBuf {
+    if cfg!(test) {
+        return std::env::temp_dir().join(format!("hadar-bench-test-{}", std::process::id()));
+    }
     std::path::PathBuf::from(
         std::env::var("HADAR_RESULTS_DIR").unwrap_or_else(|_| "results".to_owned()),
     )

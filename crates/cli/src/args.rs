@@ -132,22 +132,6 @@ pub fn parse_runner(opts: &Options) -> Result<SweepRunner, String> {
     }
 }
 
-/// Parse `--round-threads N` (N ≥ 1) into the intra-round worker count for
-/// the Hadar scheduler's candidate generation. `None` (flag absent) leaves
-/// the scheduler on its auto policy (`HADAR_ROUND_THREADS` or the machine
-/// parallelism). Results are byte-identical at any worker count.
-pub fn parse_round_threads(opts: &Options) -> Result<Option<usize>, String> {
-    match opts.get("round-threads") {
-        None => Ok(None),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(format!(
-                "--round-threads expects a positive integer, got {v:?}"
-            )),
-        },
-    }
-}
-
 /// Parse `--straggler INCIDENCE,SLOWDOWN,MEAN_ROUNDS,SEED`.
 pub fn parse_straggler(spec: &str) -> Result<StragglerModel, String> {
     let parts: Vec<&str> = spec.split(',').collect();
@@ -272,17 +256,6 @@ mod tests {
         );
         assert!(parse_runner(&opts(&["--threads", "0"])).is_err());
         assert!(parse_runner(&opts(&["--threads", "many"])).is_err());
-    }
-
-    #[test]
-    fn round_threads() {
-        assert_eq!(parse_round_threads(&opts(&[])).unwrap(), None);
-        assert_eq!(
-            parse_round_threads(&opts(&["--round-threads", "2"])).unwrap(),
-            Some(2)
-        );
-        assert!(parse_round_threads(&opts(&["--round-threads", "0"])).is_err());
-        assert!(parse_round_threads(&opts(&["--round-threads", "x"])).is_err());
     }
 
     #[test]

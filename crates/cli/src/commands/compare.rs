@@ -7,9 +7,7 @@ use hadar_metrics::Table;
 use hadar_sim::{SimConfig, SimResult, Simulation, Telemetry};
 use hadar_workload::{generate_trace, ArrivalPattern, TraceConfig};
 
-use crate::args::{
-    parse_cluster, parse_failure, parse_pattern, parse_round_threads, parse_runner, Options,
-};
+use crate::args::{parse_cluster, parse_failure, parse_pattern, parse_runner, Options};
 use crate::commands::scheduler_by_name;
 
 const SCHEDULERS: [&str; 4] = ["hadar", "gavel", "tiresias", "yarn"];
@@ -29,7 +27,6 @@ pub fn run(opts: &Options) -> Result<(String, Option<String>), String> {
     };
     let cluster = parse_cluster(opts.get("cluster").unwrap_or("paper"))?;
     let runner = parse_runner(opts)?;
-    let round_threads = parse_round_threads(opts)?;
     let jobs = generate_trace(
         &TraceConfig {
             num_jobs,
@@ -50,8 +47,7 @@ pub fn run(opts: &Options) -> Result<(String, Option<String>), String> {
         .map(|name| {
             let (cluster, jobs) = (cluster.clone(), jobs.clone());
             Box::new(move || {
-                let scheduler =
-                    scheduler_by_name(name, round_threads).expect("known scheduler name");
+                let scheduler = scheduler_by_name(name).expect("known scheduler name");
                 let sink = if observe {
                     Telemetry::enabled()
                 } else {

@@ -7,24 +7,13 @@ pub mod gen_trace;
 pub mod simulate;
 
 use hadar_baselines::{GavelScheduler, SrtfScheduler, TiresiasScheduler, YarnCsScheduler};
-use hadar_core::{HadarConfig, HadarScheduler, RoundParallelism};
+use hadar_core::{HadarConfig, HadarScheduler};
 use hadar_sim::Scheduler;
 
-/// Build a scheduler by CLI name. `round_threads` (from `--round-threads`)
-/// pins the intra-round candidate-generation worker count for Hadar; the
-/// other policies have no intra-round parallelism and ignore it.
-pub fn scheduler_by_name(
-    name: &str,
-    round_threads: Option<usize>,
-) -> Result<Box<dyn Scheduler>, String> {
+/// Build a scheduler by CLI name.
+pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
     match name {
-        "hadar" => {
-            let mut config = HadarConfig::default();
-            if let Some(n) = round_threads {
-                config.round_parallelism = RoundParallelism::Fixed(n);
-            }
-            Ok(Box::new(HadarScheduler::new(config)))
-        }
+        "hadar" => Ok(Box::new(HadarScheduler::new(HadarConfig::default()))),
         "gavel" => Ok(Box::new(GavelScheduler::paper_default())),
         "tiresias" => Ok(Box::new(TiresiasScheduler::paper_default())),
         "yarn" | "yarn-cs" => Ok(Box::new(YarnCsScheduler::new())),
@@ -54,11 +43,8 @@ USAGE:
                      [--straggler INC,SLOW,ROUNDS,SEED]
                      [--mtbf HOURS] [--mttr HOURS] [--failure-seed S]
                      [--csv FILE] [--telemetry-out FILE]
-                     [--threads N] [--round-threads N]
-      Run one simulation and print the metric report. --round-threads N
-      pins the Hadar scheduler's intra-round candidate-generation worker
-      count (default: HADAR_ROUND_THREADS or the machine parallelism;
-      results are byte-identical at any count). --mtbf enables
+                     [--threads N]
+      Run one simulation and print the metric report. --mtbf enables
       seeded machine fault injection (mean time between failures per
       machine, in hours; --mttr is the mean repair time, default 0.5 h):
       jobs on a failed machine are evicted, lose the round, and pay the
@@ -70,7 +56,7 @@ USAGE:
 
   hadar-cli compare [--jobs N] [--seed S] [--pattern P] [--cluster C]
                     [--mtbf HOURS] [--mttr HOURS] [--failure-seed S]
-                    [--telemetry-out FILE] [--threads N] [--round-threads N]
+                    [--telemetry-out FILE] [--threads N]
       Run all four schedulers on the same workload and print a table.
       --threads N fans the four runs over N worker threads (default:
       HADAR_THREADS or the machine parallelism; results are identical to
@@ -87,9 +73,8 @@ mod tests {
     #[test]
     fn scheduler_names_resolve() {
         for n in ["hadar", "gavel", "tiresias", "yarn", "yarn-cs", "srtf"] {
-            assert!(scheduler_by_name(n, None).is_ok(), "{n}");
-            assert!(scheduler_by_name(n, Some(2)).is_ok(), "{n} with threads");
+            assert!(scheduler_by_name(n).is_ok(), "{n}");
         }
-        assert!(scheduler_by_name("slurm", None).is_err());
+        assert!(scheduler_by_name("slurm").is_err());
     }
 }

@@ -9,8 +9,8 @@ use hadar_sim::{SimConfig, SimOutcome, SimResult, Simulation, Telemetry};
 use hadar_workload::{generate_trace, load_trace_csv, ArrivalPattern, TraceConfig};
 
 use crate::args::{
-    parse_cluster, parse_failure, parse_pattern, parse_penalty, parse_round_threads, parse_runner,
-    parse_straggler, Options,
+    parse_cluster, parse_failure, parse_pattern, parse_penalty, parse_runner, parse_straggler,
+    Options,
 };
 use crate::commands::scheduler_by_name;
 
@@ -21,8 +21,7 @@ pub fn run(opts: &Options) -> Result<(String, String, Option<String>), String> {
         .get("scheduler")
         .ok_or("--scheduler is required (hadar|gavel|tiresias|yarn)")?
         .to_owned();
-    let round_threads = parse_round_threads(opts)?;
-    scheduler_by_name(&scheduler_name, round_threads)?; // validate the name up front
+    scheduler_by_name(&scheduler_name)?; // validate the name up front
     let runner = parse_runner(opts)?;
     let cluster = parse_cluster(opts.get("cluster").unwrap_or("paper"))?;
 
@@ -70,8 +69,7 @@ pub fn run(opts: &Options) -> Result<(String, String, Option<String>), String> {
     let n = jobs.len();
     let observe = opts.get("telemetry-out").is_some();
     let cell: Vec<Box<dyn FnOnce() -> SimResult + Send>> = vec![Box::new(move || {
-        let scheduler =
-            scheduler_by_name(&scheduler_name, round_threads).expect("validated scheduler name");
+        let scheduler = scheduler_by_name(&scheduler_name).expect("validated scheduler name");
         let sink = if observe {
             Telemetry::enabled()
         } else {

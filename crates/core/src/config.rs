@@ -28,43 +28,6 @@ impl Default for AllocMode {
     }
 }
 
-/// Worker-thread policy for intra-round candidate generation (the parallel
-/// prefetch inside the dual subroutine). Whatever the setting, the output is
-/// byte-identical to the serial path: workers only pre-populate the
-/// candidate cache against read-only usage snapshots, and the admission loop
-/// itself stays serial in deterministic order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RoundParallelism {
-    /// `HADAR_ROUND_THREADS` when set (≥ 1), otherwise the machine's
-    /// available parallelism, capped at 16 (mirrors the sweep runner's
-    /// `HADAR_THREADS` convention).
-    #[default]
-    Auto,
-    /// Exactly `n` worker threads; `1` disables the parallel prefetch.
-    Fixed(usize),
-}
-
-impl RoundParallelism {
-    /// Resolve to a concrete thread count (≥ 1). `Auto` re-reads the
-    /// environment on every call so tests (and long-lived processes) can
-    /// retune without rebuilding schedulers.
-    pub fn resolve(self) -> usize {
-        match self {
-            RoundParallelism::Fixed(n) => n.max(1),
-            RoundParallelism::Auto => std::env::var("HADAR_ROUND_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                })
-                .min(16),
-        }
-    }
-}
-
 /// Configuration of [`crate::HadarScheduler`].
 #[derive(Debug)]
 pub struct HadarConfig {
@@ -90,15 +53,6 @@ pub struct HadarConfig {
     /// (default on — matches the paper's "only 30% of scheduling rounds
     /// require a change in allocation" observation).
     pub incremental: bool,
-    /// Worker threads for the intra-round candidate prefetch (default:
-    /// auto-detect; output is byte-identical at any setting).
-    pub round_parallelism: RoundParallelism,
-    /// Keep the candidate cache's placement-geometry layer alive across
-    /// rounds (keyed by usage fingerprint + job class, invalidated on any
-    /// price-shape/availability/feature change) instead of rebuilding it
-    /// from scratch every round. Exact — decisions are identical either
-    /// way; off exists for benchmarking the speedup.
-    pub cross_round_cache: bool,
 }
 
 impl Default for HadarConfig {
@@ -110,8 +64,6 @@ impl Default for HadarConfig {
             profiler: None,
             features: Features::default(),
             incremental: true,
-            round_parallelism: RoundParallelism::default(),
-            cross_round_cache: true,
         }
     }
 }
@@ -138,16 +90,7 @@ mod tests {
         assert_eq!(c.expected_realloc_penalty, 10.0);
         assert!(c.profiler.is_none());
         assert_eq!(c.utility.name(), "effective-throughput");
-        assert_eq!(c.round_parallelism, RoundParallelism::Auto);
-        assert!(c.cross_round_cache);
-    }
-
-    #[test]
-    fn round_parallelism_resolves_to_at_least_one() {
-        assert_eq!(RoundParallelism::Fixed(0).resolve(), 1);
-        assert_eq!(RoundParallelism::Fixed(5).resolve(), 5);
-        assert!(RoundParallelism::Auto.resolve() >= 1);
-        assert!(RoundParallelism::Auto.resolve() <= 16);
+        assert!(c.incremental);
     }
 
     #[test]

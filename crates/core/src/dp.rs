@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use hadar_cluster::Usage;
 use hadar_sim::JobState;
 
-use crate::find_alloc::{AllocEnv, Candidate, CandidateCache, MIN_PARALLEL_QUEUE};
+use crate::find_alloc::{AllocEnv, Candidate, CandidateCache};
 
 /// The chosen schedule for one round: per selected job (by index into the
 /// queue order given to the algorithm), its placement candidate.
@@ -59,8 +59,8 @@ pub fn dp_allocation(queue: &[&JobState], env: &AllocEnv<'_>, usage: &Usage) -> 
 }
 
 /// [`dp_allocation`] against a caller-provided candidate cache, so the
-/// scheduler can carry cached geometry across rounds. One cache serves both
-/// the DP exploration and the greedy floor: the greedy admission path
+/// scheduler can carry cached machine pools across rounds. One cache serves
+/// both the DP exploration and the greedy floor: the greedy admission path
 /// revisits usage states the DP already expanded, so its `find_alloc`
 /// queries are mostly cache hits.
 pub fn dp_allocation_cached(
@@ -69,12 +69,6 @@ pub fn dp_allocation_cached(
     usage: &Usage,
     cache: &mut CandidateCache,
 ) -> Selection {
-    // Every job's root-level candidate list is needed regardless of what
-    // the DP explores, so on large forced-DP queues it is worth prefetching
-    // them in parallel before the serial recursion starts.
-    if env.round_threads > 1 && queue.len() >= MIN_PARALLEL_QUEUE {
-        cache.prefetch(queue, env, usage);
-    }
     let mut memo: HashMap<(usize, u64), DpEntry> = HashMap::new();
     let mut nodes = 0usize;
     let (total_payoff, mut decisions) = dp_rec(0, queue, env, usage, cache, &mut memo, &mut nodes);
@@ -85,7 +79,7 @@ pub fn dp_allocation_cached(
         total_payoff,
         budget_exhausted,
     };
-    let mut greedy = greedy_with_cache(queue, env, usage, cache);
+    let mut greedy = greedy_allocation_cached(queue, env, usage, cache);
     if greedy.total_payoff > dp.total_payoff {
         greedy.budget_exhausted = budget_exhausted;
         greedy
@@ -159,22 +153,13 @@ fn dp_rec(
 /// time has already deflated their achievable utility. One `find_alloc` per
 /// job, prices updated after every admission.
 pub fn greedy_allocation(queue: &[&JobState], env: &AllocEnv<'_>, usage: &Usage) -> Selection {
-    greedy_with_cache(queue, env, usage, &mut CandidateCache::new())
+    greedy_allocation_cached(queue, env, usage, &mut CandidateCache::new())
 }
 
 /// [`greedy_allocation`] against a caller-provided candidate cache, so the
 /// DP can share the candidates it already enumerated with its greedy floor
-/// and the scheduler can carry cached geometry across rounds.
+/// and the scheduler can carry cached machine pools across rounds.
 pub fn greedy_allocation_cached(
-    queue: &[&JobState],
-    env: &AllocEnv<'_>,
-    usage: &Usage,
-    cache: &mut CandidateCache,
-) -> Selection {
-    greedy_with_cache(queue, env, usage, cache)
-}
-
-fn greedy_with_cache(
     queue: &[&JobState],
     env: &AllocEnv<'_>,
     usage: &Usage,
@@ -206,36 +191,12 @@ fn greedy_with_cache(
 
     let mut usage = usage.clone();
     let mut selection = Selection::default();
-    // Parallel prefetch: ahead of the serial admission loop, batches of
-    // upcoming jobs are priced against the *current* usage snapshot on
-    // worker threads. An admission changes usage (and thus every later
-    // query's key), so the window restarts small after one and doubles
-    // while the loop is only rejecting — the common regime on a saturated
-    // cluster, where the whole remaining tail is one batch.
-    let threads = if queue.len() >= MIN_PARALLEL_QUEUE {
-        env.round_threads
-    } else {
-        1
-    };
-    let mut prefetched_to = 0usize;
-    let mut window = threads * 4;
-    for (pos, &i) in order.iter().enumerate() {
+    for &i in &order {
         if density[i] == f64::NEG_INFINITY {
             continue;
         }
         if usage.is_cluster_full(env.cluster) {
             break;
-        }
-        if threads > 1 && pos >= prefetched_to {
-            let end = (pos + window).min(order.len());
-            let batch: Vec<&JobState> = order[pos..end]
-                .iter()
-                .filter(|&&j| density[j] != f64::NEG_INFINITY)
-                .map(|&j| queue[j])
-                .collect();
-            cache.prefetch(&batch, env, &usage);
-            prefetched_to = end;
-            window = (window * 2).min(1024);
         }
         if let Some(cand) = cache.best(queue[i], env, &usage) {
             for s in cand.placement.slices() {
@@ -243,8 +204,6 @@ fn greedy_with_cache(
             }
             selection.total_payoff += cand.payoff;
             selection.decisions.push((i, cand));
-            prefetched_to = pos + 1;
-            window = threads * 4;
         }
     }
     selection.decisions.sort_by_key(|(i, _)| *i);
@@ -290,7 +249,6 @@ mod tests {
             realloc_stall: 10.0,
             features: Default::default(),
             machine_factors: &[],
-            round_threads: 1,
         };
         let usage = Usage::empty(cluster);
         let queue: Vec<&JobState> = states.iter().collect();
@@ -416,7 +374,6 @@ mod tests {
             realloc_stall: 10.0,
             features: Default::default(),
             machine_factors: &[],
-            round_threads: 1,
         };
         let usage = Usage::empty(&cluster);
         let queue: Vec<&JobState> = states.iter().collect();
@@ -490,7 +447,6 @@ mod randomized_tests {
                 realloc_stall: 10.0,
                 features: Default::default(),
                 machine_factors: &[],
-                round_threads: 1,
             };
             let usage = Usage::empty(&cluster);
             let queue: Vec<&JobState> = states.iter().collect();

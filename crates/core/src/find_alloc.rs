@@ -29,17 +29,9 @@ use crate::estimate::estimate_completion;
 use crate::price::{PriceShape, PriceState};
 use crate::utility::Utility;
 
-/// Queues shorter than this never engage the parallel prefetch: thread
-/// startup would cost more than the enumeration it saves.
-pub(crate) const MIN_PARALLEL_QUEUE: usize = 64;
-
-/// Cross-round geometry entries untouched for this many rounds are evicted.
-const CLASS_KEEP_ROUNDS: u64 = 8;
-
 /// Machine-pool entries untouched for this many rounds are evicted. Pools
-/// are cheap to rebuild (one sort), so they are kept on a much shorter
-/// leash than class geometry; the payoff is within-round sharing plus the
-/// immediately-previous round's saturated states.
+/// are cheap to rebuild (one sort); the payoff is within-round sharing plus
+/// the immediately-previous round's saturated states.
 const POOL_KEEP_ROUNDS: u64 = 2;
 
 /// Ablation switches for candidate generation (all on by default).
@@ -85,11 +77,6 @@ pub struct AllocEnv<'a> {
     /// simulator's failure model) excludes the machine from candidate
     /// generation entirely.
     pub machine_factors: &'a [f64],
-    /// Resolved worker-thread count for the candidate prefetch (1 = serial;
-    /// see [`crate::RoundParallelism`]). Only consulted by
-    /// [`CandidateCache::prefetch`] — candidate *content* never depends on
-    /// it.
-    pub round_threads: usize,
 }
 
 impl AllocEnv<'_> {
@@ -132,65 +119,15 @@ pub fn find_alloc(state: &JobState, env: &AllocEnv<'_>, usage: &Usage) -> Option
     find_candidates(state, env, usage).into_iter().next()
 }
 
-/// The placement-relevant *class* of a job: gang size, GPU-type preference
-/// order, and which adjacent preferred types tie in throughput.
-///
-/// Every job-independent generator in [`find_candidates`] — consolidated,
-/// spread, mixed-spread, and (when machine factors are all 0 or 1) the
-/// best-single-machine mix — produces identical geometry for two jobs of the
-/// same class at the same usage, because those generators consult the job
-/// only through its gang size and the *order* (plus tie structure) of its
-/// preferred types, never the throughput values themselves. The candidate
-/// cache exploits this to enumerate each class once per usage state instead
-/// of once per job — across rounds, since prices enter the geometry only
-/// through their [`PriceShape`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ClassKey {
-    gang: u32,
-    prefs: Vec<GpuTypeId>,
-    /// Bit `i` set ⇔ `rate(prefs[i]) == rate(prefs[i+1])`: resolves every
-    /// bottleneck comparison in [`mixed_best_single_machine`] without the
-    /// rate values (prefs are sorted by strictly descending rate between
-    /// tie groups).
-    ties: u32,
-}
-
-impl ClassKey {
-    fn of(state: &JobState) -> Option<ClassKey> {
-        let prefs = state.job.profile.types_by_preference();
-        if prefs.is_empty() || prefs.len() > 32 {
-            return None;
-        }
-        let mut ties = 0u32;
-        for i in 0..prefs.len() - 1 {
-            if state.job.profile.rate(prefs[i]) == state.job.profile.rate(prefs[i + 1]) {
-                ties |= 1 << i;
-            }
-        }
-        Some(ClassKey {
-            gang: state.job.gang,
-            prefs: prefs.to_vec(),
-            ties,
-        })
-    }
-}
-
-/// Everything *besides* the usage state that cached geometry depends on.
-/// Compared at the start of each round; any change drops the geometry layer
-/// wholesale (failures/recoveries flip `usable`, degenerate price bounds
-/// flip `shapes`, ablations flip `features`, stragglers flip `class_ok`).
+/// Everything *besides* the usage column that a cached machine pool depends
+/// on. Compared at the start of each round; any change drops the pool
+/// layer wholesale (failures and recoveries flip `usable`).
 #[derive(Clone, PartialEq, Debug)]
 struct CacheCtx {
     usable: Vec<bool>,
-    shapes: Vec<PriceShape>,
-    features: Features,
     /// Fingerprint of the `c_h^r` capacity matrix, so a cache accidentally
-    /// carried across clusters can never serve foreign geometry.
+    /// carried across clusters can never serve foreign pools.
     caps_hash: u64,
-    /// Class sharing is sound only when every machine factor is exactly 0
-    /// or 1 — fractional stragglers make the best-single-machine bottleneck
-    /// depend on rate *values*, which differ within a class.
-    class_ok: bool,
 }
 
 impl CacheCtx {
@@ -200,16 +137,6 @@ impl CacheCtx {
             .machine_ids()
             .map(|h| env.machine_usable(h))
             .collect();
-        let shapes: Vec<PriceShape> = env
-            .cluster
-            .catalog()
-            .ids()
-            .map(|r| env.prices.shape(r))
-            .collect();
-        let class_ok = env.cluster.machine_ids().all(|h| {
-            let f = env.machine_factor(h);
-            f == 0.0 || f == 1.0
-        });
         let mut caps_hash: u64 = 0xcbf29ce484222325;
         for h in env.cluster.machine_ids() {
             for r in env.cluster.catalog().ids() {
@@ -217,19 +144,8 @@ impl CacheCtx {
                 caps_hash = caps_hash.wrapping_mul(0x100000001b3);
             }
         }
-        Self {
-            usable,
-            shapes,
-            features: env.features,
-            caps_hash,
-            class_ok,
-        }
+        Self { usable, caps_hash }
     }
-}
-
-struct ClassEntry {
-    geoms: Vec<Vec<PlacementSlice>>,
-    last_used: u64,
 }
 
 /// Memo of [`find_candidates`] results, layered for reuse both within and
@@ -239,99 +155,55 @@ struct ClassEntry {
 /// `(job, usage fingerprint)`. Within one round the prices, queue, and clock
 /// are fixed, so a job's candidates depend only on the usage they are
 /// evaluated against; the DP subroutine and its greedy floor walk usage
-/// sequences that frequently coincide, and the parallel prefetch fills this
-/// layer from worker threads. Cleared by [`CandidateCache::begin_round`] —
-/// prices change every round and the profiler may substitute job profiles.
+/// sequences that frequently coincide. Cleared by
+/// [`CandidateCache::begin_round`] — prices change every round and the
+/// profiler may substitute job profiles.
 ///
-/// **Geometry layer** (cross round): raw placement geometries keyed by
-/// `(`[`ClassKey`]`, usage fingerprint)`, valid as long as the [`CacheCtx`]
-/// (availability mask, price shapes, feature flags) is unchanged. This is
-/// what makes quiescent rounds cheap: the long tail of queued-but-rejected
-/// jobs re-queries the same saturated usage round after round, and after
-/// this layer warms up each such query costs one evaluation pass instead of
-/// a full machines × types enumeration. Entries idle for
-/// [`CLASS_KEEP_ROUNDS`] rounds are evicted.
+/// **Pool layer** (cross round): per-GPU-type sorted machine pools keyed by
+/// `(type, `[`Usage::column_fingerprint`]`)`, valid as long as the
+/// [`CacheCtx`] (availability mask, capacities) is unchanged. The greedy
+/// admission loop mutates usage after every admission, so its full
+/// fingerprints rarely repeat; but each admission touches only the columns
+/// of the types it uses, so the *other* types' pools (and their
+/// `O(M log M)` sorts, the dominant per-query cost at scale) carry over
+/// unchanged. Entries idle for [`POOL_KEEP_ROUNDS`] rounds are evicted.
 ///
-/// **Pool layer** (cross round, finer grain): per-GPU-type sorted machine
-/// pools keyed by `(type, `[`Usage::column_fingerprint`]`)` under the same
-/// [`CacheCtx`] validity. The greedy admission loop mutates usage after
-/// every admission, so its full fingerprints — and hence the class layer —
-/// rarely repeat; but each admission touches only the columns of the types
-/// it uses, so the *other* types' pools (and their `O(M log M)` sorts, the
-/// dominant per-query cost at scale) carry over unchanged. Entries idle
-/// for [`POOL_KEEP_ROUNDS`] rounds are evicted.
-///
-/// Exactness: geometry is deduplicated, priced, filtered, and ranked by the
-/// same code in the same order as a fresh [`find_candidates`] call, and a
-/// cached pool is bit-identical to a freshly built one (the key covers the
-/// entire column the pool was sorted from) — so cache hits are
-/// byte-identical to recomputation; only wall-clock changes. Both
-/// cross-round layers can be disabled with
-/// [`CandidateCache::set_cross_round`]`(false)`, which pins the cache to
-/// the per-round priced layer only — the pre-optimization baseline the
-/// round benchmark compares against.
+/// Exactness: a cached pool is bit-identical to a freshly built one (the
+/// key covers the entire column the pool was sorted from), and cached and
+/// fresh pools feed the same generator and pricing code — so cache hits
+/// are byte-identical to recomputation; only wall-clock changes.
 #[derive(Default)]
 pub struct CandidateCache {
     priced: HashMap<(u32, u64), Vec<Candidate>>,
-    class: HashMap<(ClassKey, u64), ClassEntry>,
     pools: HashMap<(GpuTypeId, u64), PoolEntry>,
-    cross_round: bool,
     ctx: Option<CacheCtx>,
     round: u64,
-    hits: usize,
-    misses: usize,
-    prefetched: usize,
-    class_hits: usize,
-    class_misses: usize,
-    pool_hits: usize,
-    pool_misses: usize,
     gen_seconds: f64,
 }
 
 impl CandidateCache {
-    /// An empty cache with the cross-round layers enabled. Usable as-is for
-    /// a single round; call [`CandidateCache::begin_round`] between rounds
-    /// to keep it alive across them.
+    /// An empty cache. Usable as-is for a single round; call
+    /// [`CandidateCache::begin_round`] between rounds to keep it alive
+    /// across them.
     pub fn new() -> Self {
-        Self {
-            cross_round: true,
-            ..Self::default()
-        }
-    }
-
-    /// Enable or disable the cross-round layers (class geometry and machine
-    /// pools). Disabled, every miss re-enumerates from scratch and
-    /// [`CandidateCache::begin_round`] drops any cross-round state — the
-    /// exact pre-cache behaviour, kept selectable so benchmarks and
-    /// equivalence tests can compare against it.
-    pub fn set_cross_round(&mut self, enabled: bool) {
-        self.cross_round = enabled;
+        Self::default()
     }
 
     /// Start a new scheduling round: clears the per-round priced layer,
-    /// validates the geometry layer against the round's environment
-    /// (dropping it on any availability/price-shape/feature change), and
-    /// evicts geometry entries idle for [`CLASS_KEEP_ROUNDS`] rounds.
+    /// validates the pool layer against the round's environment (dropping
+    /// it on any availability or capacity change), and evicts pools idle
+    /// for [`POOL_KEEP_ROUNDS`] rounds.
     pub fn begin_round(&mut self, env: &AllocEnv<'_>) {
         self.round += 1;
         self.priced.clear();
         let ctx = CacheCtx::of(env);
-        if self.ctx.as_ref() != Some(&ctx) || !self.cross_round {
-            self.class.clear();
+        if self.ctx.as_ref() != Some(&ctx) {
             self.pools.clear();
             self.ctx = Some(ctx);
         }
         let round = self.round;
-        self.class
-            .retain(|_, e| e.last_used + CLASS_KEEP_ROUNDS >= round);
         self.pools
             .retain(|_, e| e.last_used + POOL_KEEP_ROUNDS >= round);
-    }
-
-    fn ensure_ctx(&mut self, env: &AllocEnv<'_>) {
-        if self.ctx.is_none() {
-            self.ctx = Some(CacheCtx::of(env));
-        }
     }
 
     /// The candidate list for `state` against `usage` (computed on first
@@ -342,62 +214,20 @@ impl CandidateCache {
         env: &AllocEnv<'_>,
         usage: &Usage,
     ) -> &[Candidate] {
-        let fp = usage.fingerprint();
-        let key = (state.job.id.0, fp);
-        if self.priced.contains_key(&key) {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
+        let key = (state.job.id.0, usage.fingerprint());
+        if !self.priced.contains_key(&key) {
             let t0 = Instant::now();
-            let cands = self.compute(state, env, usage, fp);
+            let geoms = self.pooled_geometries(state, env, usage);
+            let cands = assemble(state, env, usage, &geoms);
             self.gen_seconds += t0.elapsed().as_secs_f64();
             self.priced.insert(key, cands);
         }
         &self.priced[&key]
     }
 
-    /// One full enumeration, going through the geometry and pool layers
-    /// when enabled (and, for the class layer, sound).
-    fn compute(
-        &mut self,
-        state: &JobState,
-        env: &AllocEnv<'_>,
-        usage: &Usage,
-        fp: u64,
-    ) -> Vec<Candidate> {
-        self.ensure_ctx(env);
-        if self.cross_round && self.ctx.as_ref().is_some_and(|c| c.class_ok) {
-            if let Some(class_key) = ClassKey::of(state) {
-                let key = (class_key, fp);
-                if let Some(e) = self.class.get_mut(&key) {
-                    e.last_used = self.round;
-                    self.class_hits += 1;
-                } else {
-                    self.class_misses += 1;
-                    let geoms = self.pooled_geometries(state, env, usage);
-                    self.class.insert(
-                        key.clone(),
-                        ClassEntry {
-                            geoms,
-                            last_used: self.round,
-                        },
-                    );
-                }
-                return assemble(state, env, usage, &self.class[&key].geoms);
-            }
-        }
-        if self.cross_round {
-            let geoms = self.pooled_geometries(state, env, usage);
-            return assemble(state, env, usage, &geoms);
-        }
-        let geoms = class_geometries(state, env, usage);
-        assemble(state, env, usage, &geoms)
-    }
-
-    /// Class geometry through the pool layer: any pool whose
+    /// [`fresh_geometries`] through the pool layer: any pool whose
     /// `(type, column fingerprint)` is cached is reused as-is; missing ones
-    /// are built and cached. Output is identical to [`class_geometries`] —
-    /// a cached pool was sorted from a column byte-equal to the current one.
+    /// are built and cached.
     fn pooled_geometries(
         &mut self,
         state: &JobState,
@@ -408,133 +238,17 @@ impl CandidateCache {
         if prefs.is_empty() {
             return Vec::new();
         }
-        self.ensure_pools(env, usage, prefs);
+        for &r in prefs {
+            self.pools
+                .entry((r, usage.column_fingerprint(r)))
+                .or_insert_with(|| build_pool(env, usage, r))
+                .last_used = self.round;
+        }
         let pools: Vec<&PoolEntry> = prefs
             .iter()
             .map(|&r| &self.pools[&(r, usage.column_fingerprint(r))])
             .collect();
         geometries_from_pools(state, env, usage, prefs, &pools)
-    }
-
-    /// Make sure every `prefs` type has a pool cached for `usage`'s current
-    /// column state (building missing ones), and mark them used this round.
-    fn ensure_pools(&mut self, env: &AllocEnv<'_>, usage: &Usage, prefs: &[GpuTypeId]) {
-        for &r in prefs {
-            match self.pools.entry((r, usage.column_fingerprint(r))) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    e.into_mut().last_used = self.round;
-                    self.pool_hits += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    self.pool_misses += 1;
-                    let mut pool = build_pool(env, usage, r);
-                    pool.last_used = self.round;
-                    v.insert(pool);
-                }
-            }
-        }
-    }
-
-    /// Pre-populate the priced layer for `states` against one read-only
-    /// usage snapshot using `env.round_threads` worker threads.
-    ///
-    /// Deterministic by construction: workers compute the same pure
-    /// function a serial miss would, results are inserted in index order,
-    /// and the admission loop that later consumes them is untouched — so
-    /// output is byte-identical at any thread count. Jobs already priced at
-    /// this usage are skipped.
-    pub fn prefetch(&mut self, states: &[&JobState], env: &AllocEnv<'_>, usage: &Usage) {
-        let threads = env.round_threads;
-        if threads <= 1 {
-            return;
-        }
-        let t0 = Instant::now();
-        let fp = usage.fingerprint();
-        let todo: Vec<&JobState> = states
-            .iter()
-            .copied()
-            .filter(|s| !self.priced.contains_key(&(s.job.id.0, fp)))
-            .collect();
-        if todo.len() < 2 {
-            return;
-        }
-        self.ensure_ctx(env);
-        let class_ok = self.ctx.as_ref().is_some_and(|c| c.class_ok);
-        let cross_round = self.cross_round;
-
-        // With the cross-round layers on, materialize every pool the batch
-        // can touch up front: the worker threads then share them read-only
-        // and produce geometry identical to the serial pooled path. With
-        // them off, workers enumerate from scratch per job — the baseline
-        // path, merely parallelized.
-        if cross_round {
-            for s in &todo {
-                self.ensure_pools(env, usage, s.job.profile.types_by_preference());
-            }
-        }
-        let pools = &self.pools;
-        let geoms_of = |s: &JobState| -> Vec<Vec<PlacementSlice>> {
-            if !cross_round {
-                return class_geometries(s, env, usage);
-            }
-            let prefs: &[GpuTypeId] = s.job.profile.types_by_preference();
-            if prefs.is_empty() {
-                return Vec::new();
-            }
-            let refs: Vec<&PoolEntry> = prefs
-                .iter()
-                .map(|&r| &pools[&(r, usage.column_fingerprint(r))])
-                .collect();
-            geometries_from_pools(s, env, usage, prefs, &refs)
-        };
-
-        if cross_round && class_ok {
-            // Touch pre-existing geometry entries (they are about to be read
-            // from worker threads, which cannot bump `last_used`), then
-            // materialize the missing classes — in parallel, inserted in
-            // first-occurrence order.
-            let mut fresh: Vec<(ClassKey, &JobState)> = Vec::new();
-            for s in &todo {
-                if let Some(k) = ClassKey::of(s) {
-                    if let Some(e) = self.class.get_mut(&(k.clone(), fp)) {
-                        e.last_used = self.round;
-                        self.class_hits += 1;
-                    } else if !fresh.iter().any(|(f, _)| *f == k) {
-                        fresh.push((k, s));
-                    }
-                }
-            }
-            let geoms = run_chunked(threads, &fresh, |(_, rep)| geoms_of(rep));
-            for ((k, _), g) in fresh.into_iter().zip(geoms) {
-                self.class_misses += 1;
-                self.class.insert(
-                    (k, fp),
-                    ClassEntry {
-                        geoms: g,
-                        last_used: self.round,
-                    },
-                );
-            }
-        }
-
-        // Price every job in parallel against the (now read-only) geometry
-        // layer, then insert in index order.
-        let class = &self.class;
-        let priced = run_chunked(threads, &todo, |s| {
-            if cross_round && class_ok {
-                if let Some(k) = ClassKey::of(s) {
-                    if let Some(e) = class.get(&(k, fp)) {
-                        return assemble(s, env, usage, &e.geoms);
-                    }
-                }
-            }
-            assemble(s, env, usage, &geoms_of(s))
-        });
-        for (s, cands) in todo.iter().zip(priced) {
-            self.prefetched += 1;
-            self.priced.insert((s.job.id.0, fp), cands);
-        }
-        self.gen_seconds += t0.elapsed().as_secs_f64();
     }
 
     /// The best positive-payoff candidate, as [`find_alloc`] returns it.
@@ -547,73 +261,11 @@ impl CandidateCache {
         self.candidates(state, env, usage).first().cloned()
     }
 
-    /// Queries answered from the priced memo (including prefetched entries).
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Queries that had to run the full enumeration serially.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    /// Entries computed ahead of demand by [`CandidateCache::prefetch`].
-    pub fn prefetched(&self) -> usize {
-        self.prefetched
-    }
-
-    /// Enumerations answered from the cross-round geometry layer.
-    pub fn class_hits(&self) -> usize {
-        self.class_hits
-    }
-
-    /// Geometry sets enumerated from scratch.
-    pub fn class_misses(&self) -> usize {
-        self.class_misses
-    }
-
-    /// Machine-pool lookups served from the pool layer (the per-query
-    /// machine sort skipped).
-    pub fn pool_hits(&self) -> usize {
-        self.pool_hits
-    }
-
-    /// Machine pools built (and cached) from a column scan + sort.
-    pub fn pool_misses(&self) -> usize {
-        self.pool_misses
-    }
-
-    /// Total wall-clock seconds spent generating candidates (serial misses
-    /// plus prefetch batches) over the cache's lifetime.
+    /// Total wall-clock seconds spent generating candidates over the
+    /// cache's lifetime.
     pub fn gen_seconds(&self) -> f64 {
         self.gen_seconds
     }
-}
-
-/// Run `f` over `items` on up to `threads` scoped worker threads (contiguous
-/// chunks), returning outputs in input order. `f` must be pure — the merge
-/// is by index, so scheduling cannot influence results.
-fn run_chunked<T: Sync, R: Send + Default + Clone>(
-    threads: usize,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let chunk = items.len().div_ceil(threads.max(1));
-    let mut out: Vec<R> = vec![R::default(); items.len()];
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (slots, chunk_items) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            scope.spawn(move || {
-                for (slot, item) in slots.iter_mut().zip(chunk_items) {
-                    *slot = f(item);
-                }
-            });
-        }
-    });
-    out
 }
 
 /// All distinct positive-payoff candidate placements for `state`, best
@@ -621,7 +273,7 @@ fn run_chunked<T: Sync, R: Send + Default + Clone>(
 /// a job a slower (cheaper) type when that frees a fast type for a job that
 /// benefits more from it.
 pub fn find_candidates(state: &JobState, env: &AllocEnv<'_>, usage: &Usage) -> Vec<Candidate> {
-    assemble(state, env, usage, &class_geometries(state, env, usage))
+    assemble(state, env, usage, &fresh_geometries(state, env, usage))
 }
 
 /// The machines that can host type-`r` tasks at one usage column state,
@@ -656,13 +308,11 @@ fn build_pool(env: &AllocEnv<'_>, usage: &Usage, r: GpuTypeId) -> PoolEntry {
     }
 }
 
-/// The job-independent geometry slate for `state`'s class at `usage`, in
+/// The job-independent geometry slate for `state` at `usage`, in
 /// generation order: per preferred type a consolidated and a spread
-/// placement, then the mixed-type variants. This is the expensive
-/// machines × types enumeration the cross-round cache shares between jobs
-/// of one [`ClassKey`]. Builds throwaway machine pools; the cache calls
-/// [`geometries_from_pools`] directly with memoized ones.
-fn class_geometries(
+/// placement, then the mixed-type variants. Builds throwaway machine pools;
+/// the cache calls [`geometries_from_pools`] directly with memoized ones.
+fn fresh_geometries(
     state: &JobState,
     env: &AllocEnv<'_>,
     usage: &Usage,
@@ -673,7 +323,7 @@ fn class_geometries(
     geometries_from_pools(state, env, usage, prefs, &pools)
 }
 
-/// [`class_geometries`] against pre-built per-type machine pools (`pools`
+/// [`fresh_geometries`] against pre-built per-type machine pools (`pools`
 /// aligned with `prefs`). Pure in the pools: equal pool contents ⇒ equal
 /// geometry, which is what lets the cache share pools across jobs, queries,
 /// and rounds.
@@ -701,11 +351,10 @@ fn geometries_from_pools(
 }
 
 /// Price, deduplicate, filter, and rank a geometry slate for one job: the
-/// sticky candidate (if it still fits) followed by the class geometries,
+/// sticky candidate (if it still fits) followed by the generated geometries,
 /// keeping the first occurrence of each distinct placement with positive
-/// payoff, best payoff first — the exact semantics of the pre-cache
-/// enumeration loop, factored out so cached and fresh geometry price
-/// identically.
+/// payoff, best payoff first — factored out so pooled and fresh geometry
+/// price identically.
 fn assemble(
     state: &JobState,
     env: &AllocEnv<'_>,
@@ -803,9 +452,8 @@ pub fn fits(cluster: &Cluster, usage: &Usage, placement: &JobPlacement) -> bool 
 /// All `w` workers of type `r` on one machine; among feasible machines, the
 /// cheapest (lowest current price — i.e. the least-loaded server).
 ///
-/// Selected by exact comparison rather than computed prices, so the result
-/// is reusable across rounds whose price *values* differ but whose
-/// [`PriceShape`] agrees: zero-priced machines (`c_h^r = 0`, or a
+/// Selected by exact comparison on the type's [`PriceShape`] rather than
+/// by computed float prices: zero-priced machines (`c_h^r = 0`, or a
 /// [`PriceShape::Zero`] type) rank before any positive price; on a
 /// [`PriceShape::Curve`] type the price is strictly increasing in the fill
 /// fraction `γ/c`, compared here by cross-multiplication; on a
@@ -992,7 +640,6 @@ mod tests {
             realloc_stall: 10.0,
             features: Features::default(),
             machine_factors: &[],
-            round_threads: 1,
         }
     }
 
@@ -1138,7 +785,6 @@ mod tests {
             realloc_stall: 10.0,
             features: Features::default(),
             machine_factors: &factors,
-            round_threads: 1,
         };
         let usage = Usage::empty(&cluster);
         let c = find_alloc(&state, &e, &usage).expect("healthy machine available");
@@ -1191,7 +837,6 @@ mod tests {
             realloc_stall: 10.0,
             features: Features::default(),
             machine_factors: &factors,
-            round_threads: 1,
         };
         let usage = Usage::empty(&cluster);
         let cands = find_candidates(&state, &e, &usage);
@@ -1244,16 +889,15 @@ mod tests {
 
         let direct = find_candidates(&state, &e, &usage);
         assert_eq!(cache.candidates(&state, &e, &usage), direct.as_slice());
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!(cache.priced.len(), 1);
         // Same (job, usage) again: answered from the memo, same content.
         assert_eq!(cache.candidates(&state, &e, &usage), direct.as_slice());
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // `best` agrees with `find_alloc`.
         assert_eq!(
             cache.best(&state, &e, &usage),
             find_alloc(&state, &e, &usage)
         );
-        assert_eq!((cache.hits(), cache.misses()), (2, 1));
+        assert_eq!(cache.priced.len(), 1);
 
         // A different usage state is a distinct key.
         let mut used = usage.clone();
@@ -1262,78 +906,54 @@ mod tests {
             cache.candidates(&state, &e, &used),
             find_candidates(&state, &e, &used).as_slice()
         );
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        assert_eq!(cache.priced.len(), 2);
     }
 
     #[test]
-    fn cross_round_geometry_reuse_is_exact() {
-        // Two jobs of the same model and gang share a ClassKey; after the
-        // first enumeration the second job (and later rounds) must be served
-        // from the geometry layer with byte-identical candidate lists.
-        let cluster = Cluster::motivation_toy();
-        let a = JobState::new(Job::for_model(
-            JobId(0),
-            DlTask::ResNet18,
-            cluster.catalog(),
-            0.0,
-            2,
-            50,
-        ));
-        let b = JobState::new(Job::for_model(
-            JobId(1),
-            DlTask::ResNet18,
-            cluster.catalog(),
-            0.0,
-            2,
-            80,
-        ));
+    fn pools_carry_across_rounds_and_stay_exact() {
+        // An admission on V100s changes only the V100 column, so the P100
+        // and K80 pools built at the empty state serve the next query and
+        // the next round unchanged — with candidate lists identical to the
+        // uncached enumeration.
+        let (cluster, state) = setup(2);
         let comm = CommCostModel::default();
-        let prices = prices_for(&cluster, &a);
+        let prices = prices_for(&cluster, &state);
         let u = EffectiveThroughput;
         let e = env(&cluster, &comm, &prices, &u);
-        let usage = Usage::empty(&cluster);
+        let empty = Usage::empty(&cluster);
+        let mut used = empty.clone();
+        used.add(MachineId(0), GpuTypeId(0), 1);
         let mut cache = CandidateCache::new();
 
         cache.begin_round(&e);
+        cache.candidates(&state, &e, &empty);
+        assert_eq!(cache.pools.len(), 3);
         assert_eq!(
-            cache.candidates(&a, &e, &usage),
-            find_candidates(&a, &e, &usage).as_slice()
+            cache.candidates(&state, &e, &used),
+            find_candidates(&state, &e, &used).as_slice()
         );
-        assert_eq!(
-            cache.candidates(&b, &e, &usage),
-            find_candidates(&b, &e, &usage).as_slice()
-        );
-        assert_eq!((cache.class_hits(), cache.class_misses()), (1, 1));
+        assert_eq!(cache.pools.len(), 4, "only the V100 pool is rebuilt");
 
-        // Next round: the priced layer is gone, the geometry layer serves.
         cache.begin_round(&e);
+        assert_eq!(cache.priced.len(), 0, "priced layer is per round");
         assert_eq!(
-            cache.candidates(&a, &e, &usage),
-            find_candidates(&a, &e, &usage).as_slice()
+            cache.candidates(&state, &e, &used),
+            find_candidates(&state, &e, &used).as_slice()
         );
-        assert_eq!((cache.class_hits(), cache.class_misses()), (2, 1));
+        assert_eq!(cache.pools.len(), 4);
     }
 
     #[test]
-    fn straggler_factors_disable_class_sharing_but_stay_exact() {
-        // With a fractional machine factor the bottleneck comparison depends
-        // on rate values, so class sharing must switch off — and a context
-        // change between rounds must drop previously cached geometry.
+    fn availability_change_drops_pools() {
+        // A machine going down must never be served from a pool sorted
+        // while it was up.
         let (cluster, state) = setup(2);
-        let other = JobState::new(Job::for_model(
-            JobId(7),
-            DlTask::ResNet18,
-            cluster.catalog(),
-            0.0,
-            2,
-            60,
-        ));
         let comm = CommCostModel::default();
         let prices = prices_for(&cluster, &state);
         let u = EffectiveThroughput;
         let healthy = env(&cluster, &comm, &prices, &u);
-        let factors = [0.3, 1.0, 1.0];
-        let straggling = AllocEnv {
+        let factors = [0.0, 1.0, 1.0];
+        let failed = AllocEnv {
             machine_factors: &factors,
             ..env(&cluster, &comm, &prices, &u)
         };
@@ -1342,24 +962,19 @@ mod tests {
 
         cache.begin_round(&healthy);
         cache.candidates(&state, &healthy, &usage);
-        assert_eq!(cache.class_misses(), 1);
-
-        cache.begin_round(&straggling);
-        assert_eq!(
-            cache.candidates(&state, &straggling, &usage),
-            find_candidates(&state, &straggling, &usage).as_slice()
-        );
-        assert_eq!(
-            cache.candidates(&other, &straggling, &usage),
-            find_candidates(&other, &straggling, &usage).as_slice()
-        );
-        // Same class, but no sharing happened under fractional factors.
-        assert_eq!(cache.class_hits(), 0);
-        assert_eq!(cache.class_misses(), 1);
+        cache.begin_round(&failed);
+        assert!(cache.pools.is_empty());
+        let cands = cache.candidates(&state, &failed, &usage);
+        assert_eq!(cands, find_candidates(&state, &failed, &usage).as_slice());
+        assert!(cands.iter().all(|c| c
+            .placement
+            .slices()
+            .iter()
+            .all(|s| s.machine != MachineId(0))));
     }
 
     #[test]
-    fn idle_geometry_entries_are_evicted() {
+    fn idle_pools_are_evicted() {
         let (cluster, state) = setup(2);
         let comm = CommCostModel::default();
         let prices = prices_for(&cluster, &state);
@@ -1370,79 +985,15 @@ mod tests {
 
         cache.begin_round(&e);
         cache.candidates(&state, &e, &usage);
-        assert_eq!(cache.class_misses(), 1);
-
-        // Kept alive while recently used…
+        assert_eq!(cache.pools.len(), 3);
+        // Kept while idle for up to POOL_KEEP_ROUNDS rounds…
+        for _ in 0..POOL_KEEP_ROUNDS {
+            cache.begin_round(&e);
+        }
+        assert_eq!(cache.pools.len(), 3);
+        // …and evicted one round later.
         cache.begin_round(&e);
-        cache.candidates(&state, &e, &usage);
-        assert_eq!((cache.class_hits(), cache.class_misses()), (1, 1));
-
-        // …but evicted after CLASS_KEEP_ROUNDS idle rounds.
-        for _ in 0..=CLASS_KEEP_ROUNDS {
-            cache.begin_round(&e);
-        }
-        cache.candidates(&state, &e, &usage);
-        assert_eq!((cache.class_hits(), cache.class_misses()), (1, 2));
-    }
-
-    #[test]
-    fn prefetch_is_byte_identical_to_serial() {
-        let cluster = Cluster::motivation_toy();
-        let models = [
-            DlTask::ResNet18,
-            DlTask::ResNet50,
-            DlTask::Lstm,
-            DlTask::ResNet18,
-            DlTask::Transformer,
-            DlTask::ResNet18,
-        ];
-        let states: Vec<JobState> = models
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| {
-                JobState::new(Job::for_model(
-                    JobId(i as u32),
-                    m,
-                    cluster.catalog(),
-                    0.0,
-                    1 + (i as u32 % 3),
-                    40 + 10 * i as u64,
-                ))
-            })
-            .collect();
-        let refs: Vec<&JobState> = states.iter().collect();
-        let comm = CommCostModel::default();
-        let prices = PriceState::compute(&states, &cluster, &EffectiveThroughput, 0.0);
-        let u = EffectiveThroughput;
-        let usage = Usage::empty(&cluster);
-
-        for factors in [vec![], vec![0.3, 1.0, 1.0]] {
-            let e = AllocEnv {
-                cluster: &cluster,
-                comm: &comm,
-                prices: &prices,
-                utility: &u,
-                now: 0.0,
-                realloc_stall: 10.0,
-                features: Features::default(),
-                machine_factors: &factors,
-                round_threads: 4,
-            };
-            let mut cache = CandidateCache::new();
-            cache.begin_round(&e);
-            cache.prefetch(&refs, &e, &usage);
-            assert_eq!(cache.prefetched(), states.len());
-            assert_eq!(cache.misses(), 0);
-            for s in &states {
-                assert_eq!(
-                    cache.candidates(s, &e, &usage),
-                    find_candidates(s, &e, &usage).as_slice(),
-                    "prefetched candidates diverge for job {} (factors {factors:?})",
-                    s.job.id
-                );
-            }
-            assert_eq!(cache.hits(), states.len());
-        }
+        assert!(cache.pools.is_empty());
     }
 
     #[test]

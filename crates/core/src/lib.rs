@@ -65,7 +65,7 @@ pub mod scheduler;
 pub mod theory;
 pub mod utility;
 
-pub use config::{AllocMode, HadarConfig, RoundParallelism};
+pub use config::{AllocMode, HadarConfig};
 pub use find_alloc::{CandidateCache, Features};
 pub use price::{CompetitiveBound, PriceShape, PriceState};
 pub use profiler::{RoundPhase, RoundProfiler, RoundTimings, ThroughputEstimator};

@@ -13,8 +13,7 @@
 //! [`RoundProfiler`] is unrelated to throughput: it is the wall-clock
 //! stopwatch the scheduler runs its own round phases under (price update,
 //! candidate generation, selection), feeding the per-round
-//! `DecisionPhases` records the simulator surfaces in `SimOutcome` and the
-//! `round_bench` binary aggregates.
+//! `DecisionPhases` records the simulator surfaces in `SimOutcome`.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -27,7 +26,7 @@ use hadar_workload::{Job, ThroughputProfile};
 pub enum RoundPhase {
     /// Dual price recomputation (Eq. 5) over the live queue.
     Price,
-    /// Candidate enumeration — serial misses plus parallel prefetch batches.
+    /// Candidate enumeration (candidate-cache misses).
     Candidates,
     /// The Algorithm-2 subroutine (DP or greedy floor) minus the candidate
     /// generation it triggered.

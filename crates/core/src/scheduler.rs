@@ -28,10 +28,10 @@ pub struct HadarScheduler {
     cached_set: Option<u64>,
     /// Whether every queued job was placed by the cached allocation.
     cached_all_placed: bool,
-    /// The cross-round candidate cache: priced candidates per round plus
-    /// placement geometries that survive across rounds (keyed by usage
-    /// fingerprint + job class; [`CandidateCache::begin_round`] invalidates
-    /// on any price-shape/availability/feature change).
+    /// The candidate cache: priced candidates per round plus per-type
+    /// machine pools that survive across rounds (keyed by usage column
+    /// fingerprint; [`CandidateCache::begin_round`] invalidates them on any
+    /// availability or capacity change).
     cache: CandidateCache,
     /// Set on every arrival/completion notification, cleared after a full
     /// re-optimization. Belt-and-braces companion to the job-set
@@ -194,14 +194,9 @@ impl Scheduler for HadarScheduler {
             realloc_stall: self.config.expected_realloc_penalty,
             features: self.config.features,
             machine_factors: ctx.machine_factors,
-            round_threads: self.config.round_parallelism.resolve(),
         };
         let usage = Usage::empty(ctx.cluster);
         let queue: Vec<&JobState> = states.iter().collect();
-        // With the cross-round cache off (benchmark/ablation mode),
-        // begin_round drops the geometry and pool layers and every miss
-        // re-enumerates from scratch — the pre-cache baseline.
-        self.cache.set_cross_round(self.config.cross_round_cache);
         self.cache.begin_round(&env);
         let gen0 = self.cache.gen_seconds();
         let selection = self.round_profiler.time(RoundPhase::Select, || {

@@ -146,7 +146,6 @@ mod tests {
             realloc_stall: 10.0,
             features: Features::default(),
             machine_factors: &[],
-            round_threads: 1,
         };
         let queue: Vec<&JobState> = states.iter().collect();
         audit_round(&queue, &env, &prices)
@@ -197,7 +196,6 @@ mod tests {
             realloc_stall: 10.0,
             features: Features::default(),
             machine_factors: &[],
-            round_threads: 1,
         };
         let a = audit_round(&[], &env, &prices);
         assert_eq!(a.admitted, 0);

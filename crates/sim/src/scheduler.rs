@@ -108,8 +108,7 @@ impl SchedulerContext<'_> {
 pub struct DecisionPhases {
     /// Time spent recomputing marginal prices (Eq. 5).
     pub price_seconds: f64,
-    /// Time spent generating/pricing placement candidates (cache misses and
-    /// parallel prefetch batches).
+    /// Time spent generating/pricing placement candidates (cache misses).
     pub candidates_seconds: f64,
     /// Time spent in subset selection (DP or greedy admission) *excluding*
     /// candidate generation.
