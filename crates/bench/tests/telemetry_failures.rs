@@ -65,7 +65,7 @@ fn high_failure_sweep_with_zero_completion_cells_does_not_panic() {
         let report = hadar_metrics::validate_telemetry_jsonl(stream)
             .unwrap_or_else(|e| panic!("{}: invalid stream: {e}", out.scheduler));
         assert_eq!(report.completed, out.completed_jobs() as u64);
-        assert_eq!(report.evicted, out.telemetry.jobs_evicted);
+        assert_eq!(report.evicted, out.telemetry_summary().evicted);
         total_evicted += report.evicted;
     }
     assert!(

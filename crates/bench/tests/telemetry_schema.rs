@@ -47,9 +47,27 @@ fn every_policy_stream_validates_against_schema() {
             "{} stream missing its policy counter {key:?}",
             kind.name()
         );
-        // The in-memory summary agrees with the stream's summary line.
-        assert_eq!(out.telemetry.rounds, report.rounds, "{}", kind.name());
-        assert_eq!(out.telemetry.jobs_completed, report.completed);
+        // The outcome's summary agrees with the stream's summary line.
+        let summary = out.telemetry_summary();
+        let from_stream = (
+            report.rounds,
+            report.scheduled,
+            report.preempted,
+            report.evicted,
+            report.completed,
+        );
+        assert_eq!(
+            (
+                summary.rounds,
+                summary.scheduled,
+                summary.preempted,
+                summary.evicted,
+                summary.completed,
+            ),
+            from_stream,
+            "{}",
+            kind.name()
+        );
     }
 }
 
@@ -65,6 +83,21 @@ fn observing_sink_never_perturbs_the_schedule() {
         let observed = run(kind, Telemetry::enabled());
         let silent = run(kind, Telemetry::disabled());
         assert!(silent.telemetry_stream().is_none());
+        // The engine fills its counts with the sink off too; only the
+        // policy counters need the sink.
+        let on = observed.telemetry_summary();
+        let off = silent.telemetry_summary();
+        assert!(!on.policy.is_empty(), "{}", kind.name());
+        assert!(off.policy.is_empty(), "{}", kind.name());
+        assert_eq!(
+            hadar_sim::TelemetrySummary {
+                policy: Default::default(),
+                ..on
+            },
+            off,
+            "{}",
+            kind.name()
+        );
         assert_eq!(
             observed.makespan(),
             silent.makespan(),

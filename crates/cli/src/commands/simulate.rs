@@ -84,11 +84,11 @@ pub fn run(opts: &Options) -> Result<(String, String, Option<String>), String> {
     let outcome = result.outcome.map_err(|e| e.to_string())?;
     let mut report = render_report(&outcome, n, result.wall_seconds);
     if observe {
-        let t = &outcome.telemetry;
+        let t = outcome.telemetry_summary();
         report.push_str(&format!(
             "\ntelemetry            : {} rounds, {} scheduled, {} preempted, \
              {} evicted, max queue {}",
-            t.rounds, t.jobs_scheduled, t.jobs_preempted, t.jobs_evicted, t.max_queue_depth,
+            t.rounds, t.scheduled, t.preempted, t.evicted, t.max_queue_depth,
         ));
     }
     let stream = outcome.telemetry_stream().map(str::to_owned);

@@ -30,8 +30,9 @@ pub struct Selection {
     pub decisions: Vec<(usize, Candidate)>,
     /// Total payoff `Σ μ_j` of the selection.
     pub total_payoff: f64,
-    /// Whether the DP hit [`DP_NODE_BUDGET`] and abandoned part of its
-    /// search (falling back to the greedy floor for the unexplored space).
+    /// Whether the DP hit its node budget (`DP_NODE_BUDGET`, 20 000) and
+    /// abandoned part of its search (falling back to the greedy floor for
+    /// the unexplored space).
     /// Surfaced so silently degraded rounds are visible in outcome stats;
     /// always `false` for pure greedy selections.
     pub budget_exhausted: bool,

@@ -161,12 +161,12 @@ impl CacheCtx {
 ///
 /// **Pool layer** (cross round): per-GPU-type sorted machine pools keyed by
 /// `(type, `[`Usage::column_fingerprint`]`)`, valid as long as the
-/// [`CacheCtx`] (availability mask, capacities) is unchanged. The greedy
+/// round context (availability mask, capacities) is unchanged. The greedy
 /// admission loop mutates usage after every admission, so its full
 /// fingerprints rarely repeat; but each admission touches only the columns
 /// of the types it uses, so the *other* types' pools (and their
 /// `O(M log M)` sorts, the dominant per-query cost at scale) carry over
-/// unchanged. Entries idle for [`POOL_KEEP_ROUNDS`] rounds are evicted.
+/// unchanged. Entries idle for `POOL_KEEP_ROUNDS` (2) rounds are evicted.
 ///
 /// Exactness: a cached pool is bit-identical to a freshly built one (the
 /// key covers the entire column the pool was sorted from), and cached and
@@ -192,7 +192,7 @@ impl CandidateCache {
     /// Start a new scheduling round: clears the per-round priced layer,
     /// validates the pool layer against the round's environment (dropping
     /// it on any availability or capacity change), and evicts pools idle
-    /// for [`POOL_KEEP_ROUNDS`] rounds.
+    /// for `POOL_KEEP_ROUNDS` (2) rounds.
     pub fn begin_round(&mut self, env: &AllocEnv<'_>) {
         self.round += 1;
         self.priced.clear();

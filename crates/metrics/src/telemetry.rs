@@ -1,8 +1,12 @@
 //! Validation and summarization of the simulator's telemetry JSONL stream.
 //!
-//! The stream format is produced by `hadar-sim`'s `Telemetry` sink (schema
-//! `hadar.telemetry.v1`): a `meta` header line, one `round` record per
-//! scheduling round, and a final `summary` line — each a single JSON object.
+//! The stream format is rendered by `hadar-sim` from a finished run's
+//! per-round records (schema [`TELEMETRY_SCHEMA`]): a `meta` header line,
+//! one `round` record per scheduling round, and a final `summary` line —
+//! each a single JSON object. The schema constants live here, below
+//! `hadar-sim` in the crate graph, so the producer and this validator share
+//! them.
+//!
 //! This module is the consumer-side contract: [`validate_telemetry_jsonl`]
 //! checks both JSON well-formedness (via a small hand-rolled parser — see
 //! DESIGN.md §8 for why serde is not used) and the schema (required record
@@ -11,13 +15,14 @@
 //! `simulate --telemetry-out` output; the bench harness uses the report to
 //! tag sweep rows.
 
-/// The schema identifier this validator accepts (mirrors
-/// `hadar_sim::TELEMETRY_SCHEMA`; duplicated rather than imported because
-/// `hadar-metrics` sits below `hadar-sim` in the crate graph).
+/// The schema identifier written to every `meta` record and accepted by
+/// the validator. `hadar-sim` re-exports it, so producer and consumer share
+/// this one definition.
 pub const TELEMETRY_SCHEMA: &str = "hadar.telemetry.v1";
 
-/// Keys every `round` record must carry.
-const ROUND_KEYS: [&str; 15] = [
+/// The numeric keys every `round` record carries, in the order the
+/// producer writes them (`hadar-sim` renders its records from this list).
+pub const ROUND_KEYS: [&str; 15] = [
     "round",
     "time_s",
     "queue_depth",

@@ -13,7 +13,7 @@ use crate::failure::{FailureModel, FailureState};
 use crate::scheduler::{JobState, Scheduler, SchedulerContext};
 use crate::stats::{JobRecord, RoundRecord, SimOutcome};
 use crate::straggler::{StragglerModel, StragglerState};
-use crate::telemetry::{RoundSnapshot, Telemetry};
+use crate::telemetry::{render_jsonl, Telemetry};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -122,11 +122,11 @@ impl Simulation {
 
     /// [`Simulation::run`] with a [`Telemetry`] sink attached. The sink is
     /// purely observational: with [`Telemetry::disabled`] every emission is
-    /// a no-op and this is exactly `run`; with [`Telemetry::enabled`] the
-    /// outcome additionally carries a per-round JSONL stream
-    /// ([`SimOutcome::telemetry_stream`]) and aggregate counters
-    /// ([`SimOutcome::telemetry`]) — the simulated schedule itself is
-    /// byte-identical either way.
+    /// a no-op and this is exactly `run`; with [`Telemetry::enabled`] each
+    /// round record additionally carries the policy's counters
+    /// ([`RoundRecord::policy`]) and the outcome carries the JSONL rendering
+    /// of its records ([`SimOutcome::telemetry_stream`]) — the simulated
+    /// schedule itself is byte-identical either way.
     pub fn run_with_telemetry<S: Scheduler>(
         self,
         mut scheduler: S,
@@ -140,22 +140,6 @@ impl Simulation {
         config.validate()?;
         let num_jobs = jobs.len();
         let round = config.round_length;
-        telemetry.begin_run(
-            scheduler.name(),
-            cluster.total_gpus(),
-            cluster.num_machines(),
-            num_jobs,
-            round,
-        );
-        let type_names: Vec<String> = if telemetry.is_enabled() {
-            cluster
-                .catalog()
-                .ids()
-                .map(|r| cluster.catalog().name(r).to_owned())
-                .collect()
-        } else {
-            Vec::new()
-        };
 
         // Records indexed by job id.
         let mut records: Vec<Option<JobRecord>> = vec![None; num_jobs];
@@ -316,12 +300,7 @@ impl Simulation {
             let mut scheduled_this_round = 0u32;
             let mut preempted_this_round = 0u32;
             let queue_depth = active.len() as u32;
-            // Allocated-GPU split per type, collected only when observing.
-            let mut util_gpus: Vec<u32> = if telemetry.is_enabled() {
-                vec![0; cluster.num_types()]
-            } else {
-                Vec::new()
-            };
+            let mut util_by_type = vec![0u32; cluster.num_types()];
             let mut finished: Vec<JobId> = Vec::new();
             let mut completions: Vec<SimEvent> = Vec::new();
 
@@ -357,10 +336,8 @@ impl Simulation {
                 if state.placement.is_empty() {
                     scheduled_this_round += 1;
                 }
-                if !util_gpus.is_empty() {
-                    for sl in new_placement.slices() {
-                        util_gpus[sl.gpu.index()] += sl.count;
-                    }
+                for sl in new_placement.slices() {
+                    util_by_type[sl.gpu.index()] += sl.count;
                 }
                 if changed {
                     if state.first_scheduled.is_none() {
@@ -473,41 +450,24 @@ impl Simulation {
 
             rounds.push(RoundRecord {
                 time: time - round,
+                queue_depth,
+                running_jobs,
+                scheduled: scheduled_this_round,
+                preempted: preempted_this_round,
+                evicted: evicted_this_round,
+                completed: finished.len() as u32,
+                arrivals: arrivals_this_round,
+                reallocations,
+                demand_gpus,
                 busy_gpu_seconds,
                 held_gpu_seconds,
+                machines_down: availability.num_down() as u32,
                 decision_seconds,
-                reallocations,
-                running_jobs,
-                demand_gpus,
+                util_by_type,
                 phases,
+                policy: telemetry.drain_round(),
                 bookkeeping_seconds: bk0.elapsed().as_secs_f64(),
             });
-            if telemetry.is_enabled() {
-                let util_by_type: Vec<(String, u32)> = type_names
-                    .iter()
-                    .cloned()
-                    .zip(util_gpus.iter().copied())
-                    .collect();
-                telemetry.record_round(&RoundSnapshot {
-                    round: round_no,
-                    time: time - round,
-                    queue_depth,
-                    running: running_jobs,
-                    scheduled: scheduled_this_round,
-                    preempted: preempted_this_round,
-                    evicted: evicted_this_round,
-                    completed: finished.len() as u32,
-                    arrivals: arrivals_this_round,
-                    reallocations,
-                    demand_gpus,
-                    busy_gpu_seconds,
-                    held_gpu_seconds,
-                    machines_down: availability.num_down() as u32,
-                    decision_seconds,
-                    phases,
-                    util_by_type: &util_by_type,
-                });
-            }
         }
 
         // A run that hits the round cap before every job has arrived leaves
@@ -534,10 +494,7 @@ impl Simulation {
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        telemetry.finish_run();
-        let telemetry_summary = telemetry.summary();
-        let telemetry_stream = telemetry.into_stream();
-        Ok(SimOutcome::new(
+        let mut outcome = SimOutcome::new(
             scheduler.name().to_owned(),
             records,
             rounds,
@@ -545,9 +502,11 @@ impl Simulation {
             cluster,
             timed_out,
             events,
-            telemetry_summary,
-            telemetry_stream,
-        ))
+        );
+        if telemetry.is_enabled() {
+            outcome.telemetry_stream = Some(render_jsonl(&outcome));
+        }
+        Ok(outcome)
     }
 }
 

@@ -10,7 +10,8 @@
 //! minutes). Each round it:
 //!
 //! 1. admits newly arrived jobs to the queue,
-//! 2. asks the active [`Scheduler`] for an [`Allocation`]
+//! 2. asks the active [`Scheduler`] for an
+//!    [`Allocation`](hadar_cluster::Allocation)
 //!    (`w_{jh}^r(t)` for every job) and wall-clock-times the decision,
 //! 3. validates the allocation against capacity (1d) and gang (1e)
 //!    constraints,
@@ -78,8 +79,9 @@ pub use engine::{job_rate, job_rate_full, job_rate_with, SimConfig, Simulation};
 pub use error::{SimError, SimResult};
 pub use event::{check_lifecycle, SimEvent};
 pub use failure::{FailureModel, FailureState, FailureTransitions};
+pub use hadar_metrics::telemetry::TELEMETRY_SCHEMA;
 pub use runner::{run_parallel, CellResult, SweepRunner};
 pub use scheduler::{DecisionPhases, JobState, Scheduler, SchedulerContext};
 pub use stats::{JobRecord, RoundRecord, SimOutcome};
 pub use straggler::{StragglerModel, StragglerState};
-pub use telemetry::{RoundSnapshot, Telemetry, TelemetrySummary, TELEMETRY_SCHEMA};
+pub use telemetry::{Telemetry, TelemetrySummary};

@@ -1,5 +1,7 @@
 //! Simulation outcome records and derived metrics.
 
+use std::collections::BTreeMap;
+
 use hadar_cluster::{Cluster, JobId};
 
 use crate::event::SimEvent;
@@ -39,28 +41,51 @@ impl JobRecord {
     }
 }
 
-/// Per-round cluster telemetry.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One scheduling round: the simulator's only per-round record. The engine
+/// fills one per round whether or not a telemetry sink observes the run;
+/// the outcome's aggregates, [`SimOutcome::telemetry_summary`] and the JSONL
+/// stream are all derived from these records. The round number is the
+/// record's 1-based position in [`SimOutcome::rounds`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundRecord {
     /// Round start time.
     pub time: f64,
+    /// Admitted, unfinished jobs at the round start (running + waiting).
+    pub queue_depth: u32,
+    /// Jobs holding GPUs this round.
+    pub running_jobs: u32,
+    /// Jobs that went from holding no GPUs to holding GPUs this round.
+    pub scheduled: u32,
+    /// Jobs whose allocation the scheduler took away this round.
+    pub preempted: u32,
+    /// Jobs forcibly evicted by machine failures this round.
+    pub evicted: u32,
+    /// Jobs that completed this round.
+    pub completed: u32,
+    /// Jobs admitted this round.
+    pub arrivals: u32,
+    /// Jobs whose allocation changed this round.
+    pub reallocations: u32,
+    /// Total GPU demand at the round start: Σ `W_j` over admitted,
+    /// unfinished jobs (capped at nothing — may exceed the cluster size).
+    pub demand_gpus: u32,
     /// GPU-seconds of useful compute delivered this round (excludes
     /// checkpoint stalls).
     pub busy_gpu_seconds: f64,
     /// GPU-seconds held by jobs this round (includes stalls).
     pub held_gpu_seconds: f64,
+    /// Machines down this round.
+    pub machines_down: u32,
     /// Wall-clock seconds the scheduler spent deciding.
     pub decision_seconds: f64,
-    /// Jobs whose allocation changed this round.
-    pub reallocations: u32,
-    /// Jobs holding GPUs this round.
-    pub running_jobs: u32,
-    /// Total GPU demand at the round start: Σ `W_j` over admitted,
-    /// unfinished jobs (capped at nothing — may exceed the cluster size).
-    pub demand_gpus: u32,
+    /// GPUs allocated per type this round, in catalog order.
+    pub util_by_type: Vec<u32>,
     /// Per-phase breakdown of the decision, when the scheduler reports one
     /// (see [`crate::Scheduler::last_decision_phases`]).
     pub phases: Option<DecisionPhases>,
+    /// The policy's own counters for this round (see
+    /// [`crate::Telemetry::incr`]); empty when the sink was disabled.
+    pub policy: BTreeMap<String, f64>,
     /// Wall-clock seconds the engine spent on round bookkeeping *outside*
     /// the scheduler call: allocation validation, penalty charging, progress
     /// advancement, and event recording.
@@ -82,17 +107,13 @@ pub struct SimOutcome {
     pub total_gpus: u32,
     /// Whether the simulation hit its round cap before all jobs finished.
     pub timed_out: bool,
-    /// Aggregate telemetry counters (empty/default when the run used a
-    /// disabled [`crate::Telemetry`] sink, i.e. plain
-    /// [`crate::Simulation::run`]).
-    pub telemetry: TelemetrySummary,
     cluster: Cluster,
     events: Vec<SimEvent>,
-    telemetry_stream: Option<String>,
+    /// Set by the engine when the run used an enabled sink.
+    pub(crate) telemetry_stream: Option<String>,
 }
 
 impl SimOutcome {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         scheduler: String,
         records: Vec<JobRecord>,
@@ -101,8 +122,6 @@ impl SimOutcome {
         cluster: Cluster,
         timed_out: bool,
         events: Vec<SimEvent>,
-        telemetry: TelemetrySummary,
-        telemetry_stream: Option<String>,
     ) -> Self {
         let total_gpus = cluster.total_gpus();
         Self {
@@ -112,11 +131,32 @@ impl SimOutcome {
             round_length,
             total_gpus,
             timed_out,
-            telemetry,
             cluster,
             events,
-            telemetry_stream,
+            telemetry_stream: None,
         }
+    }
+
+    /// Run totals over [`SimOutcome::rounds`] — the stream's `summary`
+    /// record. The engine counts are filled with the sink on or off;
+    /// [`TelemetrySummary::policy`] is empty unless the run used an enabled
+    /// [`crate::Telemetry`] sink.
+    pub fn telemetry_summary(&self) -> TelemetrySummary {
+        let mut t = TelemetrySummary {
+            rounds: self.rounds.len() as u64,
+            ..TelemetrySummary::default()
+        };
+        for r in &self.rounds {
+            t.scheduled += u64::from(r.scheduled);
+            t.preempted += u64::from(r.preempted);
+            t.evicted += u64::from(r.evicted);
+            t.completed += u64::from(r.completed);
+            t.max_queue_depth = t.max_queue_depth.max(r.queue_depth);
+            for (k, v) in &r.policy {
+                *t.policy.entry(k.clone()).or_insert(0.0) += v;
+            }
+        }
+        t
     }
 
     /// The per-round JSONL telemetry stream, when the run was executed with
@@ -420,33 +460,37 @@ mod tests {
             vec![
                 RoundRecord {
                     time: 0.0,
+                    queue_depth: 3,
+                    scheduled: 2,
+                    arrivals: 3,
                     busy_gpu_seconds: 30.0 * 360.0,
                     held_gpu_seconds: 30.0 * 360.0,
                     decision_seconds: 0.001,
                     reallocations: 1,
                     running_jobs: 2,
                     demand_gpus: 45,
-                    phases: None,
-                    bookkeeping_seconds: 0.0,
+                    util_by_type: vec![30, 0, 0],
+                    ..RoundRecord::default()
                 },
                 RoundRecord {
                     time: 360.0,
+                    queue_depth: 2,
+                    preempted: 1,
+                    evicted: 1,
+                    completed: 1,
                     busy_gpu_seconds: 15.0 * 360.0,
                     held_gpu_seconds: 15.0 * 360.0,
                     decision_seconds: 0.003,
-                    reallocations: 0,
                     running_jobs: 1,
                     demand_gpus: 20,
-                    phases: None,
-                    bookkeeping_seconds: 0.0,
+                    util_by_type: vec![0, 15, 0],
+                    ..RoundRecord::default()
                 },
             ],
             360.0,
             cluster,
             false,
             Vec::new(),
-            TelemetrySummary::default(),
-            None,
         )
     }
 
@@ -517,8 +561,21 @@ mod tests {
 
     #[test]
     fn telemetry_default_when_disabled() {
+        // A sink-off outcome: the summary's engine counts come from the
+        // round records, the policy map is empty and there is no stream.
         let o = outcome();
-        assert_eq!(o.telemetry, TelemetrySummary::default());
+        assert_eq!(
+            o.telemetry_summary(),
+            TelemetrySummary {
+                rounds: 2,
+                scheduled: 2,
+                preempted: 1,
+                evicted: 1,
+                completed: 1,
+                max_queue_depth: 3,
+                policy: BTreeMap::new(),
+            }
+        );
         assert!(o.telemetry_stream().is_none());
     }
 
@@ -554,35 +611,16 @@ mod tests {
             "Test".into(),
             Vec::new(),
             vec![
-                RoundRecord {
-                    time: 0.0,
-                    busy_gpu_seconds: 0.0,
-                    held_gpu_seconds: 0.0,
-                    decision_seconds: 0.0,
-                    reallocations: 0,
-                    running_jobs: 0,
-                    demand_gpus: 0,
-                    phases: None,
-                    bookkeeping_seconds: 0.0,
-                },
+                RoundRecord::default(),
                 RoundRecord {
                     time: 360.0,
-                    busy_gpu_seconds: 0.0,
-                    held_gpu_seconds: 0.0,
-                    decision_seconds: 0.0,
-                    reallocations: 0,
-                    running_jobs: 0,
-                    demand_gpus: 0,
-                    phases: None,
-                    bookkeeping_seconds: 0.0,
+                    ..RoundRecord::default()
                 },
             ],
             360.0,
             cluster,
             false,
             events,
-            TelemetrySummary::default(),
-            None,
         );
         assert_eq!(o.evictions(), 1);
         assert_eq!(o.machine_failures(), 2);

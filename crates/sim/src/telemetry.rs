@@ -1,113 +1,69 @@
 //! Structured per-round telemetry.
 //!
-//! A [`Telemetry`] sink travels through the engine and (via
-//! [`crate::SchedulerContext`]) through every policy's round path. The
-//! engine records one structured record per scheduling round — queue depth,
-//! scheduling/preemption/eviction counts, allocation churn, the GPU-type
-//! utilization split, failure-model state — and policies fold in their own
-//! counters (Hadar price-vector stats and phase timings, Gavel LP solve and
-//! warm-start counts, Tiresias queue depths, …) through [`Telemetry::incr`]
-//! and [`Telemetry::gauge`].
+//! Every scheduling round is one [`RoundRecord`] in [`SimOutcome::rounds`]:
+//! queue depth, scheduling/preemption/eviction counts, allocation churn, the
+//! GPU-type utilization split, failure-model state and decision timings. The
+//! engine fills it on every round whether or not the run is observed. This
+//! module adds two things on top of that record:
 //!
-//! Output is twofold:
-//!
-//! * a JSONL stream (one JSON object per line: a `meta` header, one `round`
-//!   record per round, a final `summary`), hand-rolled per DESIGN.md §8 (no
-//!   serde) and validated by `hadar_metrics::telemetry`;
-//! * cheap in-memory counters aggregated into a [`TelemetrySummary`] that
-//!   the engine attaches to [`crate::SimOutcome`].
+//! * the [`Telemetry`] sink, the channel through which policies write their
+//!   own per-round counters (Hadar price-vector stats, Gavel LP solve and
+//!   warm-start counts, Tiresias queue depths, …) via [`Telemetry::incr`]
+//!   and [`Telemetry::gauge`]; the engine drains it into each round's
+//!   [`RoundRecord::policy`];
+//! * the JSONL rendering of a finished run (a `meta` header, one `round`
+//!   record per [`RoundRecord`], a final `summary`), hand-rolled per
+//!   DESIGN.md §8 (no serde), keyed by [`hadar_metrics::telemetry::ROUND_KEYS`]
+//!   and validated by `hadar_metrics::validate_telemetry_jsonl`. It is
+//!   rendered once, after the run, when the sink was enabled
+//!   ([`SimOutcome::telemetry_stream`]).
 //!
 //! **Zero-cost when disabled.** A disabled sink ([`Telemetry::disabled`],
-//! which [`crate::Simulation::run`] uses) makes every method an early-return
-//! no-op: no allocation, no formatting, no counter map. Telemetry is purely
-//! observational either way — it never influences a scheduling decision, so
-//! enabling it cannot perturb simulation outcomes, only record them.
+//! which [`crate::Simulation::run`] uses) makes `incr`/`gauge` early-return
+//! no-ops: no allocation, no counter map, no stream. Telemetry is purely
+//! observational either way — policies never read the sink, so enabling it
+//! cannot perturb simulation outcomes, only record them.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use crate::scheduler::DecisionPhases;
+use hadar_metrics::telemetry::{ROUND_KEYS, TELEMETRY_SCHEMA};
 
-/// The JSONL schema identifier written to every `meta` record.
-pub const TELEMETRY_SCHEMA: &str = "hadar.telemetry.v1";
+use crate::stats::{RoundRecord, SimOutcome};
 
-/// Deterministic aggregate counters of one run, attached to
-/// [`crate::SimOutcome`]. Empty (`default`) when the sink was disabled.
+/// Run totals over [`SimOutcome::rounds`], as returned by
+/// [`SimOutcome::telemetry_summary`] and written as the stream's `summary`
+/// record.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySummary {
     /// Scheduling rounds recorded.
     pub rounds: u64,
     /// Jobs that went from holding no GPUs to holding GPUs, summed over
     /// rounds (first starts and restarts after preemption/eviction).
-    pub jobs_scheduled: u64,
+    pub scheduled: u64,
     /// Jobs whose allocation was taken away by a scheduling decision,
     /// summed over rounds.
-    pub jobs_preempted: u64,
+    pub preempted: u64,
     /// Forced evictions caused by machine failures, summed over rounds.
-    pub jobs_evicted: u64,
+    pub evicted: u64,
     /// Jobs completed, summed over rounds.
-    pub jobs_completed: u64,
+    pub completed: u64,
     /// Largest number of admitted, unfinished jobs seen at any round start.
     pub max_queue_depth: u32,
     /// Lifetime sums of every policy-emitted counter/gauge, keyed by the
-    /// name the policy used (e.g. `gavel.lp_solves`).
+    /// name the policy used (e.g. `gavel.lp_solves`). Empty when the run
+    /// used a disabled sink.
     pub policy: BTreeMap<String, f64>,
-}
-
-/// Everything the engine hands the sink about one finished round.
-#[derive(Debug, Clone)]
-pub struct RoundSnapshot<'a> {
-    /// 1-based round number.
-    pub round: u64,
-    /// Round start time, seconds.
-    pub time: f64,
-    /// Admitted, unfinished jobs at the round start (running + waiting).
-    pub queue_depth: u32,
-    /// Jobs holding GPUs this round.
-    pub running: u32,
-    /// Jobs that went from no GPUs to holding GPUs this round.
-    pub scheduled: u32,
-    /// Jobs whose allocation the scheduler took away this round.
-    pub preempted: u32,
-    /// Jobs forcibly evicted by machine failures this round.
-    pub evicted: u32,
-    /// Jobs that completed this round.
-    pub completed: u32,
-    /// Jobs admitted this round.
-    pub arrivals: u32,
-    /// Jobs whose allocation changed this round.
-    pub reallocations: u32,
-    /// Total GPU demand (Σ gang sizes) of the queue.
-    pub demand_gpus: u32,
-    /// Useful-compute GPU-seconds delivered this round.
-    pub busy_gpu_seconds: f64,
-    /// GPU-seconds held by jobs this round.
-    pub held_gpu_seconds: f64,
-    /// Machines down this round.
-    pub machines_down: u32,
-    /// Scheduler decision wall-clock seconds (non-deterministic).
-    pub decision_seconds: f64,
-    /// Per-phase decision breakdown, when the policy reports one.
-    pub phases: Option<DecisionPhases>,
-    /// Allocated GPUs per type this round, as `(type name, count)` in
-    /// catalog order.
-    pub util_by_type: &'a [(String, u32)],
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    /// Policy counters for the current round, drained by `record_round`.
-    round: BTreeMap<String, f64>,
-    /// The JSONL stream, one record per entry.
-    lines: Vec<String>,
-    summary: TelemetrySummary,
 }
 
 /// The telemetry sink. See the [module docs](self) for the contract.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     enabled: bool,
-    inner: RefCell<Inner>,
+    /// Policy counters of the current round, drained by the engine into
+    /// the round's record.
+    round: RefCell<BTreeMap<String, f64>>,
 }
 
 impl Telemetry {
@@ -121,7 +77,7 @@ impl Telemetry {
     pub fn enabled() -> Self {
         Self {
             enabled: true,
-            inner: RefCell::default(),
+            round: RefCell::default(),
         }
     }
 
@@ -133,18 +89,13 @@ impl Telemetry {
     }
 
     /// Add `delta` to this round's counter `key` (created at 0). No-op when
-    /// disabled. Counters drain into the round's JSONL record and accumulate
-    /// into [`TelemetrySummary::policy`].
+    /// disabled. Counters drain into the round's [`RoundRecord::policy`]
+    /// and accumulate into [`TelemetrySummary::policy`].
     pub fn incr(&self, key: &str, delta: f64) {
         if !self.enabled {
             return;
         }
-        *self
-            .inner
-            .borrow_mut()
-            .round
-            .entry(key.to_owned())
-            .or_insert(0.0) += delta;
+        *self.round.borrow_mut().entry(key.to_owned()).or_insert(0.0) += delta;
     }
 
     /// Set this round's gauge `key` to `value` (last write wins). No-op when
@@ -153,83 +104,51 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        self.inner.borrow_mut().round.insert(key.to_owned(), value);
+        self.round.borrow_mut().insert(key.to_owned(), value);
     }
 
-    /// Write the stream's `meta` header. Called once by the engine before
-    /// the first round.
-    pub fn begin_run(
-        &self,
-        scheduler: &str,
-        total_gpus: u32,
-        machines: usize,
-        jobs: usize,
-        round_length: f64,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let line = format!(
-            "{{\"type\":\"meta\",\"schema\":\"{TELEMETRY_SCHEMA}\",\"scheduler\":{},\
-             \"total_gpus\":{total_gpus},\"machines\":{machines},\"jobs\":{jobs},\
-             \"round_length_s\":{}}}",
-            json_string(scheduler),
-            json_number(round_length),
-        );
-        self.inner.borrow_mut().lines.push(line);
+    /// Take the current round's counters, leaving the sink empty for the
+    /// next round (always empty when disabled).
+    pub(crate) fn drain_round(&self) -> BTreeMap<String, f64> {
+        std::mem::take(&mut *self.round.borrow_mut())
     }
+}
 
-    /// Record one finished round: emits the `round` JSONL record (draining
-    /// this round's policy counters into it) and updates the in-memory
-    /// aggregates.
-    pub fn record_round(&self, snap: &RoundSnapshot<'_>) {
-        if !self.enabled {
-            return;
+/// Render a finished run as the JSONL stream (schema [`TELEMETRY_SCHEMA`]),
+/// one `\n`-terminated line per record.
+pub(crate) fn render_jsonl(out: &SimOutcome) -> String {
+    let catalog = out.cluster().catalog();
+    let type_names: Vec<String> = catalog
+        .ids()
+        .map(|r| json_string(catalog.name(r)))
+        .collect();
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "{{\"type\":\"meta\",\"schema\":\"{TELEMETRY_SCHEMA}\",\"scheduler\":{},\
+         \"total_gpus\":{},\"machines\":{},\"jobs\":{},\"round_length_s\":{}}}",
+        json_string(&out.scheduler),
+        out.total_gpus,
+        out.cluster().num_machines(),
+        out.records.len(),
+        json_number(out.round_length),
+    );
+    for (i, r) in out.rounds.iter().enumerate() {
+        s.push_str("{\"type\":\"round\"");
+        for (key, value) in ROUND_KEYS.iter().zip(round_values(i + 1, r)) {
+            let _ = write!(s, ",\"{key}\":{}", json_number(value));
         }
-        let mut inner = self.inner.borrow_mut();
-        let round_counters = std::mem::take(&mut inner.round);
-        for (k, v) in &round_counters {
-            *inner.summary.policy.entry(k.clone()).or_insert(0.0) += v;
-        }
-        let s = &mut inner.summary;
-        s.rounds += 1;
-        s.jobs_scheduled += u64::from(snap.scheduled);
-        s.jobs_preempted += u64::from(snap.preempted);
-        s.jobs_evicted += u64::from(snap.evicted);
-        s.jobs_completed += u64::from(snap.completed);
-        s.max_queue_depth = s.max_queue_depth.max(snap.queue_depth);
-
-        let mut line = format!(
-            "{{\"type\":\"round\",\"round\":{},\"time_s\":{},\"queue_depth\":{},\
-             \"running\":{},\"scheduled\":{},\"preempted\":{},\"evicted\":{},\
-             \"completed\":{},\"arrivals\":{},\"reallocations\":{},\"demand_gpus\":{},\
-             \"busy_gpu_s\":{},\"held_gpu_s\":{},\"machines_down\":{},\"decision_s\":{}",
-            snap.round,
-            json_number(snap.time),
-            snap.queue_depth,
-            snap.running,
-            snap.scheduled,
-            snap.preempted,
-            snap.evicted,
-            snap.completed,
-            snap.arrivals,
-            snap.reallocations,
-            snap.demand_gpus,
-            json_number(snap.busy_gpu_seconds),
-            json_number(snap.held_gpu_seconds),
-            snap.machines_down,
-            json_number(snap.decision_seconds),
-        );
-        line.push_str(",\"util_by_type\":{");
-        for (i, (name, count)) in snap.util_by_type.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
+        s.push_str(",\"util_by_type\":{");
+        for (j, (name, count)) in type_names.iter().zip(&r.util_by_type).enumerate() {
+            if j > 0 {
+                s.push(',');
             }
-            line.push_str(&format!("{}:{count}", json_string(name)));
+            let _ = write!(s, "{name}:{count}");
         }
-        line.push('}');
-        if let Some(p) = snap.phases {
-            line.push_str(&format!(
+        s.push('}');
+        if let Some(p) = r.phases {
+            let _ = write!(
+                s,
                 ",\"phases\":{{\"price_s\":{},\"candidates_s\":{},\"select_s\":{},\
                  \"dp_budget_hit\":{},\"reused\":{}}}",
                 json_number(p.price_seconds),
@@ -237,72 +156,58 @@ impl Telemetry {
                 json_number(p.select_seconds),
                 p.dp_budget_hit,
                 p.reused,
-            ));
+            );
         }
-        if !round_counters.is_empty() {
-            line.push_str(",\"policy\":{");
-            for (i, (k, v)) in round_counters.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push_str(&format!("{}:{}", json_string(k), json_number(*v)));
-            }
-            line.push('}');
-        }
-        line.push('}');
-        inner.lines.push(line);
+        push_policy(&mut s, &r.policy);
+        s.push_str("}\n");
     }
+    let t = out.telemetry_summary();
+    let _ = write!(
+        s,
+        "{{\"type\":\"summary\",\"rounds\":{},\"scheduled\":{},\"preempted\":{},\
+         \"evicted\":{},\"completed\":{},\"max_queue_depth\":{}",
+        t.rounds, t.scheduled, t.preempted, t.evicted, t.completed, t.max_queue_depth,
+    );
+    push_policy(&mut s, &t.policy);
+    s.push_str("}\n");
+    s
+}
 
-    /// Write the final `summary` record. Called once by the engine after the
-    /// last round.
-    pub fn finish_run(&self) {
-        if !self.enabled {
-            return;
-        }
-        let mut inner = self.inner.borrow_mut();
-        let s = &inner.summary;
-        let mut line = format!(
-            "{{\"type\":\"summary\",\"rounds\":{},\"scheduled\":{},\"preempted\":{},\
-             \"evicted\":{},\"completed\":{},\"max_queue_depth\":{}",
-            s.rounds,
-            s.jobs_scheduled,
-            s.jobs_preempted,
-            s.jobs_evicted,
-            s.jobs_completed,
-            s.max_queue_depth,
-        );
-        if !s.policy.is_empty() {
-            line.push_str(",\"policy\":{");
-            for (i, (k, v)) in s.policy.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push_str(&format!("{}:{}", json_string(k), json_number(*v)));
-            }
-            line.push('}');
-        }
-        line.push('}');
-        inner.lines.push(line);
-    }
+/// The numeric fields of round `round` (1-based), in [`ROUND_KEYS`] order.
+/// Integer counts render without a fraction (`3`, not `3.0`).
+fn round_values(round: usize, r: &RoundRecord) -> [f64; ROUND_KEYS.len()] {
+    [
+        round as f64,
+        r.time,
+        f64::from(r.queue_depth),
+        f64::from(r.running_jobs),
+        f64::from(r.scheduled),
+        f64::from(r.preempted),
+        f64::from(r.evicted),
+        f64::from(r.completed),
+        f64::from(r.arrivals),
+        f64::from(r.reallocations),
+        f64::from(r.demand_gpus),
+        r.busy_gpu_seconds,
+        r.held_gpu_seconds,
+        f64::from(r.machines_down),
+        r.decision_seconds,
+    ]
+}
 
-    /// The aggregate counters so far (default/empty when disabled).
-    pub fn summary(&self) -> TelemetrySummary {
-        if !self.enabled {
-            return TelemetrySummary::default();
-        }
-        self.inner.borrow().summary.clone()
+/// Append `,"policy":{…}` unless `policy` is empty.
+fn push_policy(s: &mut String, policy: &BTreeMap<String, f64>) {
+    if policy.is_empty() {
+        return;
     }
-
-    /// Consume the sink, yielding the JSONL stream (`None` when disabled).
-    pub fn into_stream(self) -> Option<String> {
-        if !self.enabled {
-            return None;
+    s.push_str(",\"policy\":{");
+    for (i, (k, v)) in policy.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
         }
-        let lines = self.inner.into_inner().lines;
-        let mut out = lines.join("\n");
-        out.push('\n');
-        Some(out)
+        let _ = write!(s, "{}:{}", json_string(k), json_number(*v));
     }
+    s.push('}');
 }
 
 /// A JSON string literal (quoted, escaped).
@@ -338,107 +243,129 @@ fn json_number(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn snapshot<'a>(util: &'a [(String, u32)]) -> RoundSnapshot<'a> {
-        RoundSnapshot {
-            round: 1,
-            time: 0.0,
-            queue_depth: 3,
-            running: 2,
-            scheduled: 2,
-            preempted: 0,
-            evicted: 1,
-            completed: 0,
-            arrivals: 3,
-            reallocations: 2,
-            demand_gpus: 8,
-            busy_gpu_seconds: 1440.0,
-            held_gpu_seconds: 1440.0,
-            machines_down: 1,
-            decision_seconds: 0.002,
-            phases: None,
-            util_by_type: util,
-        }
-    }
+    use crate::scheduler::DecisionPhases;
+    use hadar_cluster::Cluster;
 
     #[test]
-    fn disabled_sink_is_inert() {
-        let t = Telemetry::disabled();
-        assert!(!t.is_enabled());
-        t.incr("x", 1.0);
-        t.gauge("y", 2.0);
-        t.begin_run("S", 4, 1, 2, 360.0);
-        t.record_round(&snapshot(&[]));
-        t.finish_run();
-        assert_eq!(t.summary(), TelemetrySummary::default());
-        assert_eq!(t.into_stream(), None);
+    fn sink_accumulates_and_drains_per_round() {
+        let off = Telemetry::disabled();
+        assert!(!off.is_enabled());
+        off.incr("x", 1.0);
+        off.gauge("y", 2.0);
+        assert!(off.drain_round().is_empty());
+
+        let on = Telemetry::enabled();
+        on.incr("k.widgets", 2.0);
+        on.incr("k.widgets", 1.0);
+        on.gauge("k.depth", 4.0);
+        on.gauge("k.depth", 5.0);
+        let round = on.drain_round();
+        assert_eq!(round["k.widgets"], 3.0);
+        assert_eq!(round["k.depth"], 5.0);
+        assert!(on.drain_round().is_empty(), "counters carried over a round");
     }
 
+    /// A hand-built two-round outcome renders to exactly these lines, and
+    /// the result passes the schema validator.
     #[test]
-    fn stream_has_meta_rounds_summary() {
-        let t = Telemetry::enabled();
-        t.begin_run("Test", 8, 2, 3, 360.0);
-        t.incr("policy.widgets", 2.0);
-        t.incr("policy.widgets", 1.0);
-        t.gauge("policy.depth", 5.0);
-        let util = vec![("K80".to_owned(), 0), ("V100".to_owned(), 4)];
-        t.record_round(&snapshot(&util));
-        t.finish_run();
-        let summary = t.summary();
-        assert_eq!(summary.rounds, 1);
-        assert_eq!(summary.jobs_scheduled, 2);
-        assert_eq!(summary.jobs_evicted, 1);
-        assert_eq!(summary.max_queue_depth, 3);
-        assert_eq!(summary.policy["policy.widgets"], 3.0);
-        assert_eq!(summary.policy["policy.depth"], 5.0);
+    fn golden_stream() {
+        let rounds = vec![
+            RoundRecord {
+                time: 0.0,
+                queue_depth: 3,
+                running_jobs: 2,
+                scheduled: 2,
+                preempted: 0,
+                evicted: 1,
+                completed: 0,
+                arrivals: 3,
+                reallocations: 2,
+                demand_gpus: 8,
+                busy_gpu_seconds: 1440.0,
+                held_gpu_seconds: 1440.0,
+                machines_down: 1,
+                decision_seconds: 0.002,
+                util_by_type: vec![4, 0, 0],
+                phases: Some(DecisionPhases {
+                    price_seconds: 0.001,
+                    candidates_seconds: 0.25,
+                    select_seconds: 0.003,
+                    dp_budget_hit: true,
+                    reused: false,
+                }),
+                policy: BTreeMap::from([("p.depth".to_owned(), 5.0), ("p.n".to_owned(), 3.0)]),
+                bookkeeping_seconds: 0.0,
+            },
+            RoundRecord {
+                time: 360.0,
+                queue_depth: 2,
+                running_jobs: 1,
+                preempted: 1,
+                completed: 1,
+                demand_gpus: 4,
+                busy_gpu_seconds: 180.5,
+                held_gpu_seconds: 360.0,
+                decision_seconds: 0.5,
+                util_by_type: vec![0, 1, 0],
+                policy: BTreeMap::from([("p.n".to_owned(), 1.5)]),
+                ..RoundRecord::default()
+            },
+            RoundRecord {
+                time: 720.0,
+                queue_depth: 1,
+                scheduled: 1,
+                running_jobs: 1,
+                completed: 1,
+                demand_gpus: 1,
+                held_gpu_seconds: 360.0,
+                util_by_type: vec![0, 0, 1],
+                ..RoundRecord::default()
+            },
+        ];
+        let out = SimOutcome::new(
+            "Test".into(),
+            Vec::new(),
+            rounds,
+            360.0,
+            Cluster::paper_simulation(),
+            false,
+            Vec::new(),
+        );
+        let expected = [
+            "{\"type\":\"meta\",\"schema\":\"hadar.telemetry.v1\",\"scheduler\":\"Test\",\
+             \"total_gpus\":60,\"machines\":15,\"jobs\":0,\"round_length_s\":360}",
+            "{\"type\":\"round\",\"round\":1,\"time_s\":0,\"queue_depth\":3,\"running\":2,\
+             \"scheduled\":2,\"preempted\":0,\"evicted\":1,\"completed\":0,\"arrivals\":3,\
+             \"reallocations\":2,\"demand_gpus\":8,\"busy_gpu_s\":1440,\"held_gpu_s\":1440,\
+             \"machines_down\":1,\"decision_s\":0.002,\
+             \"util_by_type\":{\"V100\":4,\"P100\":0,\"K80\":0},\
+             \"phases\":{\"price_s\":0.001,\"candidates_s\":0.25,\"select_s\":0.003,\
+             \"dp_budget_hit\":true,\"reused\":false},\
+             \"policy\":{\"p.depth\":5,\"p.n\":3}}",
+            "{\"type\":\"round\",\"round\":2,\"time_s\":360,\"queue_depth\":2,\"running\":1,\
+             \"scheduled\":0,\"preempted\":1,\"evicted\":0,\"completed\":1,\"arrivals\":0,\
+             \"reallocations\":0,\"demand_gpus\":4,\"busy_gpu_s\":180.5,\"held_gpu_s\":360,\
+             \"machines_down\":0,\"decision_s\":0.5,\
+             \"util_by_type\":{\"V100\":0,\"P100\":1,\"K80\":0},\"policy\":{\"p.n\":1.5}}",
+            "{\"type\":\"round\",\"round\":3,\"time_s\":720,\"queue_depth\":1,\"running\":1,\
+             \"scheduled\":1,\"preempted\":0,\"evicted\":0,\"completed\":1,\"arrivals\":0,\
+             \"reallocations\":0,\"demand_gpus\":1,\"busy_gpu_s\":0,\"held_gpu_s\":360,\
+             \"machines_down\":0,\"decision_s\":0,\
+             \"util_by_type\":{\"V100\":0,\"P100\":0,\"K80\":1}}",
+            "{\"type\":\"summary\",\"rounds\":3,\"scheduled\":3,\"preempted\":1,\"evicted\":1,\
+             \"completed\":2,\"max_queue_depth\":3,\"policy\":{\"p.depth\":5,\"p.n\":4.5}}",
+        ];
+        let stream = render_jsonl(&out);
+        assert_eq!(stream.lines().collect::<Vec<_>>(), expected);
+        assert!(stream.ends_with("}\n"));
 
-        let stream = t.into_stream().unwrap();
-        let lines: Vec<&str> = stream.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"type\":\"meta\""), "{}", lines[0]);
-        assert!(lines[0].contains(TELEMETRY_SCHEMA));
-        assert!(lines[1].contains("\"type\":\"round\""), "{}", lines[1]);
-        assert!(lines[1].contains("\"policy.widgets\":3"), "{}", lines[1]);
-        assert!(lines[1].contains("\"util_by_type\":{\"K80\":0,\"V100\":4}"));
-        assert!(lines[2].contains("\"type\":\"summary\""), "{}", lines[2]);
-        assert!(lines[2].contains("\"evicted\":1"), "{}", lines[2]);
-    }
-
-    #[test]
-    fn round_counters_drain_between_rounds() {
-        let t = Telemetry::enabled();
-        t.begin_run("Test", 4, 1, 1, 360.0);
-        t.incr("k", 1.0);
-        t.record_round(&snapshot(&[]));
-        // Second round emits no counter: the record must carry no policy map.
-        t.record_round(&snapshot(&[]));
-        t.finish_run();
-        assert_eq!(t.summary().policy["k"], 1.0);
-        let stream = t.into_stream().unwrap();
-        let rounds: Vec<&str> = stream
-            .lines()
-            .filter(|l| l.contains("\"type\":\"round\""))
-            .collect();
-        assert!(rounds[0].contains("\"policy\""));
-        assert!(!rounds[1].contains("\"policy\""));
-    }
-
-    #[test]
-    fn phases_render_when_present() {
-        let t = Telemetry::enabled();
-        let util: Vec<(String, u32)> = Vec::new();
-        let mut snap = snapshot(&util);
-        snap.phases = Some(DecisionPhases {
-            price_seconds: 0.001,
-            candidates_seconds: 0.002,
-            select_seconds: 0.003,
-            dp_budget_hit: true,
-            reused: false,
-        });
-        t.record_round(&snap);
-        let stream = t.into_stream().unwrap();
-        assert!(stream.contains("\"dp_budget_hit\":true"), "{stream}");
-        assert!(stream.contains("\"price_s\":0.001"), "{stream}");
+        let report = hadar_metrics::validate_telemetry_jsonl(&stream).expect("valid stream");
+        assert_eq!(report.scheduler, "Test");
+        assert_eq!(
+            (report.rounds, report.scheduled, report.preempted),
+            (3, 3, 1)
+        );
+        assert_eq!((report.evicted, report.completed), (1, 2));
     }
 
     #[test]

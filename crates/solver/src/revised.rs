@@ -12,7 +12,7 @@
 //!   *reinversion* rebuilds it from scratch by Gaussian elimination over the
 //!   basic columns in sparsity order (singletons first), which is an LU
 //!   factorization in product form; each subsequent pivot appends one eta
-//!   vector, and the file is rebuilt every [`REFACTOR_EVERY`] pivots to
+//!   vector, and the file is rebuilt every `REFACTOR_EVERY` (96) pivots to
 //!   bound fill-in and rounding drift;
 //! * pricing is Dantzig (steepest reduced cost) with a switch to Bland's
 //!   rule after an iteration budget, mirroring the dense solver's
@@ -126,14 +126,14 @@ impl LpProblem {
 
     /// Whether a cold (no warm basis) solve of this problem should use the
     /// dense tableau instead of the revised simplex: true for problems of at
-    /// most [`COLD_DENSE_MAX_DIM`] standard-form dimensions, where the dense
+    /// most `COLD_DENSE_MAX_DIM` (2048) standard-form dimensions, where the dense
     /// solver's cache-friendly pivots beat the eta-file overhead.
     pub fn cold_solve_prefers_dense(&self) -> bool {
         self.num_vars() + self.num_constraints() <= COLD_DENSE_MAX_DIM
     }
 
     /// Size-adaptive cold solve: dense tableau below the
-    /// [`COLD_DENSE_MAX_DIM`] crossover, sparse revised simplex above it.
+    /// `COLD_DENSE_MAX_DIM` crossover, sparse revised simplex above it.
     /// Either way the optimal basis comes back in revised-solver ids, ready
     /// to seed [`LpProblem::solve_warm`] on the next round.
     pub fn solve_cold_with_basis(&self) -> (LpOutcome, Option<Basis>) {

@@ -138,7 +138,10 @@ fn metric_domains_hold() {
 }
 
 /// The engine's accounting is conservative: busy GPU-seconds never
-/// exceed held GPU-seconds, and held never exceeds cluster capacity.
+/// exceed held GPU-seconds, and held never exceeds cluster capacity. The
+/// round records agree with themselves and the outcome: the per-type split
+/// sums to the held GPU-seconds, per-round completions sum to the finished
+/// jobs, and no more jobs arrive than the trace holds.
 #[test]
 fn gpu_second_accounting() {
     let mut rng = StdRng::seed_from_u64(0x33);
@@ -147,6 +150,7 @@ fn gpu_second_accounting() {
         let specs = random_specs(&mut rng, 6);
         let jobs = materialize(&cluster, &specs);
         let total = cluster.total_gpus() as f64;
+        let num_jobs = jobs.len();
         let out = Simulation::new(cluster, jobs, SimConfig::default())
             .run(TiresiasScheduler::paper_default())
             .unwrap();
@@ -159,7 +163,19 @@ fn gpu_second_accounting() {
                 round.held_gpu_seconds <= total * out.round_length + 1e-6,
                 "case {case}"
             );
+            // The per-type split accounts for every held GPU-second.
+            let allocated: u32 = round.util_by_type.iter().sum();
+            assert!(
+                (f64::from(allocated) * out.round_length - round.held_gpu_seconds).abs() < 1e-6,
+                "case {case}: util_by_type {:?} vs held {}",
+                round.util_by_type,
+                round.held_gpu_seconds
+            );
         }
+        let completed: u32 = out.rounds.iter().map(|r| r.completed).sum();
+        assert_eq!(completed as usize, out.completed_jobs(), "case {case}");
+        let arrivals: u32 = out.rounds.iter().map(|r| r.arrivals).sum();
+        assert!(arrivals as usize <= num_jobs, "case {case}");
     }
 }
 
