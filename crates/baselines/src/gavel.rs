@@ -6,20 +6,18 @@
 //! * The policy solves an optimization problem for the allocation matrix
 //!   `Y[j][r]` — the fraction of time job `j` should spend on GPU type `r`.
 //!   The paper configures Gavel "keeping the objective of its optimization
-//!   problem similar to ours", i.e. maximize total effective throughput;
-//!   Gavel's max-min (LAS) policy is also available.
+//!   problem similar to ours", i.e. maximize total effective throughput.
 //! * The mechanism serves `Y` in rounds: each round, `(job, type)` pairs are
 //!   ranked by `priority[j][r] = Y[j][r] / received_fraction[j][r]` (types a
 //!   job is behind on rank higher) and admitted greedily while `W_j` GPUs of
 //!   type `r` remain — **all tasks on one type**, gang or nothing.
 //!
 //! The LP is re-solved only when the active job set changes (arrival or
-//! completion), matching Gavel's own implementation. Every solve is exact:
-//! the sparse revised simplex in `hadar-solver` stays fast at all Fig. 7
-//! scales, and the optimal basis is cached across rounds (keyed by job
-//! identity via [`hadar_solver::GavelBasisCache`]) so an arrival or
-//! completion re-optimizes in a handful of pivots instead of a full
-//! two-phase resolve. A malformed LP input surfaces as
+//! completion) or the availability mask does, matching Gavel's own
+//! implementation. Every solve is exact and cold:
+//! [`hadar_solver::max_total_throughput_allocation`] solves the LP as a
+//! transportation problem, well under a millisecond at Fig. 7's largest
+//! scale. A malformed LP input surfaces as
 //! [`GavelScheduler::last_lp_error`] and skips one scheduling decision
 //! instead of aborting the sweep.
 
@@ -27,76 +25,31 @@ use std::collections::HashMap;
 
 use hadar_cluster::{Allocation, GpuTypeId, JobId, JobPlacement, PlacementSlice, Usage};
 use hadar_sim::{Scheduler, SchedulerContext};
-use hadar_solver::{
-    max_min_allocation_warm, max_total_throughput_allocation_warm, GavelBasisCache, GavelLpError,
-    GavelLpInput,
-};
-
-/// Which Gavel policy objective to solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GavelPolicy {
-    /// Maximize `Σ_j Σ_r Y[j][r] · X_j^r · W_j` (the paper's comparison
-    /// setting).
-    #[default]
-    MaxTotalThroughput,
-    /// Maximize the minimum normalized throughput across jobs (Gavel's LAS
-    /// fairness policy).
-    MaxMinFairness,
-}
-
-/// Gavel configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct GavelConfig {
-    /// Policy objective.
-    pub policy: GavelPolicy,
-    /// Reuse the previous round's optimal LP basis when the job set
-    /// changes (on by default; disable to force cold solves, e.g. when
-    /// isolating solver behavior in benchmarks).
-    pub warm_start: bool,
-}
-
-impl Default for GavelConfig {
-    fn default() -> Self {
-        Self {
-            policy: GavelPolicy::MaxTotalThroughput,
-            warm_start: true,
-        }
-    }
-}
+use hadar_solver::{max_total_throughput_allocation, GavelLpError, GavelLpInput};
 
 /// The Gavel baseline scheduler.
 pub struct GavelScheduler {
-    config: GavelConfig,
     /// Cached allocation matrix rows per job.
     y: HashMap<JobId, Vec<f64>>,
     /// Rounds in which job `j` ran on type `r`.
     rounds_received: HashMap<JobId, Vec<f64>>,
     /// Job-set fingerprint of the cached LP solution.
     cached_set: u64,
-    /// Optimal basis of the previous LP solve, remapped onto the next
-    /// round's problem for warm-starting.
-    basis_cache: Option<GavelBasisCache>,
     /// Most recent LP failure, if any (the round it occurred in scheduled
     /// nothing; the sweep continues).
     last_lp_error: Option<GavelLpError>,
 }
 
 impl GavelScheduler {
-    /// Build with `config`.
-    pub fn new(config: GavelConfig) -> Self {
+    /// Gavel with the max-total-throughput objective, the paper's
+    /// comparison configuration.
+    pub fn paper_default() -> Self {
         Self {
-            config,
             y: HashMap::new(),
             rounds_received: HashMap::new(),
             cached_set: 0,
-            basis_cache: None,
             last_lp_error: None,
         }
-    }
-
-    /// Build with defaults (the paper's comparison configuration).
-    pub fn paper_default() -> Self {
-        Self::new(GavelConfig::default())
     }
 
     /// The most recent LP error, if the last re-solve failed (malformed
@@ -136,26 +89,10 @@ impl GavelScheduler {
                 })
                 .collect(),
         };
-        let keys: Vec<u64> = ctx.jobs.iter().map(|s| u64::from(s.job.id.0)).collect();
-        let warm = if self.config.warm_start {
-            self.basis_cache.as_ref()
-        } else {
-            None
-        };
         ctx.telemetry.incr("gavel.lp_solves", 1.0);
-        if warm.is_some() {
-            ctx.telemetry.incr("gavel.lp_warm_starts", 1.0);
-        }
-        let solved = match self.config.policy {
-            GavelPolicy::MaxTotalThroughput => {
-                max_total_throughput_allocation_warm(&input, &keys, warm)
-            }
-            GavelPolicy::MaxMinFairness => max_min_allocation_warm(&input, &keys, warm),
-        };
         self.y.clear();
-        match solved {
-            Ok((y, cache)) => {
-                self.basis_cache = Some(cache);
+        match max_total_throughput_allocation(&input) {
+            Ok(y) => {
                 self.last_lp_error = None;
                 for (s, row) in ctx.jobs.iter().zip(y) {
                     self.y.insert(s.job.id, row);
@@ -163,8 +100,7 @@ impl GavelScheduler {
             }
             Err(e) => {
                 // Propagate instead of aborting: this round schedules
-                // nothing, the next job-set change retries from cold.
-                self.basis_cache = None;
+                // nothing, the next job-set change retries.
                 self.last_lp_error = Some(e);
                 ctx.telemetry.incr("gavel.lp_errors", 1.0);
             }
@@ -353,29 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn max_min_policy_also_completes() {
-        let cluster = Cluster::paper_simulation();
-        let jobs = generate_trace(
-            &TraceConfig {
-                num_jobs: 8,
-                seed: 3,
-                pattern: ArrivalPattern::Static,
-            },
-            cluster.catalog(),
-        );
-        let out = Simulation::new(cluster, jobs, SimConfig::default())
-            .run(GavelScheduler::new(GavelConfig {
-                policy: GavelPolicy::MaxMinFairness,
-                ..GavelConfig::default()
-            }))
-            .unwrap();
-        assert_eq!(out.completed_jobs(), 8);
-    }
-
-    #[test]
-    fn cold_solves_complete_like_warm() {
-        // `warm_start: false` forces a cold exact solve on every job-set
-        // change; the trace must still complete either way.
+    fn continuous_trace_completes_without_lp_errors() {
+        // Every arrival and completion re-solves the LP from scratch.
         let cluster = Cluster::paper_simulation();
         let jobs = generate_trace(
             &TraceConfig {
@@ -385,17 +300,12 @@ mod tests {
             },
             cluster.catalog(),
         );
-        for warm_start in [false, true] {
-            let mut sched = GavelScheduler::new(GavelConfig {
-                warm_start,
-                ..GavelConfig::default()
-            });
-            let out = Simulation::new(cluster.clone(), jobs.clone(), SimConfig::default())
-                .run(&mut sched)
-                .unwrap();
-            assert_eq!(out.completed_jobs(), 10, "warm_start={warm_start}");
-            assert!(sched.last_lp_error().is_none());
-        }
+        let mut sched = GavelScheduler::paper_default();
+        let out = Simulation::new(cluster, jobs, SimConfig::default())
+            .run(&mut sched)
+            .unwrap();
+        assert_eq!(out.completed_jobs(), 10);
+        assert!(sched.last_lp_error().is_none());
     }
 
     #[test]

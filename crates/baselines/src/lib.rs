@@ -45,7 +45,7 @@ pub mod srtf;
 pub mod tiresias;
 pub mod yarn_cs;
 
-pub use gavel::{GavelConfig, GavelPolicy, GavelScheduler};
+pub use gavel::GavelScheduler;
 pub use srtf::SrtfScheduler;
 pub use tiresias::{TiresiasConfig, TiresiasPlacement, TiresiasScheduler};
 pub use yarn_cs::YarnCsScheduler;

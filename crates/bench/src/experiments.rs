@@ -1,8 +1,6 @@
 //! Scheduler factory and shared run helpers for the experiment binaries.
 
-use hadar_baselines::{
-    GavelConfig, GavelPolicy, GavelScheduler, SrtfScheduler, TiresiasScheduler, YarnCsScheduler,
-};
+use hadar_baselines::{GavelScheduler, SrtfScheduler, TiresiasScheduler, YarnCsScheduler};
 use hadar_cluster::Cluster;
 use hadar_core::{FtfUtility, HadarConfig, HadarScheduler, MinMakespan, UtilityKind};
 use hadar_sim::{Scheduler, SimConfig, SimResult, Simulation, Telemetry};
@@ -19,8 +17,6 @@ pub enum SchedulerKind {
     HadarFtf,
     /// Gavel with the max-total-throughput objective (the paper's setting).
     Gavel,
-    /// Gavel with its max-min fairness (LAS) policy.
-    GavelMaxMin,
     /// Tiresias, two queues, PromoteKnob off.
     Tiresias,
     /// YARN capacity scheduler.
@@ -45,7 +41,6 @@ impl SchedulerKind {
             SchedulerKind::HadarMakespan => "Hadar (makespan)",
             SchedulerKind::HadarFtf => "Hadar (FTF)",
             SchedulerKind::Gavel => "Gavel",
-            SchedulerKind::GavelMaxMin => "Gavel (max-min)",
             SchedulerKind::Tiresias => "Tiresias",
             SchedulerKind::YarnCs => "YARN-CS",
             SchedulerKind::Srtf => "SRTF",
@@ -64,10 +59,6 @@ impl SchedulerKind {
                 UtilityKind::Ftf(FtfUtility::new(cluster.clone(), n_jobs)),
             ))),
             SchedulerKind::Gavel => Box::new(GavelScheduler::paper_default()),
-            SchedulerKind::GavelMaxMin => Box::new(GavelScheduler::new(GavelConfig {
-                policy: GavelPolicy::MaxMinFairness,
-                ..GavelConfig::default()
-            })),
             SchedulerKind::Tiresias => Box::new(TiresiasScheduler::paper_default()),
             SchedulerKind::YarnCs => Box::new(YarnCsScheduler::new()),
             SchedulerKind::Srtf => Box::new(SrtfScheduler::new()),
@@ -158,7 +149,6 @@ mod tests {
             SchedulerKind::HadarMakespan,
             SchedulerKind::HadarFtf,
             SchedulerKind::Gavel,
-            SchedulerKind::GavelMaxMin,
             SchedulerKind::Tiresias,
             SchedulerKind::YarnCs,
             SchedulerKind::Srtf,

@@ -3,8 +3,11 @@
 //! cluster scaled alongside the workload.
 //!
 //! Each point measures the wall-clock time of a single scheduling round
-//! over a fully queued cluster — for Hadar, the dual subroutine; for Gavel,
-//! the exact policy LP plus the round-based priority mechanism.
+//! over a fully queued cluster: for Hadar, the dual subroutine; for Gavel,
+//! its policy LP solved as a transportation problem plus the round-based
+//! priority mechanism. A third column times a cold revised-simplex solve of
+//! the same first-round LP: what a general LP solver (the paper's
+//! cvxpy-based Gavel) pays for the policy alone.
 //!
 //! This is the one simulation experiment that does *not* go through the
 //! [`hadar_sim::SweepRunner`]: its CSV values *are* wall-clock times, and
@@ -12,12 +15,15 @@
 //! the cells always run serially. Its CSV is correspondingly excluded from
 //! the serial-vs-parallel byte-equality guarantee.
 
-use hadar_baselines::{GavelConfig, GavelScheduler};
-use hadar_cluster::Cluster;
+use std::time::Instant;
+
+use hadar_baselines::GavelScheduler;
+use hadar_cluster::{Cluster, GpuTypeId};
 use hadar_core::{HadarConfig, HadarScheduler};
 use hadar_metrics::CsvWriter;
 use hadar_sim::{SimConfig, Simulation};
-use hadar_workload::{generate_trace, ArrivalPattern, TraceConfig};
+use hadar_solver::{total_throughput_lp, GavelLpInput};
+use hadar_workload::{generate_trace, ArrivalPattern, Job, TraceConfig};
 
 use crate::figures::{results_dir, FigureResult};
 
@@ -27,38 +33,64 @@ pub fn scaled_cluster(num_jobs: usize) -> Cluster {
     Cluster::scaled((num_jobs / 32).max(1))
 }
 
-/// Measure one scheduling decision for both schedulers at `num_jobs`.
-/// Returns `(hadar_seconds, gavel_seconds)`.
-pub fn measure(num_jobs: usize, seed: u64) -> (f64, f64) {
-    let decision = |kind: Kind| -> f64 {
-        let cluster = scaled_cluster(num_jobs);
-        let jobs = generate_trace(
-            &TraceConfig {
-                num_jobs,
-                seed,
-                pattern: ArrivalPattern::Static,
-            },
-            cluster.catalog(),
-        );
+/// One Fig. 7 point, in seconds.
+pub struct Decision {
+    /// Hadar's first scheduling round.
+    pub hadar: f64,
+    /// Gavel's first scheduling round (transportation solve + mechanism).
+    pub gavel: f64,
+    /// A cold revised-simplex solve of Gavel's first-round policy LP.
+    pub gavel_lp: f64,
+}
+
+/// Measure one scheduling decision at `num_jobs`.
+pub fn measure(num_jobs: usize, seed: u64) -> Decision {
+    let cluster = scaled_cluster(num_jobs);
+    let jobs = generate_trace(
+        &TraceConfig {
+            num_jobs,
+            seed,
+            pattern: ArrivalPattern::Static,
+        },
+        cluster.catalog(),
+    );
+    let first_round = |scheduler: Box<dyn hadar_sim::Scheduler>| -> f64 {
         let config = SimConfig {
             max_rounds: 1,
             ..SimConfig::default()
         };
-        let sim = Simulation::new(cluster, jobs, config);
-        let out = match kind {
-            Kind::Hadar => sim.run(HadarScheduler::new(HadarConfig::default())),
-            // Gavel's LP is exact at every scale since the sparse revised
-            // simplex replaced the dense tableau (no greedy fallback).
-            Kind::Gavel => sim.run(GavelScheduler::new(GavelConfig::default())),
-        };
-        out.expect("valid scale-probe scenario").rounds[0].decision_seconds
+        Simulation::new(cluster.clone(), jobs.clone(), config)
+            .run(scheduler)
+            .expect("valid scale-probe scenario")
+            .rounds[0]
+            .decision_seconds
     };
-    (decision(Kind::Hadar), decision(Kind::Gavel))
+    Decision {
+        hadar: first_round(Box::new(HadarScheduler::new(HadarConfig::default()))),
+        gavel: first_round(Box::new(GavelScheduler::paper_default())),
+        gavel_lp: general_lp_seconds(&cluster, &jobs),
+    }
 }
 
-enum Kind {
-    Hadar,
-    Gavel,
+/// Time a cold revised-simplex solve of the policy LP Gavel faces in the
+/// first round: every job of the static trace queued, every machine up.
+fn general_lp_seconds(cluster: &Cluster, jobs: &[Job]) -> f64 {
+    let types = (0..cluster.num_types()).map(|r| GpuTypeId(r as u16));
+    let input = GavelLpInput {
+        throughput: jobs
+            .iter()
+            .map(|j| types.clone().map(|t| j.profile.rate(t)).collect())
+            .collect(),
+        gang: jobs.iter().map(|j| j.gang).collect(),
+        capacity: types.clone().map(|t| cluster.total_of_type(t)).collect(),
+    };
+    let start = Instant::now();
+    let outcome = total_throughput_lp(&input)
+        .expect("well-formed policy LP")
+        .solve();
+    let seconds = start.elapsed().as_secs_f64();
+    assert!(outcome.optimal().is_some(), "policy LP has an optimum");
+    seconds
 }
 
 /// Regenerate Fig. 7.
@@ -68,21 +100,29 @@ pub fn run(quick: bool) -> FigureResult {
     } else {
         &[32, 64, 128, 256, 512, 1024, 2048]
     };
-    let mut csv = CsvWriter::new(&["jobs", "cluster_gpus", "hadar_seconds", "gavel_seconds"]);
+    let mut csv = CsvWriter::new(&[
+        "jobs",
+        "cluster_gpus",
+        "hadar_seconds",
+        "gavel_seconds",
+        "gavel_lp_seconds",
+    ]);
     let mut summary = String::from("Fig. 7: scheduling-decision wall time vs active jobs\n");
     for &n in sizes {
         let gpus = scaled_cluster(n).total_gpus();
-        let (hadar, gavel) = measure(n, 7);
+        let d = measure(n, 7);
         csv.row(vec![
             n.to_string(),
             gpus.to_string(),
-            format!("{hadar:.6}"),
-            format!("{gavel:.6}"),
+            format!("{:.6}", d.hadar),
+            format!("{:.6}", d.gavel),
+            format!("{:.6}", d.gavel_lp),
         ]);
         summary.push_str(&format!(
-            "  {n:>5} jobs / {gpus:>4} GPUs: Hadar {:>9.2} ms | Gavel {:>9.2} ms\n",
-            hadar * 1e3,
-            gavel * 1e3
+            "  {n:>5} jobs / {gpus:>4} GPUs: Hadar {:>9.2} ms | Gavel {:>9.2} ms | general LP {:>9.2} ms\n",
+            d.hadar * 1e3,
+            d.gavel * 1e3,
+            d.gavel_lp * 1e3
         ));
     }
     let path = results_dir().join("fig7_scalability.csv");
@@ -106,5 +146,6 @@ mod tests {
         let r = run(true);
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
         assert_eq!(csv.lines().count(), 3);
+        assert!(csv.starts_with("jobs,cluster_gpus,hadar_seconds,gavel_seconds,gavel_lp_seconds\n"));
     }
 }

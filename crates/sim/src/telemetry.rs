@@ -8,7 +8,7 @@
 //!
 //! * the [`Telemetry`] sink, the channel through which policies write their
 //!   own per-round counters (Hadar price-vector stats, Gavel LP solve and
-//!   warm-start counts, Tiresias queue depths, …) via [`Telemetry::incr`]
+//!   error counts, Tiresias queue depths, …) via [`Telemetry::incr`]
 //!   and [`Telemetry::gauge`]; the engine drains it into each round's
 //!   [`RoundRecord::policy`];
 //! * the JSONL rendering of a finished run (a `meta` header, one `round`

@@ -1,38 +1,40 @@
-//! The Gavel policy LPs.
+//! Gavel's max-total-throughput policy LP, solved as the transportation
+//! problem it is.
 //!
-//! Gavel models its heterogeneity-aware policies as optimization problems
-//! over an allocation matrix `Y[j][r] ∈ [0,1]`: the fraction of wall-clock
-//! time job `j` should spend running on GPU type `r`. Feasibility requires
+//! Gavel models its policy as an optimization over an allocation matrix
+//! `Y[j][r] ∈ [0,1]`, the fraction of wall-clock time job `j` should spend
+//! on GPU type `r`. The paper configures it "keeping the objective of its
+//! optimization problem similar to ours":
 //!
-//! * `Σ_r Y[j][r] ≤ 1` for every job (a job runs on at most one type at a
-//!   time), and
-//! * `Σ_j W_j · Y[j][r] ≤ C_r` for every type (time-averaged GPU demand at
-//!   most the type's capacity).
+//! ```text
+//! max Σ_j Σ_r X_jr · W_j · Y_jr   s.t.  Σ_r Y_jr ≤ 1,  Σ_j W_j · Y_jr ≤ C_r,  Y ≥ 0
+//! ```
 //!
-//! Two objectives are provided:
+//! Substituting `Z_jr = W_j · Y_jr` turns it into a transportation problem:
+//! job `j` supplies `W_j` units, type `r` absorbs `C_r`, and each unit
+//! routed `j → r` earns `X_jr`. `W` and `C` are integers, so an integral
+//! optimal `Z` exists. [`max_total_throughput_allocation`] finds one with
+//! max-profit augmenting paths (successive longest paths). A path enters
+//! type `r₀` with a job that still has supply, may re-route one unit of a
+//! job already on `r₀` to `r₁` (and so on, each type at most once), and
+//! ends at a type with room left. On the condensed graph over the `R` types
+//! the best entry into each type is the top of one max-heap per type, and
+//! the best re-route between two types the top of one max-heap per ordered
+//! pair, keyed by the gain `X_k,r₁ − X_k,r₀`. Each augmentation fills a
+//! type or exhausts a job, so there are at most `Σ_r C_r` of them.
 //!
-//! * [`max_total_throughput_allocation`] — maximize
-//!   `Σ_j Σ_r Y[j][r] · X_j^r · W_j`, total cluster effective throughput.
-//!   This is the configuration the paper uses when comparing against Hadar
-//!   ("keeping the objective of its optimization problem similar to ours").
-//! * [`max_min_allocation`] — maximize the minimum over jobs of the
-//!   *normalized* throughput `Σ_r Y[j][r]·X_j^r / max_r X_j^r`
-//!   (Gavel's LAS/fairness policy).
-//!
-//! Both are solved with the sparse revised simplex (`crate::revised`) and
-//! support **cross-round warm-starting**: the `_warm` variants thread a
-//! [`GavelBasisCache`] that remembers which columns were basic at the last
-//! optimum *by job identity*, so after an arrival or completion the basis
-//! is remapped onto the new problem and re-optimized in a handful of
-//! pivots instead of a full two-phase resolve.
+//! [`total_throughput_lp`] states the same LP for the general revised
+//! simplex ([`crate::LpProblem`]), which shares no code with the
+//! transportation solver: tests use it as the oracle, and Fig. 7 as the
+//! yardstick of what a general LP solver pays.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt;
 
-use crate::revised::Basis;
 use crate::simplex::{LpProblem, Relation};
 
-/// Input to a Gavel LP: one row per job, one column per GPU type.
+/// Input to the Gavel LP: one row per job, one column per GPU type.
 #[derive(Debug, Clone)]
 pub struct GavelLpInput {
     /// `throughput[j][r]` = `X_j^r` iterations/sec per worker. All rows must
@@ -44,9 +46,9 @@ pub struct GavelLpInput {
     pub capacity: Vec<u32>,
 }
 
-/// Why a Gavel LP could not be built or solved. Returned instead of
-/// aborting, so a malformed instance fails one scheduling decision rather
-/// than a whole sweep cell.
+/// Why a Gavel LP input is malformed. Returned instead of aborting, so a
+/// malformed instance fails one scheduling decision rather than a whole
+/// sweep cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GavelLpError {
     /// `gang` has a different length than `throughput`.
@@ -72,16 +74,6 @@ pub enum GavelLpError {
         /// Column (GPU type) index.
         col: usize,
     },
-    /// The job-key list passed to a `_warm` variant has the wrong length.
-    JobKeyLengthMismatch {
-        /// Number of jobs in the input.
-        jobs: usize,
-        /// Number of keys supplied.
-        keys: usize,
-    },
-    /// The LP solver did not return an optimum (cannot happen for
-    /// well-formed inputs: `Y = 0` is feasible and the region is bounded).
-    SolverFailed(&'static str),
 }
 
 impl fmt::Display for GavelLpError {
@@ -99,10 +91,6 @@ impl fmt::Display for GavelLpError {
             GavelLpError::NonFiniteThroughput { row, col } => {
                 write!(f, "throughput[{row}][{col}] is not finite")
             }
-            GavelLpError::JobKeyLengthMismatch { jobs, keys } => {
-                write!(f, "{keys} job keys supplied for {jobs} jobs")
-            }
-            GavelLpError::SolverFailed(what) => write!(f, "LP solver failed: {what}"),
         }
     }
 }
@@ -136,357 +124,276 @@ impl GavelLpInput {
     }
 }
 
-/// Which policy LP a cached basis belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CachePolicy {
-    TotalThroughput,
-    MaxMin,
-}
-
-/// A basic column of a Gavel LP, identified structurally so it survives
-/// job arrivals/completions (which renumber rows and variables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Label {
-    /// Allocation variable `Y[job][r]`.
-    Y { job: u64, r: usize },
-    /// Slack of the per-job time budget `Σ_r Y[j][r] ≤ 1`.
-    JobSlack { job: u64 },
-    /// Slack of the per-type capacity row.
-    CapSlack { r: usize },
-    /// The max-min objective variable `z`.
-    Z,
-    /// Surplus of a job's normalized-throughput row (max-min LP only).
-    MinSurplus { job: u64 },
-}
-
-/// Optimal-basis memory for one Gavel policy, keyed by job identity.
+/// Solve the max-total-effective-throughput LP exactly. Returns `Y` as a
+/// `J×R` matrix with every `W_j · Y_jr` integral (a gang-0 job gets a zero
+/// row), or a [`GavelLpError`] on malformed input.
 ///
-/// Thread it through consecutive [`max_total_throughput_allocation_warm`]
-/// (or [`max_min_allocation_warm`]) calls: columns belonging to departed
-/// jobs are dropped on remap, new jobs start from their slack columns, and
-/// the solver repairs any residual infeasibility. A cache built for one
-/// policy is ignored by the other.
-#[derive(Debug, Clone)]
-pub struct GavelBasisCache {
-    policy: CachePolicy,
-    labels: Vec<Label>,
-}
-
-impl GavelBasisCache {
-    /// Number of remembered basic columns (diagnostic).
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-}
-
-/// Column/row layout of one concrete Gavel LP instance, used to translate
-/// between standard-form column ids and job-identity labels.
-struct Layout<'k> {
-    keys: &'k [u64],
-    num_types: usize,
-    /// Variable-id offset of `Y[0][0]` (1 for max-min, 0 otherwise).
-    y_off: usize,
-    /// Total structural variables.
-    n: usize,
-    /// Eligible jobs (max-min Ge rows), as indices into `keys`; empty for
-    /// the total-throughput LP.
-    eligible: Vec<usize>,
-}
-
-impl<'k> Layout<'k> {
-    fn num_jobs(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Row index of job `j`'s time-budget constraint.
-    fn job_row(&self, j: usize) -> usize {
-        self.eligible.len() + j
-    }
-
-    /// Row index of type `r`'s capacity constraint.
-    fn cap_row(&self, r: usize) -> usize {
-        self.eligible.len() + self.num_jobs() + r
-    }
-
-    fn num_rows(&self) -> usize {
-        self.eligible.len() + self.num_jobs() + self.num_types
-    }
-
-    /// Map a cached label onto this instance's standard-form column ids;
-    /// `None` for labels that no longer exist (departed job, shrunk types).
-    fn col_of(
-        &self,
-        label: Label,
-        job_index: &HashMap<u64, usize>,
-        eligible_pos: &HashMap<u64, usize>,
-    ) -> Option<usize> {
-        match label {
-            Label::Y { job, r } => {
-                let &j = job_index.get(&job)?;
-                (r < self.num_types).then(|| self.y_off + j * self.num_types + r)
-            }
-            Label::JobSlack { job } => {
-                let &j = job_index.get(&job)?;
-                Some(Basis::slack_col(self.n, self.job_row(j)))
-            }
-            Label::CapSlack { r } => {
-                (r < self.num_types).then(|| Basis::slack_col(self.n, self.cap_row(r)))
-            }
-            Label::Z => (self.y_off == 1).then_some(0),
-            Label::MinSurplus { job } => {
-                let &pos = eligible_pos.get(&job)?;
-                Some(Basis::slack_col(self.n, pos))
-            }
-        }
-    }
-
-    /// Translate an optimal basis back into labels for the next round.
-    fn labels_of(&self, basis: &Basis) -> Vec<Label> {
-        let nt = self.num_types;
-        basis
-            .columns()
-            .iter()
-            .filter_map(|&c| {
-                if c < self.n {
-                    if self.y_off == 1 && c == 0 {
-                        Some(Label::Z)
-                    } else {
-                        let v = c - self.y_off;
-                        Some(Label::Y {
-                            job: self.keys[v / nt],
-                            r: v % nt,
-                        })
-                    }
-                } else {
-                    let row = c - self.n;
-                    if row < self.eligible.len() {
-                        Some(Label::MinSurplus {
-                            job: self.keys[self.eligible[row]],
-                        })
-                    } else if row < self.eligible.len() + self.num_jobs() {
-                        Some(Label::JobSlack {
-                            job: self.keys[row - self.eligible.len()],
-                        })
-                    } else {
-                        let r = row - self.eligible.len() - self.num_jobs();
-                        (r < nt).then_some(Label::CapSlack { r })
-                    }
-                }
-            })
-            .collect()
-    }
-
-    fn to_basis(&self, cache: &GavelBasisCache) -> Basis {
-        let job_index: HashMap<u64, usize> =
-            self.keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-        let eligible_pos: HashMap<u64, usize> = self
-            .eligible
-            .iter()
-            .enumerate()
-            .map(|(pos, &j)| (self.keys[j], pos))
-            .collect();
-        let cols = cache
-            .labels
-            .iter()
-            .filter_map(|&l| self.col_of(l, &job_index, &eligible_pos))
-            .collect();
-        Basis::from_columns(cols, self.n, self.num_rows())
-    }
-}
-
-/// Solve the max-total-effective-throughput LP. Returns `Y` as a `J×R`
-/// matrix, or a [`GavelLpError`] on malformed input.
+/// Ties are broken deterministically: among jobs, higher profit first, then
+/// lower job index; among paths, the lower type index.
 pub fn max_total_throughput_allocation(
     input: &GavelLpInput,
 ) -> Result<Vec<Vec<f64>>, GavelLpError> {
-    let keys = identity_keys(input.throughput.len());
-    max_total_throughput_allocation_warm(input, &keys, None).map(|(y, _)| y)
+    let (num_jobs, num_types) = input.validate()?;
+    let mut t = Transport::new(input);
+    while let Some(path) = t.best_path() {
+        t.augment(&path);
+    }
+    Ok((0..num_jobs)
+        .map(|j| {
+            let w = f64::from(input.gang[j]);
+            (0..num_types)
+                .map(|r| match t.z[j * num_types + r] {
+                    // A gang-0 job never holds units; skip its 0/0.
+                    0 => 0.0,
+                    z => z as f64 / w,
+                })
+                .collect()
+        })
+        .collect())
 }
 
-/// Warm-startable variant of [`max_total_throughput_allocation`].
-///
-/// `job_keys[j]` is a stable identity for job `j` (e.g. its `JobId`),
-/// `cache` the basis from a previous call. Returns the allocation plus the
-/// refreshed cache to pass next time.
-pub fn max_total_throughput_allocation_warm(
-    input: &GavelLpInput,
-    job_keys: &[u64],
-    cache: Option<&GavelBasisCache>,
-) -> Result<(Vec<Vec<f64>>, GavelBasisCache), GavelLpError> {
-    let (num_jobs, num_types) = input.validate()?;
-    check_keys(num_jobs, job_keys)?;
-    let layout = Layout {
-        keys: job_keys,
-        num_types,
-        y_off: 0,
-        n: num_jobs * num_types,
-        eligible: Vec::new(),
-    };
-    if num_jobs == 0 {
-        return Ok((
-            Vec::new(),
-            GavelBasisCache {
-                policy: CachePolicy::TotalThroughput,
-                labels: Vec::new(),
-            },
-        ));
+/// A heap entry: `job` with priority `gain`. The greatest entry has the
+/// highest gain, then the lowest job index.
+struct Cand {
+    gain: f64,
+    job: usize,
+}
+
+impl Cand {
+    fn new(gain: f64, job: usize) -> Self {
+        // `+ 0.0` folds −0.0 into +0.0, so equal gains tie on job index.
+        Self {
+            gain: gain + 0.0,
+            job,
+        }
     }
+}
+
+impl Ord for Cand {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.gain
+            .total_cmp(&other.gain)
+            .then(other.job.cmp(&self.job))
+    }
+}
+
+impl PartialOrd for Cand {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Cand {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Cand {}
+
+/// An augmenting path on the condensed type graph: `entry` job enters type
+/// `types[0]`; `movers[i]` moves one unit from `types[i]` to `types[i + 1]`;
+/// the path ends at the last type, which has room.
+#[derive(Clone)]
+struct Path {
+    profit: f64,
+    entry: usize,
+    types: Vec<usize>,
+    movers: Vec<usize>,
+}
+
+/// Residual state of the transportation problem. Heaps hold stale entries
+/// (an exhausted job, a job no longer on a type); they are dropped when
+/// they reach the top.
+struct Transport<'a> {
+    x: &'a [Vec<f64>],
+    types: usize,
+    /// Units job `j` has not yet placed.
+    supply: Vec<u64>,
+    /// Units type `r` can still absorb.
+    room: Vec<u64>,
+    /// `z[j * types + r]`: units of job `j` on type `r`.
+    z: Vec<u64>,
+    /// Per type: jobs with supply left, by `X_jr`.
+    entry: Vec<BinaryHeap<Cand>>,
+    /// Per ordered pair `(from, to)`: jobs on `from`, by `X_j,to − X_j,from`.
+    reroute: Vec<BinaryHeap<Cand>>,
+}
+
+impl<'a> Transport<'a> {
+    fn new(input: &'a GavelLpInput) -> Self {
+        let types = input.capacity.len();
+        let entry = (0..types)
+            .map(|r| {
+                let cands: Vec<Cand> = input
+                    .throughput
+                    .iter()
+                    .zip(&input.gang)
+                    .enumerate()
+                    .filter(|(_, (_, &w))| w > 0)
+                    .map(|(j, (x, _))| Cand::new(x[r], j))
+                    .collect();
+                BinaryHeap::from(cands)
+            })
+            .collect();
+        Self {
+            x: &input.throughput,
+            types,
+            supply: input.gang.iter().map(|&w| u64::from(w)).collect(),
+            room: input.capacity.iter().map(|&c| u64::from(c)).collect(),
+            z: vec![0; input.gang.len() * types],
+            entry,
+            reroute: (0..types * types).map(|_| BinaryHeap::new()).collect(),
+        }
+    }
+
+    /// The best job to enter type `r`, with its profit.
+    fn top_entry(&mut self, r: usize) -> Option<(f64, usize)> {
+        let heap = &mut self.entry[r];
+        while let Some(c) = heap.peek() {
+            if self.supply[c.job] > 0 {
+                return Some((c.gain, c.job));
+            }
+            heap.pop();
+        }
+        None
+    }
+
+    /// The best job to move from `from` to `to`, with its gain.
+    fn top_reroute(&mut self, from: usize, to: usize) -> Option<(f64, usize)> {
+        let heap = &mut self.reroute[from * self.types + to];
+        while let Some(c) = heap.peek() {
+            if self.z[c.job * self.types + from] > 0 {
+                return Some((c.gain, c.job));
+            }
+            heap.pop();
+        }
+        None
+    }
+
+    /// The most profitable augmenting path, if it earns more than zero.
+    /// Longest paths by Bellman-Ford over the types, each pass extending
+    /// the previous pass's best path into every type not yet on it.
+    fn best_path(&mut self) -> Option<Path> {
+        let n = self.types;
+        let mut best: Vec<Option<Path>> = (0..n)
+            .map(|r| {
+                self.top_entry(r).map(|(profit, job)| Path {
+                    profit,
+                    entry: job,
+                    types: vec![r],
+                    movers: Vec::new(),
+                })
+            })
+            .collect();
+        let hops: Vec<Option<(f64, usize)>> = (0..n * n)
+            .map(|i| {
+                let (from, to) = (i / n, i % n);
+                (from != to).then(|| self.top_reroute(from, to)).flatten()
+            })
+            .collect();
+        for _ in 1..n {
+            let mut next = best.clone();
+            for p in best.iter().flatten() {
+                let from = *p.types.last().expect("paths are non-empty");
+                for to in 0..n {
+                    let Some((gain, job)) = hops[from * n + to] else {
+                        continue;
+                    };
+                    let profit = p.profit + gain;
+                    if p.types.contains(&to)
+                        || next[to].as_ref().is_some_and(|q| q.profit >= profit)
+                    {
+                        continue;
+                    }
+                    let mut ext = p.clone();
+                    ext.profit = profit;
+                    ext.types.push(to);
+                    ext.movers.push(job);
+                    next[to] = Some(ext);
+                }
+            }
+            best = next;
+        }
+        // The best path that ends at a type with room, if it earns more
+        // than zero; ties keep the lower type.
+        let mut chosen: Option<Path> = None;
+        for (p, &room) in best.into_iter().zip(&self.room) {
+            let Some(p) = p else { continue };
+            let floor = chosen.as_ref().map_or(0.0, |c| c.profit);
+            if room > 0 && p.profit > floor {
+                chosen = Some(p);
+            }
+        }
+        chosen
+    }
+
+    /// Push the path's bottleneck amount of flow along it.
+    fn augment(&mut self, path: &Path) {
+        let n = self.types;
+        let last = *path.types.last().expect("paths are non-empty");
+        let amount = path
+            .movers
+            .iter()
+            .zip(&path.types)
+            .map(|(&k, &from)| self.z[k * n + from])
+            .chain([self.supply[path.entry], self.room[last]])
+            .min()
+            .expect("non-empty");
+        self.supply[path.entry] -= amount;
+        self.place(path.entry, path.types[0], amount);
+        for (i, &k) in path.movers.iter().enumerate() {
+            self.z[k * n + path.types[i]] -= amount;
+            self.place(k, path.types[i + 1], amount);
+        }
+        self.room[last] -= amount;
+    }
+
+    /// Add `amount` units of job `j` to type `r`; a job new to `r` becomes
+    /// a re-route candidate out of it.
+    fn place(&mut self, j: usize, r: usize, amount: u64) {
+        let n = self.types;
+        if self.z[j * n + r] == 0 {
+            for to in (0..n).filter(|&to| to != r) {
+                self.reroute[r * n + to].push(Cand::new(self.x[j][to] - self.x[j][r], j));
+            }
+        }
+        self.z[j * n + r] += amount;
+    }
+}
+
+/// The same LP as a general [`LpProblem`] over `Y[j][r]` (variable
+/// `j * R + r`), for the cold revised simplex. Returns a [`GavelLpError`]
+/// on malformed input.
+pub fn total_throughput_lp(input: &GavelLpInput) -> Result<LpProblem, GavelLpError> {
+    let (num_jobs, num_types) = input.validate()?;
     let var = |j: usize, r: usize| j * num_types + r;
     let mut p = LpProblem::maximize(num_jobs * num_types);
     for (j, row) in input.throughput.iter().enumerate() {
+        let w = f64::from(input.gang[j]);
         for (r, &x) in row.iter().enumerate() {
-            p.set_objective(var(j, r), x * input.gang[j] as f64);
+            p.set_objective(var(j, r), x * w);
         }
+        let budget = (0..num_types).map(|r| (var(j, r), 1.0)).collect();
+        p.add_constraint(budget, Relation::Le, 1.0);
     }
-    add_feasibility_constraints(&mut p, input, var, num_jobs, num_types);
-    solve_with_layout(&p, &layout, cache, CachePolicy::TotalThroughput, |s| {
-        let mut y = vec![vec![0.0; num_types]; num_jobs];
-        for (j, row) in y.iter_mut().enumerate() {
-            for (r, v) in row.iter_mut().enumerate() {
-                *v = s[var(j, r)].clamp(0.0, 1.0);
-            }
-        }
-        y
-    })
-}
-
-/// Solve the max-min-normalized-throughput LP (Gavel's fairness policy).
-/// Jobs with an all-zero throughput row are excluded from the min (they can
-/// never progress) but still appear in the output with a zero row.
-pub fn max_min_allocation(input: &GavelLpInput) -> Result<Vec<Vec<f64>>, GavelLpError> {
-    let keys = identity_keys(input.throughput.len());
-    max_min_allocation_warm(input, &keys, None).map(|(y, _)| y)
-}
-
-/// Warm-startable variant of [`max_min_allocation`]; see
-/// [`max_total_throughput_allocation_warm`] for the cache contract.
-pub fn max_min_allocation_warm(
-    input: &GavelLpInput,
-    job_keys: &[u64],
-    cache: Option<&GavelBasisCache>,
-) -> Result<(Vec<Vec<f64>>, GavelBasisCache), GavelLpError> {
-    let (num_jobs, num_types) = input.validate()?;
-    check_keys(num_jobs, job_keys)?;
-    if num_jobs == 0 {
-        return Ok((
-            Vec::new(),
-            GavelBasisCache {
-                policy: CachePolicy::MaxMin,
-                labels: Vec::new(),
-            },
-        ));
-    }
-    let eligible: Vec<usize> = input
-        .throughput
-        .iter()
-        .enumerate()
-        .filter(|(_, row)| row.iter().copied().fold(0.0, f64::max) > 0.0)
-        .map(|(j, _)| j)
-        .collect();
-    let layout = Layout {
-        keys: job_keys,
-        num_types,
-        y_off: 1,
-        n: 1 + num_jobs * num_types,
-        eligible,
-    };
-    // Variable 0 is z; Y[j][r] follows.
-    let var = |j: usize, r: usize| 1 + j * num_types + r;
-    let mut p = LpProblem::maximize(1 + num_jobs * num_types);
-    p.set_objective(0, 1.0);
-    for &j in &layout.eligible {
-        let row = &input.throughput[j];
-        let norm = row.iter().copied().fold(0.0, f64::max);
-        // Σ_r Y_jr · X_jr / norm − z ≥ 0.
-        let mut coeffs: Vec<(usize, f64)> = row
-            .iter()
-            .enumerate()
-            .map(|(r, &x)| (var(j, r), x / norm))
-            .collect();
-        coeffs.push((0, -1.0));
-        p.add_constraint(coeffs, Relation::Ge, 0.0);
-    }
-    add_feasibility_constraints(&mut p, input, var, num_jobs, num_types);
-    solve_with_layout(&p, &layout, cache, CachePolicy::MaxMin, |s| {
-        let mut y = vec![vec![0.0; num_types]; num_jobs];
-        for (j, row) in y.iter_mut().enumerate() {
-            for (r, v) in row.iter_mut().enumerate() {
-                *v = s[var(j, r)].clamp(0.0, 1.0);
-            }
-        }
-        y
-    })
-}
-
-fn identity_keys(n: usize) -> Vec<u64> {
-    (0..n as u64).collect()
-}
-
-fn check_keys(num_jobs: usize, keys: &[u64]) -> Result<(), GavelLpError> {
-    if keys.len() != num_jobs {
-        return Err(GavelLpError::JobKeyLengthMismatch {
-            jobs: num_jobs,
-            keys: keys.len(),
-        });
-    }
-    Ok(())
-}
-
-fn solve_with_layout(
-    p: &LpProblem,
-    layout: &Layout<'_>,
-    cache: Option<&GavelBasisCache>,
-    policy: CachePolicy,
-    extract: impl FnOnce(&[f64]) -> Vec<Vec<f64>>,
-) -> Result<(Vec<Vec<f64>>, GavelBasisCache), GavelLpError> {
-    let warm = cache
-        .filter(|c| c.policy == policy && !c.is_empty())
-        .map(|c| layout.to_basis(c));
-    let (outcome, basis) = match warm {
-        Some(b) => p.solve_warm(&b),
-        // Cold rounds (first solve, or an invalidated cache) pick the
-        // solver by problem size: dense tableau for small LPs, revised
-        // above the crossover. Both export a revised-id basis, so the next
-        // round warm-starts either way.
-        None => p.solve_cold_with_basis(),
-    };
-    let s = outcome
-        .optimal()
-        .ok_or(GavelLpError::SolverFailed("Gavel policy LP has no optimum"))?;
-    let labels = basis.map(|b| layout.labels_of(&b)).unwrap_or_default();
-    Ok((extract(&s.x), GavelBasisCache { policy, labels }))
-}
-
-fn add_feasibility_constraints(
-    p: &mut LpProblem,
-    input: &GavelLpInput,
-    var: impl Fn(usize, usize) -> usize,
-    num_jobs: usize,
-    num_types: usize,
-) {
-    // Per-job time budget.
-    for j in 0..num_jobs {
-        let coeffs = (0..num_types).map(|r| (var(j, r), 1.0)).collect();
-        p.add_constraint(coeffs, Relation::Le, 1.0);
-    }
-    // Per-type capacity.
     for r in 0..num_types {
-        let coeffs = (0..num_jobs)
-            .map(|j| (var(j, r), input.gang[j] as f64))
+        let demand = (0..num_jobs)
+            .map(|j| (var(j, r), f64::from(input.gang[j])))
             .collect();
-        p.add_constraint(coeffs, Relation::Le, input.capacity[r] as f64);
+        p.add_constraint(demand, Relation::Le, f64::from(input.capacity[r]));
     }
+    Ok(p)
 }
 
-/// Check `Y` against the feasibility constraints (used by tests and debug
-/// assertions). Returns the maximum violation. Tolerates malformed shapes
-/// (it reports violations only over rows/columns that exist).
+/// Check `Y` against the feasibility constraints. Returns the maximum
+/// violation, or `f64::INFINITY` if any entry is NaN or infinite. Tolerates
+/// malformed shapes (it reports violations only over rows/columns that
+/// exist).
 pub fn feasibility_violation(input: &GavelLpInput, y: &[Vec<f64>]) -> f64 {
+    if y.iter().flatten().any(|v| !v.is_finite()) {
+        return f64::INFINITY;
+    }
     let num_types = input.capacity.len();
     let mut worst = 0.0f64;
     for row in y {
@@ -511,64 +418,51 @@ pub fn feasibility_violation(input: &GavelLpInput, y: &[Vec<f64>]) -> f64 {
 mod tests {
     use super::*;
 
-    fn toy() -> GavelLpInput {
-        // 2 jobs, 2 types. Job 0 loves type 0 (10 vs 1); job 1 indifferent.
-        GavelLpInput {
-            throughput: vec![vec![10.0, 1.0], vec![4.0, 4.0]],
-            gang: vec![1, 1],
-            capacity: vec![1, 1],
-        }
+    fn objective(input: &GavelLpInput, y: &[Vec<f64>]) -> f64 {
+        y.iter()
+            .zip(&input.throughput)
+            .zip(&input.gang)
+            .map(|((yr, xr), &w)| yr.iter().zip(xr).map(|(a, b)| a * b).sum::<f64>() * f64::from(w))
+            .sum()
     }
 
     #[test]
     fn total_throughput_prefers_affinity() {
-        let y = max_total_throughput_allocation(&toy()).unwrap();
-        // Optimal: job0 fully on type0 (10), job1 fully on type1 (4) → 14.
-        let total: f64 = (0..2)
-            .map(|j| {
-                (0..2)
-                    .map(|r| y[j][r] * toy().throughput[j][r])
-                    .sum::<f64>()
-            })
-            .sum();
-        assert!((total - 14.0).abs() < 1e-6, "total={total}, y={y:?}");
-        assert!(feasibility_violation(&toy(), &y) < 1e-7);
+        // 2 jobs, 2 types. Job 0 loves type 0 (10 vs 1); job 1 indifferent.
+        let input = GavelLpInput {
+            throughput: vec![vec![10.0, 1.0], vec![4.0, 4.0]],
+            gang: vec![1, 1],
+            capacity: vec![1, 1],
+        };
+        let y = max_total_throughput_allocation(&input).unwrap();
+        assert_eq!(y, vec![vec![1.0, 0.0], vec![0.0, 1.0]]);
     }
 
     #[test]
-    fn max_min_is_fair() {
-        let input = toy();
-        let y = max_min_allocation(&input).unwrap();
-        assert!(feasibility_violation(&input, &y) < 1e-7);
-        // Normalized throughputs of both jobs should be equal-ish and high.
-        let norm = |j: usize| -> f64 {
-            let m = input.throughput[j].iter().copied().fold(0.0, f64::max);
-            (0..2)
-                .map(|r| y[j][r] * input.throughput[j][r])
-                .sum::<f64>()
-                / m
+    fn reroute_frees_the_better_type() {
+        // Job 0 enters type 0 first (profit 10); job 1 earns 9 only on type
+        // 0, so the optimum moves job 0 to type 1 (loss 1) to admit it.
+        let input = GavelLpInput {
+            throughput: vec![vec![10.0, 9.0], vec![9.5, 0.0]],
+            gang: vec![1, 1],
+            capacity: vec![1, 1],
         };
-        let (n0, n1) = (norm(0), norm(1));
-        assert!(n0 > 0.5 && n1 > 0.5, "n0={n0} n1={n1}");
-        // Max-min optimum equalizes the minimum: both can reach 1.0 here
-        // (job0 on type0 full time, job1 on type1 full time).
-        assert!((n0.min(n1) - 1.0).abs() < 1e-6);
+        let y = max_total_throughput_allocation(&input).unwrap();
+        assert_eq!(y, vec![vec![0.0, 1.0], vec![1.0, 0.0]]);
+        assert_eq!(objective(&input, &y), 18.5);
     }
 
     #[test]
     fn capacity_binds_with_contention() {
-        // 3 single-GPU jobs all wanting the single type-0 GPU.
+        // 3 single-GPU jobs all wanting the single type-0 GPU: the lowest
+        // job index wins the tie.
         let input = GavelLpInput {
             throughput: vec![vec![10.0], vec![10.0], vec![10.0]],
             gang: vec![1, 1, 1],
             capacity: vec![1],
         };
         let y = max_total_throughput_allocation(&input).unwrap();
-        let demand: f64 = y.iter().map(|row| row[0]).sum();
-        assert!(demand <= 1.0 + 1e-7);
-        // Total throughput = 10 × total time share = 10.
-        let total: f64 = y.iter().map(|row| row[0] * 10.0).sum();
-        assert!((total - 10.0).abs() < 1e-6);
+        assert_eq!(y, vec![vec![1.0], vec![0.0], vec![0.0]]);
     }
 
     #[test]
@@ -579,8 +473,38 @@ mod tests {
             gang: vec![4],
             capacity: vec![2],
         };
+        assert_eq!(
+            max_total_throughput_allocation(&input).unwrap(),
+            vec![vec![0.5]]
+        );
+    }
+
+    #[test]
+    fn unprofitable_units_stay_unplaced() {
+        // Zero and negative throughput earn nothing, so nothing is placed.
+        let input = GavelLpInput {
+            throughput: vec![vec![0.0, -1.0]],
+            gang: vec![1],
+            capacity: vec![1, 1],
+        };
+        assert_eq!(
+            max_total_throughput_allocation(&input).unwrap(),
+            vec![vec![0.0, 0.0]]
+        );
+    }
+
+    #[test]
+    fn lp_builder_matches_transport_optimum() {
+        let input = GavelLpInput {
+            throughput: vec![vec![10.0, 9.0], vec![9.5, 0.0], vec![3.0, 2.0]],
+            gang: vec![1, 2, 1],
+            capacity: vec![2, 1],
+        };
+        let lp = total_throughput_lp(&input).unwrap();
+        assert_eq!((lp.num_vars(), lp.num_constraints()), (6, 5));
+        let s = lp.solve().optimal().unwrap();
         let y = max_total_throughput_allocation(&input).unwrap();
-        assert!((y[0][0] - 0.5).abs() < 1e-6, "y={y:?}");
+        assert!((s.objective - objective(&input, &y)).abs() < 1e-9);
     }
 
     #[test]
@@ -591,7 +515,6 @@ mod tests {
             capacity: vec![2, 2],
         };
         assert_eq!(max_total_throughput_allocation(&input), Ok(vec![]));
-        assert_eq!(max_min_allocation(&input), Ok(vec![]));
     }
 
     #[test]
@@ -608,305 +531,31 @@ mod tests {
                 gang_len: 1
             })
         );
-        let ragged = GavelLpInput {
-            throughput: vec![vec![1.0, 2.0], vec![3.0]],
-            gang: vec![1, 1],
-            capacity: vec![2, 2],
-        };
-        assert_eq!(
-            max_min_allocation(&ragged),
-            Err(GavelLpError::ThroughputRowMismatch {
-                row: 1,
-                len: 1,
-                expected: 2
-            })
-        );
         let nan = GavelLpInput {
             throughput: vec![vec![1.0, f64::NAN]],
             gang: vec![1],
             capacity: vec![1, 1],
         };
         assert_eq!(
-            max_total_throughput_allocation(&nan),
+            total_throughput_lp(&nan).map(|_| ()),
             Err(GavelLpError::NonFiniteThroughput { row: 0, col: 1 })
         );
-        assert!(GavelLpError::SolverFailed("x").to_string().contains("x"));
+        assert!(GavelLpError::NonFiniteThroughput { row: 0, col: 1 }
+            .to_string()
+            .contains("[0][1]"));
     }
 
     #[test]
-    fn max_min_skips_unrunnable_job() {
+    fn non_finite_allocation_is_infinitely_infeasible() {
         let input = GavelLpInput {
-            throughput: vec![vec![0.0, 0.0], vec![5.0, 5.0]],
-            gang: vec![1, 1],
+            throughput: vec![vec![1.0, 1.0]],
+            gang: vec![1],
             capacity: vec![1, 1],
         };
-        let y = max_min_allocation(&input).unwrap();
-        // Job 0 cannot run; job 1 should still get a full share.
-        let t1: f64 = (0..2).map(|r| y[1][r] * 5.0).sum();
-        assert!(t1 > 4.9, "y={y:?}");
-    }
-
-    #[test]
-    fn paper_scale_lp_solves() {
-        // 60-GPU cluster, 48 mixed jobs: representative of a round of the
-        // paper's simulation. Must solve quickly and feasibly.
-        let mut throughput = Vec::new();
-        let mut gang = Vec::new();
-        for j in 0..48 {
-            let base = 2.0 + (j % 7) as f64;
-            throughput.push(vec![base * 10.0, base * 5.0, base]);
-            gang.push([1u32, 2, 4, 8][j % 4]);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let v = feasibility_violation(&input, &[vec![bad, 0.0]]);
+            assert_eq!(v, f64::INFINITY, "entry {bad}");
         }
-        let input = GavelLpInput {
-            throughput,
-            gang,
-            capacity: vec![20, 20, 20],
-        };
-        let y = max_total_throughput_allocation(&input).unwrap();
-        assert!(feasibility_violation(&input, &y) < 1e-6);
-        let ymin = max_min_allocation(&input).unwrap();
-        assert!(feasibility_violation(&input, &ymin) < 1e-6);
-    }
-
-    /// Simulate Gavel rounds: jobs arrive and depart, the basis cache is
-    /// threaded through, and every warm solve must match a cold solve.
-    #[test]
-    fn warm_cache_tracks_job_churn() {
-        let mk = |ids: &[u64]| -> (GavelLpInput, Vec<u64>) {
-            (
-                GavelLpInput {
-                    throughput: ids
-                        .iter()
-                        .map(|&i| {
-                            vec![
-                                5.0 + (i % 7) as f64,
-                                2.0 + (i % 3) as f64,
-                                1.0 + (i % 2) as f64,
-                            ]
-                        })
-                        .collect(),
-                    gang: ids.iter().map(|&i| 1 + (i % 4) as u32).collect(),
-                    capacity: vec![4, 4, 4],
-                },
-                ids.to_vec(),
-            )
-        };
-        let rounds: Vec<Vec<u64>> = vec![
-            vec![1, 2, 3, 4, 5],
-            vec![1, 2, 3, 4, 5, 6],    // arrival
-            vec![1, 3, 4, 5, 6],       // completion
-            vec![3, 4, 5, 6, 7, 8, 9], // churn
-            vec![9],                   // mass exodus
-            vec![9, 10, 11, 12],       // refill
-        ];
-        let mut cache: Option<GavelBasisCache> = None;
-        for (round, ids) in rounds.iter().enumerate() {
-            let (input, keys) = mk(ids);
-            let (y, next) =
-                max_total_throughput_allocation_warm(&input, &keys, cache.as_ref()).unwrap();
-            let cold = max_total_throughput_allocation(&input).unwrap();
-            let obj_warm = crate::greedy::total_throughput_objective(&input, &y);
-            let obj_cold = crate::greedy::total_throughput_objective(&input, &cold);
-            assert!(feasibility_violation(&input, &y) < 1e-6, "round {round}");
-            assert!(
-                (obj_warm - obj_cold).abs() < 1e-6 * (1.0 + obj_cold.abs()),
-                "round {round}: warm {obj_warm} vs cold {obj_cold}"
-            );
-            cache = Some(next);
-        }
-    }
-
-    /// The max-min cache must survive churn too, including jobs whose
-    /// normalized-throughput row appears/disappears.
-    #[test]
-    fn warm_cache_max_min_churn() {
-        let mk = |ids: &[u64]| -> GavelLpInput {
-            GavelLpInput {
-                throughput: ids
-                    .iter()
-                    .map(|&i| {
-                        if i == 4 {
-                            vec![0.0, 0.0] // unrunnable: excluded from the min
-                        } else {
-                            vec![3.0 + (i % 5) as f64, 1.0 + (i % 2) as f64]
-                        }
-                    })
-                    .collect(),
-                gang: ids.iter().map(|_| 1).collect(),
-                capacity: vec![3, 3],
-            }
-        };
-        let rounds: Vec<Vec<u64>> = vec![
-            vec![1, 2, 3],
-            vec![1, 2, 3, 4],
-            vec![2, 3, 4, 5],
-            vec![2, 5],
-        ];
-        let mut cache: Option<GavelBasisCache> = None;
-        let floor = |input: &GavelLpInput, y: &[Vec<f64>]| -> f64 {
-            input
-                .throughput
-                .iter()
-                .enumerate()
-                .filter(|(_, row)| row.iter().copied().fold(0.0, f64::max) > 0.0)
-                .map(|(j, row)| {
-                    let norm = row.iter().copied().fold(0.0, f64::max);
-                    row.iter()
-                        .enumerate()
-                        .map(|(r, &x)| y[j][r] * x)
-                        .sum::<f64>()
-                        / norm
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        for (round, ids) in rounds.iter().enumerate() {
-            let input = mk(ids);
-            let (y, next) = max_min_allocation_warm(&input, ids, cache.as_ref()).unwrap();
-            let cold = max_min_allocation(&input).unwrap();
-            assert!(feasibility_violation(&input, &y) < 1e-6, "round {round}");
-            assert!(
-                (floor(&input, &y) - floor(&input, &cold)).abs() < 1e-6,
-                "round {round}: warm floor {} vs cold floor {}",
-                floor(&input, &y),
-                floor(&input, &cold)
-            );
-            cache = Some(next);
-        }
-    }
-
-    #[test]
-    fn mismatched_cache_policy_is_ignored() {
-        let input = toy();
-        let keys = vec![10, 20];
-        let (_, total_cache) = max_total_throughput_allocation_warm(&input, &keys, None).unwrap();
-        // Feeding the total-throughput cache to max-min must not corrupt it.
-        let (y, _) = max_min_allocation_warm(&input, &keys, Some(&total_cache)).unwrap();
-        assert!(feasibility_violation(&input, &y) < 1e-7);
-    }
-}
-
-#[cfg(test)]
-mod randomized_tests {
-    use super::*;
-    use hadar_rng::{Rng, StdRng};
-
-    fn random_instance(rng: &mut StdRng, max_jobs: usize, types: usize, lo: f64) -> GavelLpInput {
-        let jobs = rng.gen_range_usize(1..max_jobs.max(2));
-        GavelLpInput {
-            throughput: (0..jobs)
-                .map(|_| (0..types).map(|_| rng.gen_range_f64(lo..30.0)).collect())
-                .collect(),
-            gang: (0..jobs)
-                .map(|_| rng.gen_range_usize(1..5) as u32)
-                .collect(),
-            capacity: (0..types)
-                .map(|_| rng.gen_range_usize(1..8) as u32)
-                .collect(),
-        }
-    }
-
-    /// On random Gavel instances the exact LP allocation is feasible and
-    /// never worse than the density greedy (which is itself feasible).
-    #[test]
-    fn exact_dominates_greedy_and_both_feasible() {
-        let mut rng = StdRng::seed_from_u64(0xA1);
-        for case in 0..32 {
-            let input = random_instance(&mut rng, 10, 3, 0.0);
-            let exact = max_total_throughput_allocation(&input)
-                .unwrap_or_else(|e| panic!("case {case}: LP failed: {e}"));
-            let greedy = crate::greedy::greedy_total_throughput(&input).expect("valid input");
-            assert!(feasibility_violation(&input, &exact) < 1e-6, "case {case}");
-            assert!(feasibility_violation(&input, &greedy) < 1e-6, "case {case}");
-            let oe = crate::greedy::total_throughput_objective(&input, &exact);
-            let og = crate::greedy::total_throughput_objective(&input, &greedy);
-            assert!(oe >= og - 1e-6, "case {case}: exact {oe} below greedy {og}");
-        }
-    }
-
-    /// Max-min allocations are feasible and (weakly) raise the minimum
-    /// normalized throughput compared to the total-throughput optimum.
-    #[test]
-    fn max_min_raises_the_floor() {
-        let mut rng = StdRng::seed_from_u64(0xB2);
-        for case in 0..32 {
-            let jobs = rng.gen_range_usize(2..6);
-            let input = GavelLpInput {
-                throughput: (0..jobs)
-                    .map(|_| (0..2).map(|_| rng.gen_range_f64(0.5..30.0)).collect())
-                    .collect(),
-                gang: (0..jobs)
-                    .map(|_| rng.gen_range_usize(1..3) as u32)
-                    .collect(),
-                capacity: vec![2, 2],
-            };
-            let fair = max_min_allocation(&input).expect("feasible");
-            let total = max_total_throughput_allocation(&input).expect("feasible");
-            assert!(feasibility_violation(&input, &fair) < 1e-6, "case {case}");
-            let floor = |y: &Vec<Vec<f64>>| -> f64 {
-                input
-                    .throughput
-                    .iter()
-                    .enumerate()
-                    .map(|(j, row)| {
-                        let norm = row.iter().copied().fold(0.0, f64::max);
-                        row.iter()
-                            .enumerate()
-                            .map(|(r, &x)| y[j][r] * x)
-                            .sum::<f64>()
-                            / norm
-                    })
-                    .fold(f64::INFINITY, f64::min)
-            };
-            assert!(
-                floor(&fair) >= floor(&total) - 1e-6,
-                "case {case}: fair floor {} below total-throughput floor {}",
-                floor(&fair),
-                floor(&total)
-            );
-        }
-    }
-
-    /// Randomized churn: warm-started objective always matches cold.
-    #[test]
-    fn warm_matches_cold_under_random_churn() {
-        let mut rng = StdRng::seed_from_u64(0xC7);
-        let mut ids: Vec<u64> = (0..8).collect();
-        let mut next_id = 8u64;
-        let mut cache: Option<GavelBasisCache> = None;
-        for round in 0..24 {
-            // Random churn: drop up to 2, add up to 2.
-            for _ in 0..rng.gen_range_usize(0..3) {
-                if ids.len() > 1 {
-                    let k = rng.gen_range_usize(0..ids.len());
-                    ids.remove(k);
-                }
-            }
-            for _ in 0..rng.gen_range_usize(0..3) {
-                ids.push(next_id);
-                next_id += 1;
-            }
-            let input = GavelLpInput {
-                throughput: ids
-                    .iter()
-                    .map(|&i| {
-                        let mut h = StdRng::seed_from_u64(i * 977);
-                        (0..3).map(|_| h.gen_range_f64(0.5..25.0)).collect()
-                    })
-                    .collect(),
-                gang: ids.iter().map(|&i| 1 + (i % 4) as u32).collect(),
-                capacity: vec![5, 5, 5],
-            };
-            let (y, nc) =
-                max_total_throughput_allocation_warm(&input, &ids, cache.as_ref()).unwrap();
-            let cold = max_total_throughput_allocation(&input).unwrap();
-            let ow = crate::greedy::total_throughput_objective(&input, &y);
-            let oc = crate::greedy::total_throughput_objective(&input, &cold);
-            assert!(feasibility_violation(&input, &y) < 1e-6, "round {round}");
-            assert!(
-                (ow - oc).abs() < 1e-6 * (1.0 + oc.abs()),
-                "round {round}: warm {ow} vs cold {oc}"
-            );
-            cache = Some(nc);
-        }
+        assert_eq!(feasibility_violation(&input, &[vec![0.5, 0.5]]), 0.0);
     }
 }

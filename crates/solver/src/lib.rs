@@ -2,34 +2,20 @@
 
 //! # hadar-solver
 //!
-//! Linear-programming machinery for the Hadar workspace.
+//! The optimization behind the Gavel baseline (Narayanan et al., OSDI '20).
+//! Gavel computes its allocation matrix `Y[j][r]`, the fraction of time
+//! job `j` should spend on GPU type `r`, by solving a linear program; the
+//! original system delegates to cvxpy. This crate has two solvers, written
+//! from scratch and sharing no code:
 //!
-//! The Gavel baseline (Narayanan et al., OSDI '20) computes its allocation
-//! matrix `Y[j][r]` — the fraction of time job `j` should spend on GPU type
-//! `r` — by solving a linear program. The original system delegates to
-//! cvxpy; no equivalent crate is assumed available offline, so this crate
-//! implements the needed pieces from scratch:
-//!
-//! * [`simplex`] — a dense two-phase primal simplex solver for general LPs
-//!   (`max c·x, A x {≤,=,≥} b, x ≥ 0`) with Dantzig pricing and Bland's
-//!   anti-cycling fallback; retained as the reference implementation and
-//!   cross-checked against the revised solver in tests,
-//! * [`revised`] — a sparse revised simplex (eta-file basis factorization
-//!   with periodic reinversion) behind the same `LpProblem` API, plus
-//!   [`revised::Basis`] export and [`simplex::LpProblem::solve_warm`]
-//!   warm-starting; this is the production solver for every Gavel policy
-//!   solve, exact at all Fig. 7 scales,
-//! * [`gavel`] — builders for the two Gavel policy LPs used in the paper's
-//!   evaluation: *maximize total effective throughput* (the objective the
-//!   paper configures "similar to ours") and *max-min normalized throughput*
-//!   (Gavel's fairness policy), with [`GavelBasisCache`] carrying the
-//!   optimal basis across rounds so an arrival/completion costs a handful
-//!   of pivots instead of a full two-phase resolve,
-//! * [`greedy`] — a density-greedy approximation for the total-throughput
-//!   transportation LP, kept as an accuracy yardstick in tests and benches
-//!   (it is no longer used as a scheduling fallback: the revised simplex
-//!   stays exact at every scale).
-
+//! * [`gavel`]: the max-total-throughput policy LP is a transportation
+//!   problem, and [`max_total_throughput_allocation`] solves it exactly
+//!   with max-profit augmenting paths on the condensed GPU-type graph. This
+//!   is what the Gavel scheduler runs.
+//! * [`simplex`]: a general LP builder ([`LpProblem`]) and a cold sparse
+//!   revised simplex. [`total_throughput_lp`] states the same policy LP for
+//!   it; it is the test oracle for the transportation solver and Fig. 7's
+//!   yardstick of what a general LP solver pays.
 //!
 //! ```
 //! use hadar_solver::{LpProblem, Relation};
@@ -44,14 +30,7 @@
 //! ```
 
 pub mod gavel;
-pub mod greedy;
-pub mod revised;
 pub mod simplex;
 
-pub use gavel::{
-    max_min_allocation, max_min_allocation_warm, max_total_throughput_allocation,
-    max_total_throughput_allocation_warm, GavelBasisCache, GavelLpError, GavelLpInput,
-};
-pub use greedy::greedy_total_throughput;
-pub use revised::Basis;
-pub use simplex::{Constraint, LpOutcome, LpProblem, LpSolution, Relation};
+pub use gavel::{max_total_throughput_allocation, total_throughput_lp, GavelLpError, GavelLpInput};
+pub use simplex::{LpOutcome, LpProblem, LpSolution, Relation};
