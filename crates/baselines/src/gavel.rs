@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use hadar_cluster::{Allocation, GpuTypeId, JobId, JobPlacement, PlacementSlice, Usage};
+use hadar_cluster::{Allocation, GpuTypeId, JobId, Placer, Usage};
 use hadar_sim::{Scheduler, SchedulerContext};
 use hadar_solver::{max_total_throughput_allocation, GavelLpError, GavelLpInput};
 
@@ -106,41 +106,6 @@ impl GavelScheduler {
             }
         }
     }
-
-    /// Place `gang` GPUs of type `r` across machines (most free first), or
-    /// `None` if the type lacks capacity.
-    fn place_on_type(
-        ctx: &SchedulerContext<'_>,
-        usage: &Usage,
-        r: GpuTypeId,
-        gang: u32,
-    ) -> Option<JobPlacement> {
-        let mut machines: Vec<(u32, hadar_cluster::MachineId)> = ctx
-            .cluster
-            .machine_ids()
-            .filter(|&h| ctx.availability.is_up(h))
-            .filter_map(|h| {
-                let f = usage.free(ctx.cluster, h, r);
-                (f > 0).then_some((f, h))
-            })
-            .collect();
-        machines.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut remaining = gang;
-        let mut slices = Vec::new();
-        for (free, h) in machines {
-            if remaining == 0 {
-                break;
-            }
-            let take = free.min(remaining);
-            slices.push(PlacementSlice {
-                machine: h,
-                gpu: r,
-                count: take,
-            });
-            remaining -= take;
-        }
-        (remaining == 0).then(|| JobPlacement::from_slices(slices))
-    }
 }
 
 impl Scheduler for GavelScheduler {
@@ -196,7 +161,8 @@ impl Scheduler for GavelScheduler {
             let s = &ctx.jobs[idx];
             let r = GpuTypeId(r as u16);
             // Job-level granularity: the whole gang on this single type.
-            if let Some(p) = Self::place_on_type(ctx, &usage, r, s.job.gang) {
+            let placer = Placer::new(ctx.cluster, &usage, move |h| ctx.is_up(h));
+            if let Some(p) = placer.single_type(r, s.job.gang) {
                 for sl in p.slices() {
                     usage.add(sl.machine, sl.gpu, sl.count);
                 }

@@ -13,8 +13,8 @@
 //!   GPU type per round — the granularity limitation Hadar removes.
 //! * [`TiresiasScheduler`] — Tiresias (NSDI '19): discretized two-queue
 //!   least-attained-service. Heterogeneity-*oblivious*: GPU types are
-//!   interchangeable to it. Configured as in the paper: two queues,
-//!   `PromoteKnob` disabled.
+//!   interchangeable to it, and it mixes types freely. Built only as the
+//!   paper configures it: two queues, `PromoteKnob` disabled.
 //! * [`YarnCsScheduler`] — Apache YARN's capacity scheduler as used in
 //!   production DL clusters: FIFO, non-preemptive, heterogeneity-oblivious.
 //!
@@ -22,6 +22,11 @@
 //!
 //! * [`SrtfScheduler`] — heterogeneity-aware shortest-remaining-time-first,
 //!   isolating the SRPT-ordering ingredient of Hadar's advantage.
+//!
+//! None of them carries its own fill loop: every gang is placed by
+//! [`hadar_cluster::Placer`], the most-free-first rule Hadar's own
+//! `FIND_ALLOC` pools share — `single_type` for Gavel and SRTF, `any_type`
+//! for Tiresias and YARN-CS.
 
 //!
 //! ```
@@ -47,5 +52,5 @@ pub mod yarn_cs;
 
 pub use gavel::GavelScheduler;
 pub use srtf::SrtfScheduler;
-pub use tiresias::{TiresiasConfig, TiresiasPlacement, TiresiasScheduler};
+pub use tiresias::TiresiasScheduler;
 pub use yarn_cs::YarnCsScheduler;

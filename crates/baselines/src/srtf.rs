@@ -11,7 +11,7 @@
 //! when fragmentation makes mixed placements and price-based admission
 //! matter).
 
-use hadar_cluster::{Allocation, JobPlacement, PlacementSlice, Usage};
+use hadar_cluster::{Allocation, JobPlacement, Placer, Usage};
 use hadar_sim::{JobState, Scheduler, SchedulerContext};
 
 /// The SRTF extension baseline.
@@ -28,58 +28,18 @@ impl SrtfScheduler {
     /// (most-free machines first), keeping the current placement when still
     /// free and still on the job's fastest feasible type.
     fn place(ctx: &SchedulerContext<'_>, usage: &Usage, s: &JobState) -> Option<JobPlacement> {
-        // Free GPUs of a type, counting only machines that are up — a
-        // type-level count over dead machines would admit a gang the
-        // machine loop below can never actually place.
-        let masked_free = |r| -> u32 {
-            ctx.cluster
-                .machine_ids()
-                .filter(|&h| ctx.is_up(h))
-                .map(|h| usage.free(ctx.cluster, h, r))
-                .sum()
-        };
-        for &r in s.job.profile.types_by_preference() {
-            if masked_free(r) < s.job.gang {
-                continue;
-            }
+        let placer = Placer::new(ctx.cluster, usage, move |h| ctx.is_up(h));
+        s.job.profile.types_by_preference().iter().find_map(|&r| {
             // Sticky shortcut: if the current placement is exactly this
             // type, still free, and on live machines, keep it.
             if !s.placement.is_empty()
                 && s.placement.gpu_types() == [r]
-                && s.placement.slices().iter().all(|sl| {
-                    ctx.is_up(sl.machine) && usage.free(ctx.cluster, sl.machine, sl.gpu) >= sl.count
-                })
+                && placer.fits(&s.placement)
             {
                 return Some(s.placement.clone());
             }
-            let mut machines: Vec<(u32, hadar_cluster::MachineId)> = ctx
-                .cluster
-                .machine_ids()
-                .filter(|&h| ctx.is_up(h))
-                .filter_map(|h| {
-                    let f = usage.free(ctx.cluster, h, r);
-                    (f > 0).then_some((f, h))
-                })
-                .collect();
-            machines.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            let mut remaining = s.job.gang;
-            let mut slices = Vec::new();
-            for (free, h) in machines {
-                if remaining == 0 {
-                    break;
-                }
-                let take = free.min(remaining);
-                slices.push(PlacementSlice {
-                    machine: h,
-                    gpu: r,
-                    count: take,
-                });
-                remaining -= take;
-            }
-            debug_assert_eq!(remaining, 0);
-            return Some(JobPlacement::from_slices(slices));
-        }
-        None
+            placer.single_type(r, s.job.gang)
+        })
     }
 }
 

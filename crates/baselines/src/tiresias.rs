@@ -5,220 +5,50 @@
 //! whose attained service is below a threshold sit in the high-priority
 //! queue; past it they demote to the low-priority queue. Within a queue,
 //! ordering is FIFO by arrival. Scheduling is preemptive; the paper
-//! configures two queues with the `PromoteKnob` disabled (no re-promotion).
+//! configures two queues with the `PromoteKnob` disabled (no re-promotion),
+//! which is the only configuration built here.
 //!
-//! Tiresias has no notion of GPU heterogeneity: by default it takes
-//! whatever free GPUs exist, so a gang can straddle fast and slow types and
-//! run at the slow type's rate — the failure mode Hadar's task-level
-//! awareness avoids. A single-type placement mode
-//! ([`TiresiasPlacement::SingleType`], matching the paper's remark that
-//! Tiresias "suffers from the same limitation as Gavel") is available for
-//! ablations.
+//! Tiresias has no notion of GPU heterogeneity: it takes whatever free GPUs
+//! exist, mixing types, so a gang can straddle fast and slow types and run
+//! at the slow type's rate — the failure mode Hadar's task-level awareness
+//! avoids.
 
-use hadar_cluster::{Allocation, JobPlacement, PlacementSlice, Usage};
+use hadar_cluster::{Allocation, JobPlacement, Placer, Usage};
 use hadar_sim::{JobState, Scheduler, SchedulerContext};
 
-/// Gang-placement mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TiresiasPlacement {
-    /// All tasks of a gang on one GPU type (falls back to mixed placement
-    /// only for gangs larger than any single type's total capacity, to
-    /// avoid permanent starvation). Avoids synchronization-barrier
-    /// straggling at the cost of idling heterogeneous leftovers.
-    SingleType,
-    /// Take free GPUs anywhere, mixing types freely — the default. A truly
-    /// type-blind manager straddles GPU generations and pays the slowest
-    /// type's rate for the whole gang, which is the utilization/JCT failure
-    /// mode the paper attributes to heterogeneity-oblivious schedulers.
-    #[default]
-    MixedOblivious,
-}
-
-/// Tiresias configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TiresiasConfig {
-    /// Attained-service threshold (GPU-seconds) separating the two queues.
-    /// Default: 10 GPU-hours — the boundary between the trace's
-    /// Small/Medium classes and its Large/XLarge classes, in line with the
-    /// Philly-trace queue tuning of the original paper (short jobs complete
-    /// entirely at high priority; only long jobs demote).
-    pub queue_threshold_gpu_seconds: f64,
-    /// Whether demoted jobs can re-promote after long starvation
-    /// (`PromoteKnob`). Disabled in the paper's evaluation.
-    pub promote: bool,
-    /// Gang-placement mode.
-    pub placement: TiresiasPlacement,
-}
-
-impl Default for TiresiasConfig {
-    fn default() -> Self {
-        Self {
-            queue_threshold_gpu_seconds: 36_000.0,
-            promote: false,
-            placement: TiresiasPlacement::default(),
-        }
-    }
-}
+/// Attained-service threshold (GPU-seconds) separating the two queues:
+/// 10 GPU-hours, the boundary between the trace's Small/Medium classes and
+/// its Large/XLarge classes, in line with the original paper's queue tuning
+/// (short jobs complete entirely at high priority; only long jobs demote).
+const QUEUE_THRESHOLD_GPU_SECONDS: f64 = 36_000.0;
 
 /// The Tiresias baseline scheduler.
-pub struct TiresiasScheduler {
-    config: TiresiasConfig,
-}
+#[derive(Debug, Default)]
+pub struct TiresiasScheduler;
 
 impl TiresiasScheduler {
-    /// Build with `config`.
-    pub fn new(config: TiresiasConfig) -> Self {
-        Self { config }
-    }
-
     /// The paper's configuration: two queues, `PromoteKnob` disabled.
     pub fn paper_default() -> Self {
-        Self::new(TiresiasConfig::default())
+        Self
     }
 
     /// Queue index of a job: 0 (high priority) below the threshold, 1 after
     /// demotion.
-    fn queue_of(&self, s: &JobState) -> usize {
-        usize::from(s.attained_service() >= self.config.queue_threshold_gpu_seconds)
+    fn queue_of(s: &JobState) -> usize {
+        usize::from(s.attained_service() >= QUEUE_THRESHOLD_GPU_SECONDS)
     }
 
-    /// Heterogeneity-oblivious placement. Both modes keep a running job on
-    /// its GPUs when they are still available and consolidate onto as few
-    /// machines as possible (Tiresias ships a consolidating placement
-    /// component); neither consults per-type throughput.
-    fn place(
-        &self,
-        ctx: &SchedulerContext<'_>,
-        usage: &Usage,
-        s: &JobState,
-    ) -> Option<JobPlacement> {
-        // Sticky: reuse the previous placement when still free (and its
-        // machines are still alive).
-        if !s.placement.is_empty()
-            && s.placement.slices().iter().all(|sl| {
-                ctx.is_up(sl.machine) && usage.free(ctx.cluster, sl.machine, sl.gpu) >= sl.count
-            })
-        {
+    /// Heterogeneity-oblivious placement: keep a running job on its GPUs
+    /// when they are still free on live machines, otherwise fill any usable
+    /// type, most-free machines first (Tiresias ships a consolidating
+    /// placement component); per-type throughput is never consulted.
+    fn place(ctx: &SchedulerContext<'_>, usage: &Usage, s: &JobState) -> Option<JobPlacement> {
+        let placer = Placer::new(ctx.cluster, usage, move |h| ctx.is_up(h));
+        if !s.placement.is_empty() && placer.fits(&s.placement) {
             return Some(s.placement.clone());
         }
-        match self.config.placement {
-            TiresiasPlacement::SingleType => {
-                if let Some(p) = Self::place_single_type(ctx, usage, s) {
-                    return Some(p);
-                }
-                // A gang no single type can ever host falls back to mixed
-                // placement rather than starving forever.
-                let max_type_cap = ctx
-                    .cluster
-                    .catalog()
-                    .ids()
-                    .map(|r| ctx.cluster.total_of_type(r))
-                    .max()
-                    .unwrap_or(0);
-                if s.job.gang > max_type_cap {
-                    return Self::place_mixed(ctx, usage, s);
-                }
-                None
-            }
-            TiresiasPlacement::MixedOblivious => Self::place_mixed(ctx, usage, s),
-        }
-    }
-
-    /// All tasks on whichever single type has the most free GPUs (oblivious
-    /// to throughput), consolidated most-free-machine-first.
-    fn place_single_type(
-        ctx: &SchedulerContext<'_>,
-        usage: &Usage,
-        s: &JobState,
-    ) -> Option<JobPlacement> {
-        // Free GPUs of a type, counting only machines that are up.
-        let masked_free = |r| -> u32 {
-            ctx.cluster
-                .machine_ids()
-                .filter(|&h| ctx.is_up(h))
-                .map(|h| usage.free(ctx.cluster, h, r))
-                .sum()
-        };
-        let r = ctx
-            .cluster
-            .catalog()
-            .ids()
-            .filter(|&r| s.job.profile.rate(r) > 0.0)
-            .map(|r| (masked_free(r), r))
-            .filter(|&(free, _)| free >= s.job.gang)
-            .max_by_key(|&(free, r)| (free, std::cmp::Reverse(r)))?
-            .1;
-        let mut machines: Vec<(u32, hadar_cluster::MachineId)> = ctx
-            .cluster
-            .machine_ids()
-            .filter(|&h| ctx.is_up(h))
-            .filter_map(|h| {
-                let free = usage.free(ctx.cluster, h, r);
-                (free > 0).then_some((free, h))
-            })
-            .collect();
-        machines.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut remaining = s.job.gang;
-        let mut slices = Vec::new();
-        for (free, h) in machines {
-            if remaining == 0 {
-                break;
-            }
-            let take = free.min(remaining);
-            slices.push(PlacementSlice {
-                machine: h,
-                gpu: r,
-                count: take,
-            });
-            remaining -= take;
-        }
-        (remaining == 0).then(|| JobPlacement::from_slices(slices))
-    }
-
-    /// Mixed-type fill, most-free machines first.
-    fn place_mixed(
-        ctx: &SchedulerContext<'_>,
-        usage: &Usage,
-        s: &JobState,
-    ) -> Option<JobPlacement> {
-        let mut machines: Vec<(u32, hadar_cluster::MachineId)> = ctx
-            .cluster
-            .machine_ids()
-            .filter(|&h| ctx.is_up(h))
-            .filter_map(|h| {
-                let free = usage.free_on_machine(ctx.cluster, h);
-                (free > 0).then_some((free, h))
-            })
-            .collect();
-        machines.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        let mut remaining = s.job.gang;
-        let mut slices = Vec::new();
-        for (_, h) in machines {
-            for r in ctx.cluster.catalog().ids() {
-                if remaining == 0 {
-                    break;
-                }
-                // Unusable types (rate 0) would stall the gang forever.
-                if s.job.profile.rate(r) <= 0.0 {
-                    continue;
-                }
-                let free = usage.free(ctx.cluster, h, r);
-                let take = free.min(remaining);
-                if take > 0 {
-                    slices.push(PlacementSlice {
-                        machine: h,
-                        gpu: r,
-                        count: take,
-                    });
-                    remaining -= take;
-                }
-            }
-            if remaining == 0 {
-                break;
-            }
-        }
-        (remaining == 0).then(|| JobPlacement::from_slices(slices))
+        // Unusable types (rate 0) would stall the gang forever.
+        placer.any_type(s.job.gang, |r| s.job.profile.rate(r) > 0.0)
     }
 }
 
@@ -229,25 +59,12 @@ impl Scheduler for TiresiasScheduler {
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Allocation {
         // Priority order: queue 0 before queue 1, FIFO (arrival, then id)
-        // within each queue. With `promote` enabled, severely starved jobs
-        // are lifted back to queue 0.
+        // within each queue.
         let mut order: Vec<usize> = (0..ctx.jobs.len()).collect();
-        let queue_of = |s: &JobState| -> usize {
-            let mut q = self.queue_of(s);
-            if self.config.promote && q == 1 {
-                // Re-promote when a job has waited idle longer than it has
-                // run (the PromoteKnob heuristic).
-                let waited = (ctx.time - s.job.arrival).max(0.0) - s.service_seconds;
-                if waited > s.service_seconds {
-                    q = 0;
-                }
-            }
-            q
-        };
         order.sort_by(|&a, &b| {
             let (sa, sb) = (&ctx.jobs[a], &ctx.jobs[b]);
-            queue_of(sa)
-                .cmp(&queue_of(sb))
+            Self::queue_of(sa)
+                .cmp(&Self::queue_of(sb))
                 .then(
                     sa.job
                         .arrival
@@ -257,7 +74,7 @@ impl Scheduler for TiresiasScheduler {
                 .then(sa.job.id.cmp(&sb.job.id))
         });
         if ctx.telemetry.is_enabled() {
-            let high = ctx.jobs.iter().filter(|s| queue_of(s) == 0).count();
+            let high = ctx.jobs.iter().filter(|s| Self::queue_of(s) == 0).count();
             ctx.telemetry.gauge("tiresias.queue_high", high as f64);
             ctx.telemetry
                 .gauge("tiresias.queue_low", (ctx.jobs.len() - high) as f64);
@@ -267,7 +84,7 @@ impl Scheduler for TiresiasScheduler {
         let mut alloc = Allocation::empty();
         for idx in order {
             let s = &ctx.jobs[idx];
-            if let Some(p) = self.place(ctx, &usage, s) {
+            if let Some(p) = Self::place(ctx, &usage, s) {
                 for sl in p.slices() {
                     usage.add(sl.machine, sl.gpu, sl.count);
                 }
@@ -341,13 +158,12 @@ mod tests {
     fn queue_demotion_at_threshold() {
         let cluster = Cluster::paper_simulation();
         let job = Job::for_model(JobId(0), DlTask::Lstm, cluster.catalog(), 0.0, 4, 100);
-        let sched = TiresiasScheduler::paper_default();
         let mut state = JobState::new(job);
-        assert_eq!(sched.queue_of(&state), 0);
+        assert_eq!(TiresiasScheduler::queue_of(&state), 0);
         state.service_seconds = 8_999.9; // 4 GPUs × 8999.9 s < 36 000 GPU-s
-        assert_eq!(sched.queue_of(&state), 0);
+        assert_eq!(TiresiasScheduler::queue_of(&state), 0);
         state.service_seconds = 9_000.1;
-        assert_eq!(sched.queue_of(&state), 1);
+        assert_eq!(TiresiasScheduler::queue_of(&state), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use hadar_cluster::{Allocation, JobId, JobPlacement, PlacementSlice, Usage};
+use hadar_cluster::{Allocation, JobId, JobPlacement, Placer, Usage};
 use hadar_sim::{JobState, Scheduler, SchedulerContext};
 
 /// The YARN-CS baseline scheduler.
@@ -26,49 +26,6 @@ impl YarnCsScheduler {
     /// Build the scheduler.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Heterogeneity-oblivious, consolidation-preferring container
-    /// placement: fill the machines with the most free GPUs first (YARN's
-    /// node-locality preference), any GPU type, never consulting throughput.
-    fn place(ctx: &SchedulerContext<'_>, usage: &Usage, s: &JobState) -> Option<JobPlacement> {
-        let mut machines: Vec<(u32, hadar_cluster::MachineId)> = ctx
-            .cluster
-            .machine_ids()
-            .filter(|&h| ctx.is_up(h))
-            .filter_map(|h| {
-                let free = usage.free_on_machine(ctx.cluster, h);
-                (free > 0).then_some((free, h))
-            })
-            .collect();
-        machines.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        let mut remaining = s.job.gang;
-        let mut slices = Vec::new();
-        for (_, h) in machines {
-            for r in ctx.cluster.catalog().ids() {
-                if remaining == 0 {
-                    break;
-                }
-                if s.job.profile.rate(r) <= 0.0 {
-                    continue;
-                }
-                let free = usage.free(ctx.cluster, h, r);
-                let take = free.min(remaining);
-                if take > 0 {
-                    slices.push(PlacementSlice {
-                        machine: h,
-                        gpu: r,
-                        count: take,
-                    });
-                    remaining -= take;
-                }
-            }
-            if remaining == 0 {
-                break;
-            }
-        }
-        (remaining == 0).then(|| JobPlacement::from_slices(slices))
     }
 }
 
@@ -121,7 +78,12 @@ impl Scheduler for YarnCsScheduler {
         let queue_len = waiting.len();
         let mut admitted = 0usize;
         for s in waiting {
-            match Self::place(ctx, &usage, s) {
+            // Heterogeneity-oblivious, consolidation-preferring container
+            // placement: the machines with the most free GPUs first (YARN's
+            // node-locality preference), any GPU type, never consulting
+            // throughput.
+            let placer = Placer::new(ctx.cluster, &usage, move |h| ctx.is_up(h));
+            match placer.any_type(s.job.gang, |r| s.job.profile.rate(r) > 0.0) {
                 Some(p) => {
                     for sl in p.slices() {
                         usage.add(sl.machine, sl.gpu, sl.count);

@@ -106,8 +106,8 @@ pub fn parse_penalty(spec: &str) -> Result<PreemptionPenalty, String> {
         other => {
             if let Some(s) = other.strip_prefix("fixed:") {
                 let secs: f64 = s.parse().map_err(|_| format!("bad penalty {s:?}"))?;
-                if secs < 0.0 {
-                    return Err("penalty must be non-negative".into());
+                if !secs.is_finite() || secs < 0.0 {
+                    return Err("penalty must be finite and non-negative".into());
                 }
                 Ok(PreemptionPenalty::Fixed(secs))
             } else {
@@ -244,6 +244,8 @@ mod tests {
             PreemptionPenalty::Modeled(_)
         ));
         assert!(parse_penalty("fixed:-1").is_err());
+        assert!(parse_penalty("fixed:NaN").is_err());
+        assert!(parse_penalty("fixed:inf").is_err());
         assert!(parse_penalty("huge").is_err());
     }
 

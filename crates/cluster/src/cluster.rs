@@ -3,7 +3,6 @@
 
 use crate::catalog::{names, GpuCatalog, GpuTypeId};
 use crate::machine::{Machine, MachineId};
-use crate::rack::RackTopology;
 
 /// A heterogeneous GPU cluster: `H` machines over a catalog of `R` types.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,8 +11,6 @@ pub struct Cluster {
     machines: Vec<Machine>,
     /// `total_per_type[r]` = Σ_h c_h^r, cached at build time.
     total_per_type: Vec<u32>,
-    /// Optional rack assignment; `None` = flat (machine-level) network.
-    racks: Option<RackTopology>,
 }
 
 impl Cluster {
@@ -41,28 +38,7 @@ impl Cluster {
             catalog,
             machines,
             total_per_type,
-            racks: None,
         }
-    }
-
-    /// Attach a rack topology (see [`RackTopology`]).
-    ///
-    /// # Panics
-    /// Panics if the assignment does not cover every machine.
-    pub fn with_racks(mut self, racks: RackTopology) -> Self {
-        for h in self.machine_ids() {
-            // rack_of() tolerates missing machines, but an explicit cluster
-            // topology should cover everything it claims to describe.
-            let _ = racks.rack_of(h);
-        }
-        self.racks = Some(racks);
-        self
-    }
-
-    /// The rack topology, if any.
-    #[inline]
-    pub fn racks(&self) -> Option<&RackTopology> {
-        self.racks.as_ref()
     }
 
     /// The GPU-type catalog.

@@ -17,7 +17,6 @@
 //!    prices `k_h^r`).
 
 use crate::allocation::JobPlacement;
-use crate::rack::RackTopology;
 
 /// Parameters of the communication cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,11 +29,6 @@ pub struct CommCostModel {
     /// Additive cost per extra server, as a multiple of the placement's mean
     /// per-GPU price. Default 0.5.
     pub price_surcharge_per_hop: f64,
-    /// Extra fractional throughput loss per additional *rack* spanned
-    /// (applied on top of the per-server penalty when the cluster carries a
-    /// [`RackTopology`]). Default 0.05: the oversubscribed aggregation
-    /// fabric costs another 5 % per rack hop.
-    pub rack_penalty_per_hop: f64,
 }
 
 impl Default for CommCostModel {
@@ -42,7 +36,6 @@ impl Default for CommCostModel {
         Self {
             throughput_penalty_per_hop: 0.08,
             price_surcharge_per_hop: 0.5,
-            rack_penalty_per_hop: 0.05,
         }
     }
 }
@@ -53,7 +46,6 @@ impl CommCostModel {
         Self {
             throughput_penalty_per_hop: 0.0,
             price_surcharge_per_hop: 0.0,
-            rack_penalty_per_hop: 0.0,
         }
     }
 
@@ -65,24 +57,9 @@ impl CommCostModel {
         (1.0 - self.throughput_penalty_per_hop).powi(hops)
     }
 
-    /// Throughput factor for a concrete placement on a flat network.
+    /// Throughput factor for a concrete placement.
     pub fn placement_factor(&self, p: &JobPlacement) -> f64 {
-        self.placement_factor_racked(p, None)
-    }
-
-    /// Throughput factor for a placement, charging the extra rack-tier
-    /// penalty when a topology is present.
-    pub fn placement_factor_racked(&self, p: &JobPlacement, racks: Option<&RackTopology>) -> f64 {
-        let machine_factor = self.throughput_factor(p.num_machines());
-        let rack_factor = match racks {
-            Some(t) => {
-                debug_assert!((0.0..=1.0).contains(&self.rack_penalty_per_hop));
-                let hops = t.racks_spanned(p).saturating_sub(1) as i32;
-                (1.0 - self.rack_penalty_per_hop).powi(hops)
-            }
-            None => 1.0,
-        };
-        machine_factor * rack_factor
+        self.throughput_factor(p.num_machines())
     }
 
     /// Additive communication cost (in price units) for a placement whose
@@ -104,7 +81,6 @@ mod tests {
     use crate::allocation::PlacementSlice;
     use crate::catalog::GpuTypeId;
     use crate::machine::MachineId;
-    use crate::rack::RackTopology;
 
     #[test]
     fn consolidated_is_penalty_free() {
@@ -119,7 +95,6 @@ mod tests {
         let m = CommCostModel {
             throughput_penalty_per_hop: 0.1,
             price_surcharge_per_hop: 0.0,
-            rack_penalty_per_hop: 0.0,
         };
         let f2 = m.throughput_factor(2);
         let f3 = m.throughput_factor(3);
@@ -132,51 +107,10 @@ mod tests {
         let m = CommCostModel {
             throughput_penalty_per_hop: 0.0,
             price_surcharge_per_hop: 0.5,
-            rack_penalty_per_hop: 0.0,
         };
         // 3 machines => 2 hops; mean price 2.5 => cost = 0.5 * 2 * 2.5.
         assert!((m.comm_cost(3, 10.0, 4) - 2.5).abs() < 1e-12);
         assert_eq!(m.comm_cost(3, 10.0, 0), 0.0);
-    }
-
-    #[test]
-    fn rack_penalty_compounds_with_machine_penalty() {
-        let m = CommCostModel {
-            throughput_penalty_per_hop: 0.1,
-            price_surcharge_per_hop: 0.0,
-            rack_penalty_per_hop: 0.2,
-        };
-        let topo = RackTopology::uniform(4, 2); // machines {0,1} and {2,3}
-        let same_rack = JobPlacement::from_slices([
-            PlacementSlice {
-                machine: MachineId(0),
-                gpu: GpuTypeId(0),
-                count: 1,
-            },
-            PlacementSlice {
-                machine: MachineId(1),
-                gpu: GpuTypeId(0),
-                count: 1,
-            },
-        ]);
-        let cross_rack = JobPlacement::from_slices([
-            PlacementSlice {
-                machine: MachineId(0),
-                gpu: GpuTypeId(0),
-                count: 1,
-            },
-            PlacementSlice {
-                machine: MachineId(2),
-                gpu: GpuTypeId(0),
-                count: 1,
-            },
-        ]);
-        // Same rack: only the machine hop (0.9).
-        assert!((m.placement_factor_racked(&same_rack, Some(&topo)) - 0.9).abs() < 1e-12);
-        // Cross rack: machine hop × rack hop (0.9 × 0.8).
-        assert!((m.placement_factor_racked(&cross_rack, Some(&topo)) - 0.72).abs() < 1e-12);
-        // Without a topology the rack tier is free.
-        assert!((m.placement_factor_racked(&cross_rack, None) - 0.9).abs() < 1e-12);
     }
 
     #[test]

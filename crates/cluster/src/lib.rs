@@ -17,6 +17,7 @@
 //!   `w_{jh}^r(t)`, i.e. how many type-`r` GPUs on machine `h` each job gets,
 //! * [`Usage`] — the occupied-counts view `γ_h^r(t)` used by the
 //!   price function of the primal–dual framework,
+//! * [`Placer`] — the most-free-first gang fill every policy places with,
 //! * [`CommCostModel`] — the cross-server communication penalty applied to
 //!   non-consolidated placements in Algorithm 2's `FIND_ALLOC`.
 //!
@@ -48,7 +49,7 @@ pub mod catalog;
 pub mod cluster;
 pub mod comm;
 pub mod machine;
-pub mod rack;
+pub mod placer;
 pub mod usage;
 
 pub use allocation::{Allocation, JobPlacement, PlacementSlice};
@@ -57,7 +58,7 @@ pub use catalog::{GpuCatalog, GpuTypeId};
 pub use cluster::{Cluster, ClusterBuilder};
 pub use comm::CommCostModel;
 pub use machine::{Machine, MachineId};
-pub use rack::{RackId, RackTopology};
+pub use placer::Placer;
 pub use usage::Usage;
 
 /// Identifier of a job, assigned by the workload layer.

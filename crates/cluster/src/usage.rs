@@ -92,14 +92,6 @@ impl Usage {
         cluster.capacity(h, r).saturating_sub(self.get(h, r))
     }
 
-    /// Total free GPUs of type `r` across the cluster.
-    pub fn free_of_type(&self, cluster: &Cluster, r: GpuTypeId) -> u32 {
-        cluster
-            .machine_ids()
-            .map(|h| self.free(cluster, h, r))
-            .sum()
-    }
-
     /// Total free GPUs on machine `h` across all types.
     pub fn free_on_machine(&self, cluster: &Cluster, h: MachineId) -> u32 {
         cluster
@@ -196,8 +188,7 @@ mod tests {
         assert_eq!(u.free(&cl, MachineId(0), a), 1);
         u.sub(MachineId(0), a, 2);
         assert_eq!(u.free(&cl, MachineId(0), a), 3);
-        assert_eq!(u.free_of_type(&cl, a), 4);
-        assert_eq!(u.free_of_type(&cl, c), 2);
+        assert_eq!(u.free(&cl, MachineId(1), c), 2);
         assert_eq!(u.free_on_machine(&cl, MachineId(1)), 3);
     }
 

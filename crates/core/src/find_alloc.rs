@@ -20,10 +20,11 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use hadar_cluster::placer::fill;
 use hadar_cluster::{
-    Cluster, CommCostModel, GpuTypeId, JobPlacement, MachineId, PlacementSlice, Usage,
+    Cluster, CommCostModel, GpuTypeId, JobPlacement, MachineId, PlacementSlice, Placer, Usage,
 };
-use hadar_sim::JobState;
+use hadar_sim::{job_rate, JobState};
 
 use crate::estimate::estimate_completion;
 use crate::price::{PriceShape, PriceState};
@@ -89,6 +90,11 @@ impl AllocEnv<'_> {
     /// Whether machine `h` can run tasks at all this round.
     fn machine_usable(&self, h: MachineId) -> bool {
         self.machine_factor(h) > 0.0
+    }
+
+    /// The shared gang placer over `usage`, restricted to usable machines.
+    fn placer<'u>(&'u self, usage: &'u Usage) -> Placer<'u, impl Fn(MachineId) -> bool + 'u> {
+        Placer::new(self.cluster, usage, |h| self.machine_usable(h))
     }
 }
 
@@ -290,20 +296,10 @@ struct PoolEntry {
     last_used: u64,
 }
 
-/// Enumerate and sort the usable free machines for type `r`.
+/// The usable free machines for type `r`, in the shared placement order.
 fn build_pool(env: &AllocEnv<'_>, usage: &Usage, r: GpuTypeId) -> PoolEntry {
-    let mut by_free: Vec<(u32, MachineId)> = env
-        .cluster
-        .machine_ids()
-        .filter(|&h| env.machine_usable(h))
-        .filter_map(|h| {
-            let f = usage.free(env.cluster, h, r);
-            (f > 0).then_some((f, h))
-        })
-        .collect();
-    by_free.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     PoolEntry {
-        by_free,
+        by_free: env.placer(usage).machines_by_free(r),
         last_used: 0,
     }
 }
@@ -374,7 +370,7 @@ fn assemble(
     // checkpoint stall, no movement).
     if env.features.sticky
         && !state.placement.is_empty()
-        && fits(env.cluster, usage, &state.placement)
+        && env.placer(usage).fits(&state.placement)
     {
         consider(state.placement.slices().to_vec());
     }
@@ -398,16 +394,7 @@ fn evaluate(
         return None;
     }
     let changed = placement != state.placement;
-    let bottleneck = placement
-        .bottleneck_rate_per_slice(|h, r| state.job.profile.rate(r) * env.machine_factor(h))?;
-    if bottleneck <= 0.0 {
-        return None;
-    }
-    let rate = bottleneck
-        * state.job.gang as f64
-        * env
-            .comm
-            .placement_factor_racked(&placement, env.cluster.racks());
+    let rate = job_rate(&state.job, &placement, env.comm, env.machine_factors);
     let stall = if changed { env.realloc_stall } else { 0.0 };
     let est = estimate_completion(state, rate, env.now, stall)?;
     let utility = env.utility.value(&state.job, est.jct, est.finish);
@@ -439,14 +426,6 @@ pub fn price_of(env: &AllocEnv<'_>, usage: &Usage, placement: &JobPlacement) -> 
             env.prices.price(s.gpu, gamma, cap) * s.count as f64
         })
         .sum()
-}
-
-/// Whether `placement` fits within the free capacity left by `usage`.
-pub fn fits(cluster: &Cluster, usage: &Usage, placement: &JobPlacement) -> bool {
-    placement
-        .slices()
-        .iter()
-        .all(|s| usage.free(cluster, s.machine, s.gpu) >= s.count)
 }
 
 /// All `w` workers of type `r` on one machine; among feasible machines, the
@@ -566,50 +545,11 @@ fn mixed_best_single_machine(
     }
     // Pass 2: rebuild the winning machine's fill (deterministically the
     // same takes pass 1 scored).
-    best.map(|(_, h)| {
-        let mut remaining = w;
-        let mut slices = Vec::new();
-        for &r in prefs {
-            if remaining == 0 {
-                break;
-            }
-            let take = usage.free(env.cluster, h, r).min(remaining);
-            if take > 0 {
-                slices.push(PlacementSlice {
-                    machine: h,
-                    gpu: r,
-                    count: take,
-                });
-                remaining -= take;
-            }
-        }
-        slices
-    })
-}
-
-/// Take from `(machine, type, available)` entries in order until `w` workers
-/// are placed; `None` if the pool is too small.
-fn fill(
-    pool: impl Iterator<Item = (MachineId, GpuTypeId, u32)>,
-    w: u32,
-) -> Option<Vec<PlacementSlice>> {
-    let mut remaining = w;
-    let mut slices = Vec::new();
-    for (machine, gpu, avail) in pool {
-        if remaining == 0 {
-            break;
-        }
-        let take = avail.min(remaining);
-        if take > 0 {
-            slices.push(PlacementSlice {
-                machine,
-                gpu,
-                count: take,
-            });
-            remaining -= take;
-        }
-    }
-    (remaining == 0).then_some(slices)
+    let (_, h) = best?;
+    fill(
+        prefs.iter().map(|&r| (h, r, usage.free(env.cluster, h, r))),
+        w,
+    )
 }
 
 #[cfg(test)]

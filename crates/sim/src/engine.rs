@@ -57,6 +57,23 @@ impl SimConfig {
                 self.round_length
             )));
         }
+        match self.penalty {
+            PreemptionPenalty::Fixed(secs) if !secs.is_finite() || secs < 0.0 => {
+                return Err(SimError::InvalidConfig(format!(
+                    "preemption penalty must be finite and non-negative (got {secs})"
+                )));
+            }
+            PreemptionPenalty::Modeled(m)
+                if !m.effective_bandwidth_mib_s.is_finite()
+                    || m.effective_bandwidth_mib_s <= 0.0 =>
+            {
+                return Err(SimError::InvalidConfig(format!(
+                    "checkpoint bandwidth must be finite and positive (got {})",
+                    m.effective_bandwidth_mib_s
+                )));
+            }
+            _ => {}
+        }
         if let Some(s) = &self.straggler {
             s.validate()
                 .map_err(|e| SimError::InvalidConfig(format!("straggler model: {e}")))?;
@@ -381,13 +398,7 @@ impl Simulation {
                 let workers = new_placement.total_workers() as f64;
                 held_gpu_seconds += workers * round;
 
-                let rate = job_rate_full(
-                    &state.job,
-                    &new_placement,
-                    &config.comm,
-                    &machine_factors,
-                    cluster.racks(),
-                );
+                let rate = job_rate(&state.job, &new_placement, &config.comm, &machine_factors);
                 if rate > 0.0 && eff > 0.0 {
                     let capacity_iters = rate * eff;
                     let work_time = if capacity_iters >= state.remaining_iters {
@@ -511,44 +522,23 @@ impl Simulation {
 }
 
 /// Effective aggregate rate of a job on `placement` (iterations/sec):
-/// bottleneck per-task throughput (Eq. 1b) × gang size × the communication
-/// degradation for non-consolidated placements.
-pub fn job_rate(job: &Job, placement: &JobPlacement, comm: &CommCostModel) -> f64 {
-    job_rate_with(job, placement, comm, &[])
-}
-
-/// [`job_rate`] with per-machine straggler factors applied to each task
-/// before the synchronization barrier. Machines beyond `factors` are
-/// treated as healthy (factor 1.0).
-pub fn job_rate_with(
-    job: &Job,
-    placement: &JobPlacement,
-    comm: &CommCostModel,
-    factors: &[f64],
-) -> f64 {
-    job_rate_full(job, placement, comm, factors, None)
-}
-
-/// The full rate model: straggler factors per task plus the (optionally
-/// rack-aware) communication degradation.
-pub fn job_rate_full(
-    job: &Job,
-    placement: &JobPlacement,
-    comm: &CommCostModel,
-    factors: &[f64],
-    racks: Option<&hadar_cluster::RackTopology>,
-) -> f64 {
+/// bottleneck per-task throughput (Eq. 1b), each task scaled by its
+/// machine's straggler factor (machines beyond `factors` count as healthy,
+/// 1.0), × gang size × the communication degradation for
+/// non-consolidated placements. 0.0 for an empty placement.
+pub fn job_rate(job: &Job, placement: &JobPlacement, comm: &CommCostModel, factors: &[f64]) -> f64 {
     let Some(bottleneck) = placement.bottleneck_rate_per_slice(|h, r| {
         job.profile.rate(r) * factors.get(h.index()).copied().unwrap_or(1.0)
     }) else {
         return 0.0;
     };
-    bottleneck * placement.total_workers() as f64 * comm.placement_factor_racked(placement, racks)
+    bottleneck * placement.total_workers() as f64 * comm.placement_factor(placement)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointModel;
     use hadar_cluster::{Allocation, GpuTypeId};
     use hadar_workload::DlTask;
 
@@ -842,6 +832,51 @@ mod tests {
             .run(FifoV100)
             .unwrap_err();
         assert!(err.to_string().contains("failure"), "{err}");
+
+        // A preemption penalty that is negative or not finite would credit
+        // work (negative) or silently lose the whole round (NaN, inf).
+        let bad_penalties = [
+            PreemptionPenalty::Fixed(-1000.0),
+            PreemptionPenalty::Fixed(f64::NAN),
+            PreemptionPenalty::Fixed(f64::INFINITY),
+            PreemptionPenalty::Modeled(CheckpointModel {
+                effective_bandwidth_mib_s: 0.0,
+            }),
+            PreemptionPenalty::Modeled(CheckpointModel {
+                effective_bandwidth_mib_s: -250.0,
+            }),
+            PreemptionPenalty::Modeled(CheckpointModel {
+                effective_bandwidth_mib_s: f64::NAN,
+            }),
+            PreemptionPenalty::Modeled(CheckpointModel {
+                effective_bandwidth_mib_s: f64::INFINITY,
+            }),
+        ];
+        for penalty in bad_penalties {
+            let jobs = vec![small_job(0, 0.0, 1, 1)];
+            let cfg = SimConfig {
+                penalty,
+                ..SimConfig::default()
+            };
+            let err = Simulation::new(cluster(), jobs, cfg)
+                .run(FifoV100)
+                .unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidConfig(_)),
+                "{penalty:?}: {err:?}"
+            );
+        }
+        for penalty in [
+            PreemptionPenalty::Fixed(0.0),
+            PreemptionPenalty::None,
+            PreemptionPenalty::Modeled(CheckpointModel::default()),
+        ] {
+            let cfg = SimConfig {
+                penalty,
+                ..SimConfig::default()
+            };
+            assert!(cfg.validate().is_ok(), "{penalty:?}");
+        }
     }
 
     /// A scheduler that keeps placing on machine 0 regardless of its
@@ -1008,10 +1043,12 @@ mod tests {
         let comm = CommCostModel {
             throughput_penalty_per_hop: 0.1,
             price_surcharge_per_hop: 0.0,
-            rack_penalty_per_hop: 0.0,
         };
-        let r = job_rate(&job, &spread, &comm);
+        let r = job_rate(&job, &spread, &comm, &[]);
         assert!((r - 2.0 * 120.0 * 0.9).abs() < 1e-9);
-        assert_eq!(job_rate(&job, &JobPlacement::empty(), &comm), 0.0);
+        // A straggling machine slows the whole gang to its pace.
+        let r = job_rate(&job, &spread, &comm, &[1.0, 0.5]);
+        assert!((r - 2.0 * 60.0 * 0.9).abs() < 1e-9);
+        assert_eq!(job_rate(&job, &JobPlacement::empty(), &comm, &[]), 0.0);
     }
 }

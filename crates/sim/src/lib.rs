@@ -75,12 +75,12 @@ pub mod straggler;
 pub mod telemetry;
 
 pub use checkpoint::{CheckpointModel, PreemptionPenalty};
-pub use engine::{job_rate, job_rate_full, job_rate_with, SimConfig, Simulation};
+pub use engine::{job_rate, SimConfig, Simulation};
 pub use error::{SimError, SimResult};
 pub use event::{check_lifecycle, SimEvent};
 pub use failure::{FailureModel, FailureState, FailureTransitions};
 pub use hadar_metrics::telemetry::TELEMETRY_SCHEMA;
-pub use runner::{run_parallel, CellResult, SweepRunner};
+pub use runner::{CellResult, SweepRunner};
 pub use scheduler::{DecisionPhases, JobState, Scheduler, SchedulerContext};
 pub use stats::{JobRecord, RoundRecord, SimOutcome};
 pub use straggler::{StragglerModel, StragglerState};

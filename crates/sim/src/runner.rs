@@ -182,18 +182,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run `tasks` (each producing one [`SimResult`]) across up to
-/// `max_threads` worker threads, preserving input order in the result.
-///
-/// Compatibility shim over [`SweepRunner::run_outcomes`]; panics if any
-/// cell fails.
-pub fn run_parallel<F>(tasks: Vec<F>, max_threads: usize) -> Vec<SimOutcome>
-where
-    F: FnOnce() -> SimResult + Send,
-{
-    SweepRunner::new(max_threads).run_outcomes(tasks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,7 +230,7 @@ mod tests {
         let tasks: Vec<Box<dyn FnOnce() -> SimResult + Send>> = (1..=6)
             .map(|i| Box::new(move || one_sim(i * 50)) as Box<dyn FnOnce() -> SimResult + Send>)
             .collect();
-        let out = run_parallel(tasks, 3);
+        let out = SweepRunner::new(3).run_outcomes(tasks);
         assert_eq!(out.len(), 6);
         // Larger epoch counts finish later: JCTs must be non-decreasing in
         // input order.
@@ -253,13 +241,13 @@ mod tests {
     #[test]
     fn empty_task_list() {
         let tasks: Vec<Box<dyn FnOnce() -> SimResult + Send>> = Vec::new();
-        assert!(run_parallel(tasks, 4).is_empty());
+        assert!(SweepRunner::new(4).run_outcomes(tasks).is_empty());
     }
 
     #[test]
     fn single_thread_works() {
         let tasks: Vec<Box<dyn FnOnce() -> SimResult + Send>> = vec![Box::new(|| one_sim(10))];
-        let out = run_parallel(tasks, 1);
+        let out = SweepRunner::new(1).run_outcomes(tasks);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].completed_jobs(), 1);
     }

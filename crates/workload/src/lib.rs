@@ -41,7 +41,6 @@ pub mod arrivals;
 pub mod categories;
 pub mod job;
 pub mod model;
-pub mod philly;
 pub mod stats;
 pub mod throughput;
 pub mod trace;
@@ -51,7 +50,6 @@ pub use categories::SizeClass;
 pub use hadar_cluster::JobId;
 pub use job::Job;
 pub use model::DlTask;
-pub use philly::{busiest_window, jobs_from_philly, parse_philly_csv, PhillyRow};
 pub use stats::TraceStats;
 pub use throughput::ThroughputProfile;
 pub use trace::{generate_trace, load_trace_csv, save_trace_csv, TraceConfig};

@@ -204,70 +204,3 @@ fn outcome_reallocation_stat_is_bounded() {
     // Hadar's sticky candidates keep churn modest (§IV-A-5 reports ~30%).
     assert!(rate < 0.5, "reallocation rate {rate} suspiciously high");
 }
-
-#[test]
-fn rack_topology_slows_cross_rack_gangs() {
-    use hadar::cluster::{PlacementSlice, RackTopology};
-    use hadar::sim::{PreemptionPenalty, Scheduler, SchedulerContext};
-
-    // Four single-V100 machines; racks {0,1} and {2,3}.
-    let build = || {
-        let mut b = ClusterBuilder::new();
-        let v100 = b.gpu_type("V100");
-        for _ in 0..4 {
-            b.machine(&[(v100, 1)]);
-        }
-        b.build().with_racks(RackTopology::uniform(4, 2))
-    };
-    struct Pin {
-        machines: [u32; 2],
-    }
-    impl Scheduler for Pin {
-        fn name(&self) -> &str {
-            "Pin"
-        }
-        fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Allocation {
-            let v100 = ctx.cluster.catalog().lookup("V100").unwrap();
-            let mut a = Allocation::empty();
-            for s in ctx.jobs {
-                a.set(
-                    s.job.id,
-                    JobPlacement::from_slices(self.machines.map(|m| PlacementSlice {
-                        machine: MachineId(m),
-                        gpu: v100,
-                        count: 1,
-                    })),
-                );
-            }
-            a
-        }
-    }
-    let job = || {
-        vec![Job::for_model(
-            JobId(0),
-            hadar::workload::DlTask::ResNet18,
-            build().catalog(),
-            0.0,
-            2,
-            100,
-        )]
-    };
-    let config = SimConfig {
-        penalty: PreemptionPenalty::None,
-        ..SimConfig::default()
-    };
-    let same_rack = Simulation::new(build(), job(), config)
-        .run(Pin { machines: [0, 1] })
-        .unwrap();
-    let cross_rack = Simulation::new(build(), job(), config)
-        .run(Pin { machines: [0, 2] })
-        .unwrap();
-    let (a, b) = (
-        same_rack.records[0].jct().unwrap(),
-        cross_rack.records[0].jct().unwrap(),
-    );
-    assert!(
-        b > a * 1.02,
-        "cross-rack gang should pay the rack tier: same {a:.1}s vs cross {b:.1}s"
-    );
-}

@@ -213,45 +213,3 @@ fn straggler_injection_is_safe_and_deterministic() {
         );
     }
 }
-
-/// Attaching a rack topology never breaks completion and can only slow
-/// jobs down relative to the flat network (the rack tier is a pure
-/// penalty).
-#[test]
-fn rack_topology_is_a_pure_penalty() {
-    use hadar::cluster::RackTopology;
-    let mut rng = StdRng::seed_from_u64(0x55);
-    for case in 0..12 {
-        let specs = random_specs(&mut rng, 5);
-        let per_rack = rng.gen_range_usize(1..4);
-        let flat = {
-            let mut b = ClusterBuilder::new();
-            let types = [b.gpu_type("V100"), b.gpu_type("P100"), b.gpu_type("K80")];
-            b.machine(&[(types[0], 2)]);
-            for t in types {
-                b.machine(&[(t, 2)]);
-            }
-            b.build()
-        };
-        let racked = flat
-            .clone()
-            .with_racks(RackTopology::uniform(flat.num_machines(), per_rack));
-        let jobs = materialize(&flat, &specs);
-        let run = |cluster: Cluster| {
-            Simulation::new(cluster, jobs.clone(), SimConfig::default())
-                .run(HadarScheduler::new(HadarConfig::default()))
-                .unwrap()
-        };
-        let (f, r) = (run(flat), run(racked));
-        assert_eq!(f.completed_jobs(), jobs.len(), "case {case}");
-        assert_eq!(r.completed_jobs(), jobs.len(), "case {case}");
-        // The racked cluster's makespan is never meaningfully shorter
-        // (allow one round of scheduling butterfly effects).
-        assert!(
-            r.makespan() >= f.makespan() * 0.95 - 360.0,
-            "case {case}: rack tier sped things up: {} vs {}",
-            r.makespan(),
-            f.makespan()
-        );
-    }
-}
