@@ -10,30 +10,13 @@
 //! `fig7_scalability.csv`, whose values *are* wall-clock measurements).
 
 use hadar_bench::figures;
-use hadar_bench::figures::fig3::Panel;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let runner = hadar_bench::runner_from_cli(&args);
     let t0 = std::time::Instant::now();
-    let results = vec![
-        figures::table2::run(quick),
-        figures::fig3::run(Panel::Static, quick, &runner),
-        figures::fig3::run(Panel::Continuous, quick, &runner),
-        figures::fig4::run(quick, &runner),
-        figures::fig5::run(quick, &runner),
-        figures::fig6::run(quick, &runner),
-        figures::fig7::run(quick),
-        figures::fig8::run(quick, &runner),
-        figures::fig9::run(quick, &runner),
-        figures::table3::run(quick, &runner),
-        figures::table4::run(quick, &runner),
-        figures::ablation::run(quick, &runner),
-        figures::stragglers::run(quick, &runner),
-        figures::failures::run(quick, &runner),
-        figures::extensions::run(quick, &runner),
-    ];
+    let results = figures::run_all(quick, &runner);
     println!("==============================================================");
     for r in &results {
         println!("--- {} ---", r.name);

@@ -34,6 +34,28 @@ use std::path::PathBuf;
 
 pub use crate::experiments::results_dir;
 
+/// Regenerate every table and figure, in the evaluation section's order:
+/// the whole suite `all_experiments` runs and `results/` holds.
+pub fn run_all(quick: bool, runner: &hadar_sim::SweepRunner) -> Vec<FigureResult> {
+    vec![
+        table2::run(quick),
+        fig3::run(fig3::Panel::Static, quick, runner),
+        fig3::run(fig3::Panel::Continuous, quick, runner),
+        fig4::run(quick, runner),
+        fig5::run(quick, runner),
+        fig6::run(quick, runner),
+        fig7::run(quick),
+        fig8::run(quick, runner),
+        fig9::run(quick, runner),
+        table3::run(quick, runner),
+        table4::run(quick, runner),
+        ablation::run(quick, runner),
+        stragglers::run(quick, runner),
+        failures::run(quick, runner),
+        extensions::run(quick, runner),
+    ]
+}
+
 /// The outcome of regenerating one figure or table.
 #[derive(Debug, Clone)]
 pub struct FigureResult {

@@ -35,22 +35,16 @@ impl JobPlacement {
     /// Build from slices; zero-count slices are dropped, and slices sharing
     /// `(machine, type)` are merged so equality is structural.
     pub fn from_slices(slices: impl IntoIterator<Item = PlacementSlice>) -> Self {
-        let mut merged: BTreeMap<(MachineId, GpuTypeId), u32> = BTreeMap::new();
-        for s in slices {
-            if s.count > 0 {
-                *merged.entry((s.machine, s.gpu)).or_default() += s.count;
+        let mut slices: Vec<PlacementSlice> = slices.into_iter().filter(|s| s.count > 0).collect();
+        slices.sort_unstable_by_key(|s| (s.machine, s.gpu));
+        slices.dedup_by(|later, kept| {
+            let same = (later.machine, later.gpu) == (kept.machine, kept.gpu);
+            if same {
+                kept.count += later.count;
             }
-        }
-        Self {
-            slices: merged
-                .into_iter()
-                .map(|((machine, gpu), count)| PlacementSlice {
-                    machine,
-                    gpu,
-                    count,
-                })
-                .collect(),
-        }
+            same
+        });
+        Self { slices }
     }
 
     /// Convenience: a placement of `count` GPUs of one type on one machine.
@@ -98,21 +92,10 @@ impl JobPlacement {
     }
 
     /// The bottleneck throughput `x_j(t) = min{X_j^r | w_{jh}^r > 0}`
-    /// (Eq. 1b): the slowest per-task rate across the types this placement
-    /// touches. `rate_of` maps a type to the job's `X_j^r`.
-    ///
-    /// Returns `None` for an empty placement.
-    pub fn bottleneck_rate(&self, rate_of: impl FnMut(GpuTypeId) -> f64) -> Option<f64> {
-        self.gpu_types()
-            .into_iter()
-            .map(rate_of)
-            .min_by(|a, b| a.partial_cmp(b).expect("throughput must not be NaN"))
-    }
-
-    /// Like [`JobPlacement::bottleneck_rate`] but with per-slice resolution:
-    /// `rate_of(machine, type)` may differ across machines hosting the same
-    /// type (e.g. a straggling server). The synchronization barrier still
-    /// paces the gang at the slowest task.
+    /// (Eq. 1b) with per-slice resolution: `rate_of(machine, type)` may
+    /// differ across machines hosting the same type (e.g. a straggling
+    /// server). The synchronization barrier paces the gang at the slowest
+    /// task. Returns `None` for an empty placement.
     pub fn bottleneck_rate_per_slice(
         &self,
         mut rate_of: impl FnMut(MachineId, GpuTypeId) -> f64,
@@ -321,27 +304,6 @@ mod tests {
         assert_eq!(p.slices()[1].count, 2);
         assert_eq!(p.num_machines(), 2);
         assert!(!p.is_consolidated());
-    }
-
-    #[test]
-    fn bottleneck_rate_is_min_over_types() {
-        let p = JobPlacement::from_slices([
-            PlacementSlice {
-                machine: MachineId(0),
-                gpu: GpuTypeId(0),
-                count: 2,
-            },
-            PlacementSlice {
-                machine: MachineId(1),
-                gpu: GpuTypeId(1),
-                count: 1,
-            },
-        ]);
-        let rate = p
-            .bottleneck_rate(|r| if r == GpuTypeId(0) { 40.0 } else { 30.0 })
-            .unwrap();
-        assert_eq!(rate, 30.0);
-        assert_eq!(JobPlacement::empty().bottleneck_rate(|_| 1.0), None);
     }
 
     #[test]

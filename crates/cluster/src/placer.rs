@@ -5,6 +5,7 @@
 //! ties), and fill until the gang is complete. [`Placer`] is that rule,
 //! written once, over a [`Usage`] and an "is this machine up" predicate.
 
+use std::cmp::Reverse;
 use std::ops::ControlFlow;
 
 use crate::allocation::{JobPlacement, PlacementSlice};
@@ -126,10 +127,18 @@ fn total_free(machines: &[(u32, MachineId)]) -> u32 {
     machines.iter().map(|&(f, _)| f).sum()
 }
 
-/// Sort `(free, machine)` pairs most free first, lower machine id on ties.
+/// The placement order as a sort key on `(free, machine)` pairs: most free
+/// first, lower machine id on ties. Pools kept sorted by this key can find
+/// and reinsert a machine by binary search.
+#[inline]
+pub fn most_free_key(&(free, h): &(u32, MachineId)) -> (Reverse<u32>, MachineId) {
+    (Reverse(free), h)
+}
+
+/// Sort `(free, machine)` pairs by [`most_free_key`].
 #[inline]
 fn most_free_first(machines: &mut [(u32, MachineId)]) {
-    machines.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    machines.sort_by_key(most_free_key);
 }
 
 /// Take from `(machine, type, free)` entries in order until `w` workers

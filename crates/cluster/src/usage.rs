@@ -15,10 +15,6 @@ pub struct Usage {
     /// Incrementally maintained position-weighted hash of `used` (see
     /// [`Usage::fingerprint`]): `Σ_i weight(i)·used[i]` mod 2⁶⁴.
     hash: u64,
-    /// Per-type slices of the same weighted sum: `col_hashes[r]` covers the
-    /// cells `used[h·R + r]` for every machine `h` (see
-    /// [`Usage::column_fingerprint`]). The full `hash` is their sum.
-    col_hashes: Vec<u64>,
     /// Incrementally maintained `Σ used[i]`.
     total: u32,
 }
@@ -41,7 +37,6 @@ impl Usage {
             num_types: cluster.num_types(),
             used: vec![0; cluster.num_machines() * cluster.num_types()],
             hash: 0,
-            col_hashes: vec![0; cluster.num_types()],
             total: 0,
         }
     }
@@ -64,7 +59,6 @@ impl Usage {
         let delta = weight(i).wrapping_mul(count as u64);
         self.used[i] += count;
         self.hash = self.hash.wrapping_add(delta);
-        self.col_hashes[r.index()] = self.col_hashes[r.index()].wrapping_add(delta);
         self.total += count;
     }
 
@@ -81,7 +75,6 @@ impl Usage {
             .checked_sub(count)
             .expect("usage underflow: released more GPUs than held");
         self.hash = self.hash.wrapping_sub(delta);
-        self.col_hashes[r.index()] = self.col_hashes[r.index()].wrapping_sub(delta);
         self.total -= count;
     }
 
@@ -143,20 +136,6 @@ impl Usage {
             h = h.wrapping_add(weight(i).wrapping_mul(s.count as u64));
         }
         h
-    }
-
-    /// Fingerprint of a single GPU type's column of the usage matrix: the
-    /// position-weighted sum over `used[h·R + r]` for every machine `h`,
-    /// maintained incrementally like [`Usage::fingerprint`] (which equals
-    /// the sum of all column fingerprints).
-    ///
-    /// Candidate generation orders machines per GPU type, and an allocation
-    /// touches only the columns of the types it actually uses — so a memo
-    /// keyed by `(type, column fingerprint)` stays valid across allocations
-    /// to *other* types, where the full fingerprint would already differ.
-    #[inline]
-    pub fn column_fingerprint(&self, r: GpuTypeId) -> u64 {
-        self.col_hashes[r.index()]
     }
 
     /// Raw occupied counts, row-major `[h][r]`.
@@ -276,36 +255,6 @@ mod tests {
         assert_eq!(predicted, u.fingerprint());
         // Empty slice list predicts the unchanged fingerprint.
         assert_eq!(u.fingerprint_after(&[]), u.fingerprint());
-    }
-
-    #[test]
-    fn column_fingerprint_tracks_only_its_type() {
-        let (cl, a, c) = cl();
-        let mut u = Usage::empty(&cl);
-        let (a0, c0) = (u.column_fingerprint(a), u.column_fingerprint(c));
-        u.add(MachineId(1), a, 1);
-        // Only the touched column moves…
-        assert_ne!(u.column_fingerprint(a), a0);
-        assert_eq!(u.column_fingerprint(c), c0);
-        u.add(MachineId(1), c, 2);
-        assert_ne!(u.column_fingerprint(c), c0);
-        // …the full fingerprint is the sum of the columns…
-        assert_eq!(
-            u.fingerprint(),
-            u.column_fingerprint(a)
-                .wrapping_add(u.column_fingerprint(c))
-        );
-        // …and releasing restores the column exactly (path independence).
-        u.sub(MachineId(1), c, 2);
-        assert_eq!(u.column_fingerprint(c), c0);
-        // Same column content reached differently fingerprints identically.
-        let mut v = Usage::empty(&cl);
-        v.add(MachineId(1), a, 1);
-        assert_eq!(v.column_fingerprint(a), u.column_fingerprint(a));
-        // Position matters within a column.
-        let mut w1 = Usage::empty(&cl);
-        w1.add(MachineId(0), a, 1);
-        assert_ne!(w1.column_fingerprint(a), v.column_fingerprint(a));
     }
 
     #[test]

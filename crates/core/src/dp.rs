@@ -16,11 +16,12 @@
 //! and that it matches exhaustive search on small instances.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use hadar_cluster::Usage;
 use hadar_sim::JobState;
 
-use crate::find_alloc::{AllocEnv, Candidate, CandidateCache};
+use crate::find_alloc::{find_candidates, AllocEnv, Candidate, PooledUsage};
 
 /// The chosen schedule for one round: per selected job (by index into the
 /// queue order given to the algorithm), its placement candidate.
@@ -36,6 +37,10 @@ pub struct Selection {
     /// Surfaced so silently degraded rounds are visible in outcome stats;
     /// always `false` for pure greedy selections.
     pub budget_exhausted: bool,
+    /// Wall-clock seconds spent building the round's machine pools and
+    /// generating candidates ([`find_candidates`]), over every search that
+    /// produced this selection (the DP and its greedy floor alike).
+    pub candidates_seconds: f64,
 }
 
 /// Per-job branching width of the DP: the skip branch plus up to this many
@@ -50,42 +55,50 @@ const DP_NODE_BUDGET: usize = 20_000;
 /// memoized `(queue index, usage fingerprint)` subproblem.
 type DpEntry = (f64, Vec<(usize, Candidate)>);
 
+/// Run `f`, adding its wall-clock time to `seconds`.
+fn timed<T>(seconds: &mut f64, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *seconds += t0.elapsed().as_secs_f64();
+    out
+}
+
 /// Subset selection by memoized DP over (queue index, usage state),
 /// branching over each job's top placements — not only its single best —
 /// so the DP can trade a fast GPU away from a job that barely benefits.
 /// The greedy solution is always computed as a floor; the better of the two
 /// is returned, so `dp_allocation` never underperforms `greedy_allocation`.
 pub fn dp_allocation(queue: &[&JobState], env: &AllocEnv<'_>, usage: &Usage) -> Selection {
-    dp_allocation_cached(queue, env, usage, &mut CandidateCache::new())
-}
-
-/// [`dp_allocation`] against a caller-provided candidate cache, so the
-/// scheduler can carry cached machine pools across rounds. One cache serves
-/// both the DP exploration and the greedy floor: the greedy admission path
-/// revisits usage states the DP already expanded, so its `find_alloc`
-/// queries are mostly cache hits.
-pub fn dp_allocation_cached(
-    queue: &[&JobState],
-    env: &AllocEnv<'_>,
-    usage: &Usage,
-    cache: &mut CandidateCache,
-) -> Selection {
     let mut memo: HashMap<(usize, u64), DpEntry> = HashMap::new();
     let mut nodes = 0usize;
-    let (total_payoff, mut decisions) = dp_rec(0, queue, env, usage, cache, &mut memo, &mut nodes);
+    let mut candidates_seconds = 0.0;
+    let pooled = timed(&mut candidates_seconds, || {
+        PooledUsage::new(env, usage.clone())
+    });
+    let (total_payoff, mut decisions) = dp_rec(
+        0,
+        queue,
+        env,
+        &pooled,
+        &mut memo,
+        &mut nodes,
+        &mut candidates_seconds,
+    );
     let budget_exhausted = nodes > DP_NODE_BUDGET;
     decisions.sort_by_key(|(i, _)| *i);
-    let dp = Selection {
-        decisions,
-        total_payoff,
-        budget_exhausted,
-    };
-    let mut greedy = greedy_allocation_cached(queue, env, usage, cache);
-    if greedy.total_payoff > dp.total_payoff {
+    let mut greedy = greedy_allocation(queue, env, usage);
+    candidates_seconds += greedy.candidates_seconds;
+    if greedy.total_payoff > total_payoff {
         greedy.budget_exhausted = budget_exhausted;
+        greedy.candidates_seconds = candidates_seconds;
         greedy
     } else {
-        dp
+        Selection {
+            decisions,
+            total_payoff,
+            budget_exhausted,
+            candidates_seconds,
+        }
     }
 }
 
@@ -93,11 +106,12 @@ fn dp_rec(
     idx: usize,
     queue: &[&JobState],
     env: &AllocEnv<'_>,
-    usage: &Usage,
-    cache: &mut CandidateCache,
+    pooled: &PooledUsage<'_>,
     memo: &mut HashMap<(usize, u64), DpEntry>,
     nodes: &mut usize,
+    candidates_seconds: &mut f64,
 ) -> DpEntry {
+    let usage = pooled.usage();
     if idx >= queue.len() || usage.is_cluster_full(env.cluster) {
         return (0.0, Vec::new());
     }
@@ -111,28 +125,23 @@ fn dp_rec(
     }
 
     // Branch 1: skip this job.
-    let mut best = dp_rec(idx + 1, queue, env, usage, cache, memo, nodes);
+    let mut best = dp_rec(idx + 1, queue, env, pooled, memo, nodes, candidates_seconds);
 
-    // Branches 2..: schedule it at one of its top placements. The clone is
-    // needed because the recursion below re-borrows the cache mutably.
-    let cands: Vec<Candidate> = cache
-        .candidates(queue[idx], env, usage)
-        .iter()
-        .take(DP_BRANCH_WIDTH)
-        .cloned()
-        .collect();
+    // Branches 2..: schedule it at one of its top placements.
+    let mut cands = timed(candidates_seconds, || {
+        find_candidates(queue[idx], env, pooled)
+    });
+    cands.truncate(DP_BRANCH_WIDTH);
     for cand in cands {
         // Probe the memo with the child's predicted fingerprint first: on a
-        // hit this skips cloning the whole usage matrix.
+        // hit this skips cloning the usage and its pools.
         let child_key = (idx + 1, usage.fingerprint_after(cand.placement.slices()));
         let (sub_payoff, mut sub_dec) = if let Some(hit) = memo.get(&child_key) {
             hit.clone()
         } else {
-            let mut taken = usage.clone();
-            for s in cand.placement.slices() {
-                taken.add(s.machine, s.gpu, s.count);
-            }
-            dp_rec(idx + 1, queue, env, &taken, cache, memo, nodes)
+            let mut taken = pooled.clone();
+            taken.add(&cand.placement);
+            dp_rec(idx + 1, queue, env, &taken, memo, nodes, candidates_seconds)
         };
         let payoff = cand.payoff + sub_payoff;
         if payoff > best.0 {
@@ -154,18 +163,6 @@ fn dp_rec(
 /// time has already deflated their achievable utility. One `find_alloc` per
 /// job, prices updated after every admission.
 pub fn greedy_allocation(queue: &[&JobState], env: &AllocEnv<'_>, usage: &Usage) -> Selection {
-    greedy_allocation_cached(queue, env, usage, &mut CandidateCache::new())
-}
-
-/// [`greedy_allocation`] against a caller-provided candidate cache, so the
-/// DP can share the candidates it already enumerated with its greedy floor
-/// and the scheduler can carry cached machine pools across rounds.
-pub fn greedy_allocation_cached(
-    queue: &[&JobState],
-    env: &AllocEnv<'_>,
-    usage: &Usage,
-    cache: &mut CandidateCache,
-) -> Selection {
     let mut order: Vec<usize> = (0..queue.len()).collect();
     let keys: Vec<(f64, f64)> = queue
         .iter()
@@ -190,19 +187,22 @@ pub fn greedy_allocation_cached(
     });
     let density: Vec<f64> = keys.into_iter().map(|(d, _)| d).collect();
 
-    let mut usage = usage.clone();
     let mut selection = Selection::default();
+    let mut pooled = timed(&mut selection.candidates_seconds, || {
+        PooledUsage::new(env, usage.clone())
+    });
     for &i in &order {
         if density[i] == f64::NEG_INFINITY {
             continue;
         }
-        if usage.is_cluster_full(env.cluster) {
+        if pooled.usage().is_cluster_full(env.cluster) {
             break;
         }
-        if let Some(cand) = cache.best(queue[i], env, &usage) {
-            for s in cand.placement.slices() {
-                usage.add(s.machine, s.gpu, s.count);
-            }
+        let cands = timed(&mut selection.candidates_seconds, || {
+            find_candidates(queue[i], env, &pooled)
+        });
+        if let Some(cand) = cands.into_iter().next() {
+            pooled.add(&cand.placement);
             selection.total_payoff += cand.payoff;
             selection.decisions.push((i, cand));
         }

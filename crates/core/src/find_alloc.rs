@@ -17,10 +17,7 @@
 //! the underlying dual objective `argmax_s φ_j(s)` (Eq. 4) directly; for
 //! candidates with equal estimated finish times the two rules coincide.
 
-use std::collections::HashMap;
-use std::time::Instant;
-
-use hadar_cluster::placer::fill;
+use hadar_cluster::placer::{fill, most_free_key};
 use hadar_cluster::{
     Cluster, CommCostModel, GpuTypeId, JobPlacement, MachineId, PlacementSlice, Placer, Usage,
 };
@@ -29,11 +26,6 @@ use hadar_sim::{job_rate, JobState};
 use crate::estimate::estimate_completion;
 use crate::price::{PriceShape, PriceState};
 use crate::utility::Utility;
-
-/// Machine-pool entries untouched for this many rounds are evicted. Pools
-/// are cheap to rebuild (one sort); the payoff is within-round sharing plus
-/// the immediately-previous round's saturated states.
-const POOL_KEEP_ROUNDS: u64 = 2;
 
 /// Ablation switches for candidate generation (all on by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,6 +90,76 @@ impl AllocEnv<'_> {
     }
 }
 
+/// The round's usage together with one machine pool per GPU type, kept in
+/// step: pool `r` holds the usable machines with free type-`r` GPUs as
+/// `(free, machine)`, in the shared placement order (most free first, lower
+/// id on ties). Built once per round with [`Placer::machines_by_free`];
+/// [`PooledUsage::add`] then moves only the machines an admission touches,
+/// so no generator sorts or scans the whole cluster per query. The DP
+/// clones it at each branch.
+#[derive(Debug, Clone)]
+pub struct PooledUsage<'a> {
+    cluster: &'a Cluster,
+    usage: Usage,
+    /// Indexed by GPU type.
+    pools: Vec<Vec<(u32, MachineId)>>,
+}
+
+impl<'a> PooledUsage<'a> {
+    /// Pools for every GPU type at `usage`, over the machines `env` can use.
+    pub fn new(env: &AllocEnv<'a>, usage: Usage) -> Self {
+        let pools = env
+            .cluster
+            .catalog()
+            .ids()
+            .map(|r| env.placer(&usage).machines_by_free(r))
+            .collect();
+        Self {
+            cluster: env.cluster,
+            usage,
+            pools,
+        }
+    }
+
+    /// The usage the pools are in step with.
+    pub fn usage(&self) -> &Usage {
+        &self.usage
+    }
+
+    /// The usable machines with free type-`r` GPUs, most free first.
+    pub fn pool(&self, r: GpuTypeId) -> &[(u32, MachineId)] {
+        &self.pools[r.index()]
+    }
+
+    /// Occupy `placement`'s GPUs: each slice's machine moves down its pool
+    /// to its new free count, or leaves the pool when none is left. Every
+    /// slice must come from these pools or pass [`Placer::fits`] against
+    /// [`PooledUsage::usage`], so its machine is in the pool with at least
+    /// `count` free.
+    pub fn add(&mut self, placement: &JobPlacement) {
+        for s in placement.slices() {
+            let free = self.usage.free(self.cluster, s.machine, s.gpu);
+            self.usage.add(s.machine, s.gpu, s.count);
+            let pool = &mut self.pools[s.gpu.index()];
+            let key = most_free_key(&(free, s.machine));
+            let at = pool.partition_point(|e| most_free_key(e) < key);
+            debug_assert!(
+                s.count <= free && pool.get(at) == Some(&(free, s.machine)),
+                "slice {s:?} is not in its pool"
+            );
+            let left = free - s.count;
+            if left == 0 {
+                pool.remove(at);
+            } else {
+                let key = most_free_key(&(left, s.machine));
+                let to = at + pool[at..].partition_point(|e| most_free_key(e) < key);
+                pool[at..to].rotate_left(1);
+                pool[to - 1] = (left, s.machine);
+            }
+        }
+    }
+}
+
 /// A priced candidate placement for one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
@@ -121,282 +183,90 @@ pub struct Candidate {
 
 /// Find the best positive-payoff placement for `state`, or `None` if every
 /// candidate has non-positive payoff (the job should wait this round).
+/// Builds the round's pools from `usage` for this one query.
 pub fn find_alloc(state: &JobState, env: &AllocEnv<'_>, usage: &Usage) -> Option<Candidate> {
-    find_candidates(state, env, usage).into_iter().next()
-}
-
-/// Everything *besides* the usage column that a cached machine pool depends
-/// on. Compared at the start of each round; any change drops the pool
-/// layer wholesale (failures and recoveries flip `usable`).
-#[derive(Clone, PartialEq, Debug)]
-struct CacheCtx {
-    usable: Vec<bool>,
-    /// Fingerprint of the `c_h^r` capacity matrix, so a cache accidentally
-    /// carried across clusters can never serve foreign pools.
-    caps_hash: u64,
-}
-
-impl CacheCtx {
-    fn of(env: &AllocEnv<'_>) -> Self {
-        let usable: Vec<bool> = env
-            .cluster
-            .machine_ids()
-            .map(|h| env.machine_usable(h))
-            .collect();
-        let mut caps_hash: u64 = 0xcbf29ce484222325;
-        for h in env.cluster.machine_ids() {
-            for r in env.cluster.catalog().ids() {
-                caps_hash ^= u64::from(env.cluster.capacity(h, r)) + 1;
-                caps_hash = caps_hash.wrapping_mul(0x100000001b3);
-            }
-        }
-        Self { usable, caps_hash }
-    }
-}
-
-/// Memo of [`find_candidates`] results, layered for reuse both within and
-/// across scheduling rounds.
-///
-/// **Priced layer** (per round): full candidate lists keyed by
-/// `(job, usage fingerprint)`. Within one round the prices, queue, and clock
-/// are fixed, so a job's candidates depend only on the usage they are
-/// evaluated against; the DP subroutine and its greedy floor walk usage
-/// sequences that frequently coincide. Cleared by
-/// [`CandidateCache::begin_round`] — prices change every round and the
-/// profiler may substitute job profiles.
-///
-/// **Pool layer** (cross round): per-GPU-type sorted machine pools keyed by
-/// `(type, `[`Usage::column_fingerprint`]`)`, valid as long as the
-/// round context (availability mask, capacities) is unchanged. The greedy
-/// admission loop mutates usage after every admission, so its full
-/// fingerprints rarely repeat; but each admission touches only the columns
-/// of the types it uses, so the *other* types' pools (and their
-/// `O(M log M)` sorts, the dominant per-query cost at scale) carry over
-/// unchanged. Entries idle for `POOL_KEEP_ROUNDS` (2) rounds are evicted.
-///
-/// Exactness: a cached pool is bit-identical to a freshly built one (the
-/// key covers the entire column the pool was sorted from), and cached and
-/// fresh pools feed the same generator and pricing code — so cache hits
-/// are byte-identical to recomputation; only wall-clock changes.
-#[derive(Default)]
-pub struct CandidateCache {
-    priced: HashMap<(u32, u64), Vec<Candidate>>,
-    pools: HashMap<(GpuTypeId, u64), PoolEntry>,
-    ctx: Option<CacheCtx>,
-    round: u64,
-    gen_seconds: f64,
-}
-
-impl CandidateCache {
-    /// An empty cache. Usable as-is for a single round; call
-    /// [`CandidateCache::begin_round`] between rounds to keep it alive
-    /// across them.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Start a new scheduling round: clears the per-round priced layer,
-    /// validates the pool layer against the round's environment (dropping
-    /// it on any availability or capacity change), and evicts pools idle
-    /// for `POOL_KEEP_ROUNDS` (2) rounds.
-    pub fn begin_round(&mut self, env: &AllocEnv<'_>) {
-        self.round += 1;
-        self.priced.clear();
-        let ctx = CacheCtx::of(env);
-        if self.ctx.as_ref() != Some(&ctx) {
-            self.pools.clear();
-            self.ctx = Some(ctx);
-        }
-        let round = self.round;
-        self.pools
-            .retain(|_, e| e.last_used + POOL_KEEP_ROUNDS >= round);
-    }
-
-    /// The candidate list for `state` against `usage` (computed on first
-    /// use), best payoff first.
-    pub fn candidates(
-        &mut self,
-        state: &JobState,
-        env: &AllocEnv<'_>,
-        usage: &Usage,
-    ) -> &[Candidate] {
-        let key = (state.job.id.0, usage.fingerprint());
-        if !self.priced.contains_key(&key) {
-            let t0 = Instant::now();
-            let geoms = self.pooled_geometries(state, env, usage);
-            let cands = assemble(state, env, usage, &geoms);
-            self.gen_seconds += t0.elapsed().as_secs_f64();
-            self.priced.insert(key, cands);
-        }
-        &self.priced[&key]
-    }
-
-    /// [`fresh_geometries`] through the pool layer: any pool whose
-    /// `(type, column fingerprint)` is cached is reused as-is; missing ones
-    /// are built and cached.
-    fn pooled_geometries(
-        &mut self,
-        state: &JobState,
-        env: &AllocEnv<'_>,
-        usage: &Usage,
-    ) -> Vec<Vec<PlacementSlice>> {
-        let prefs: &[GpuTypeId] = state.job.profile.types_by_preference();
-        if prefs.is_empty() {
-            return Vec::new();
-        }
-        for &r in prefs {
-            self.pools
-                .entry((r, usage.column_fingerprint(r)))
-                .or_insert_with(|| build_pool(env, usage, r))
-                .last_used = self.round;
-        }
-        let pools: Vec<&PoolEntry> = prefs
-            .iter()
-            .map(|&r| &self.pools[&(r, usage.column_fingerprint(r))])
-            .collect();
-        geometries_from_pools(state, env, usage, prefs, &pools)
-    }
-
-    /// The best positive-payoff candidate, as [`find_alloc`] returns it.
-    pub fn best(
-        &mut self,
-        state: &JobState,
-        env: &AllocEnv<'_>,
-        usage: &Usage,
-    ) -> Option<Candidate> {
-        self.candidates(state, env, usage).first().cloned()
-    }
-
-    /// Total wall-clock seconds spent generating candidates over the
-    /// cache's lifetime.
-    pub fn gen_seconds(&self) -> f64 {
-        self.gen_seconds
-    }
+    let pooled = PooledUsage::new(env, usage.clone());
+    find_candidates(state, env, &pooled).into_iter().next()
 }
 
 /// All distinct positive-payoff candidate placements for `state`, best
 /// first. The DP subroutine branches over these so it can deliberately give
 /// a job a slower (cheaper) type when that frees a fast type for a job that
 /// benefits more from it.
-pub fn find_candidates(state: &JobState, env: &AllocEnv<'_>, usage: &Usage) -> Vec<Candidate> {
-    assemble(state, env, usage, &fresh_geometries(state, env, usage))
-}
-
-/// The machines that can host type-`r` tasks at one usage column state,
-/// most-free-first (machine id breaking ties) — the single ordering every
-/// per-type generator consumes. Building one costs the `O(M log M)` sort
-/// the pre-pool code paid inside *each* of `spread_homogeneous` and
-/// `mixed_spread` per query; [`CandidateCache`] keys pools by
-/// `(type, `[`Usage::column_fingerprint`]`)` so the sort is paid once per
-/// column *change* (an admission touches only the columns of the types it
-/// uses) instead of once per query.
-struct PoolEntry {
-    /// Usable machines with free type-`r` capacity: `(free, machine)`.
-    by_free: Vec<(u32, MachineId)>,
-    last_used: u64,
-}
-
-/// The usable free machines for type `r`, in the shared placement order.
-fn build_pool(env: &AllocEnv<'_>, usage: &Usage, r: GpuTypeId) -> PoolEntry {
-    PoolEntry {
-        by_free: env.placer(usage).machines_by_free(r),
-        last_used: 0,
-    }
-}
-
-/// The job-independent geometry slate for `state` at `usage`, in
-/// generation order: per preferred type a consolidated and a spread
-/// placement, then the mixed-type variants. Builds throwaway machine pools;
-/// the cache calls [`geometries_from_pools`] directly with memoized ones.
-fn fresh_geometries(
+///
+/// The geometry slate, in generation order: per preferred type a
+/// consolidated and a spread placement, then the mixed-type variants.
+pub fn find_candidates(
     state: &JobState,
     env: &AllocEnv<'_>,
-    usage: &Usage,
-) -> Vec<Vec<PlacementSlice>> {
+    pooled: &PooledUsage<'_>,
+) -> Vec<Candidate> {
     let prefs: &[GpuTypeId] = state.job.profile.types_by_preference();
-    let owned: Vec<PoolEntry> = prefs.iter().map(|&r| build_pool(env, usage, r)).collect();
-    let pools: Vec<&PoolEntry> = owned.iter().collect();
-    geometries_from_pools(state, env, usage, prefs, &pools)
-}
-
-/// [`fresh_geometries`] against pre-built per-type machine pools (`pools`
-/// aligned with `prefs`). Pure in the pools: equal pool contents ⇒ equal
-/// geometry, which is what lets the cache share pools across jobs, queries,
-/// and rounds.
-fn geometries_from_pools(
-    state: &JobState,
-    env: &AllocEnv<'_>,
-    usage: &Usage,
-    prefs: &[GpuTypeId],
-    pools: &[&PoolEntry],
-) -> Vec<Vec<PlacementSlice>> {
-    if prefs.is_empty() {
-        return Vec::new();
-    }
     let w = state.job.gang;
     let mut geoms: Vec<Vec<PlacementSlice>> = Vec::new();
-    for (&r, pool) in prefs.iter().zip(pools) {
-        geoms.extend(consolidated_homogeneous(env, usage, pool, r, w));
-        geoms.extend(spread_homogeneous(pool, r, w));
+    for &r in prefs {
+        geoms.extend(consolidated_homogeneous(env, pooled, r, w));
+        geoms.extend(spread_homogeneous(pooled.pool(r), r, w));
     }
     if env.features.mixed_types {
-        geoms.extend(mixed_spread(prefs, pools, w));
-        geoms.extend(mixed_best_single_machine(state, env, usage, prefs, w));
+        geoms.extend(mixed_spread(pooled, prefs, w));
+        geoms.extend(mixed_best_single_machine(state, env, pooled, prefs, w));
     }
-    geoms
+    assemble(state, env, pooled.usage(), geoms)
 }
 
 /// Price, deduplicate, filter, and rank a geometry slate for one job: the
 /// sticky candidate (if it still fits) followed by the generated geometries,
 /// keeping the first occurrence of each distinct placement with positive
-/// payoff, best payoff first — factored out so pooled and fresh geometry
-/// price identically.
+/// payoff, best payoff first. Equal placements price identically, so a
+/// placement seen before is skipped before it is priced.
 fn assemble(
     state: &JobState,
     env: &AllocEnv<'_>,
     usage: &Usage,
-    geoms: &[Vec<PlacementSlice>],
+    geoms: Vec<Vec<PlacementSlice>>,
 ) -> Vec<Candidate> {
-    let mut cands: Vec<Candidate> = Vec::new();
-    let mut consider = |slices: Vec<PlacementSlice>| {
-        if let Some(c) = evaluate(state, env, usage, slices) {
-            if c.payoff > 0.0 && !cands.iter().any(|o| o.placement == c.placement) {
-                cands.push(c);
-            }
-        }
-    };
-
     // Sticky candidate: keep the current placement if it still fits (no
     // checkpoint stall, no movement).
-    if env.features.sticky
+    let sticky = (env.features.sticky
         && !state.placement.is_empty()
-        && env.placer(usage).fits(&state.placement)
+        && env.placer(usage).fits(&state.placement))
+    .then(|| state.placement.clone());
+    let mut cands: Vec<Candidate> = Vec::new();
+    let mut rejected: Vec<JobPlacement> = Vec::new();
+    for placement in sticky
+        .into_iter()
+        .chain(geoms.into_iter().map(JobPlacement::from_slices))
     {
-        consider(state.placement.slices().to_vec());
+        if cands.iter().any(|c| c.placement == placement) || rejected.contains(&placement) {
+            continue;
+        }
+        match evaluate(state, env, usage, placement) {
+            Ok(c) => cands.push(c),
+            Err(placement) => rejected.push(placement),
+        }
     }
-    for g in geoms {
-        consider(g.clone());
-    }
-
     cands.sort_by(|a, b| b.payoff.total_cmp(&a.payoff));
     cands
 }
 
-/// Price and score one candidate.
+/// Price and score one placement; hands it back as `Err` unless it places
+/// the whole gang with positive payoff.
 fn evaluate(
     state: &JobState,
     env: &AllocEnv<'_>,
     usage: &Usage,
-    slices: Vec<PlacementSlice>,
-) -> Option<Candidate> {
-    let placement = JobPlacement::from_slices(slices);
+    placement: JobPlacement,
+) -> Result<Candidate, JobPlacement> {
     if placement.total_workers() != state.job.gang {
-        return None;
+        return Err(placement);
     }
     let changed = placement != state.placement;
     let rate = job_rate(&state.job, &placement, env.comm, env.machine_factors);
     let stall = if changed { env.realloc_stall } else { 0.0 };
-    let est = estimate_completion(state, rate, env.now, stall)?;
+    let Some(est) = estimate_completion(state, rate, env.now, stall) else {
+        return Err(placement);
+    };
     let utility = env.utility.value(&state.job, est.jct, est.finish);
     let resource_cost = price_of(env, usage, &placement);
     let comm_cost = env.comm.comm_cost(
@@ -404,15 +274,20 @@ fn evaluate(
         resource_cost,
         placement.total_workers(),
     );
-    Some(Candidate {
-        payoff: utility - resource_cost - comm_cost,
-        placement,
-        rate,
-        utility,
-        resource_cost,
-        comm_cost,
-        changed,
-    })
+    let payoff = utility - resource_cost - comm_cost;
+    if payoff > 0.0 {
+        Ok(Candidate {
+            payoff,
+            placement,
+            rate,
+            utility,
+            resource_cost,
+            comm_cost,
+            changed,
+        })
+    } else {
+        Err(placement)
+    }
 }
 
 /// `Σ_h Σ_r k_h^r(γ_h^r) · w_{jh}^r` at the current usage.
@@ -437,26 +312,25 @@ pub fn price_of(env: &AllocEnv<'_>, usage: &Usage, placement: &JobPlacement) -> 
 /// [`PriceShape::Curve`] type the price is strictly increasing in the fill
 /// fraction `γ/c`, compared here by cross-multiplication; on a
 /// [`PriceShape::Constant`] type every machine prices identically. Strictly
-/// cheaper replaces, ties keep the earlier machine — the float argmin's
-/// behaviour exactly.
+/// cheaper replaces, ties keep the lower machine id — the float argmin over
+/// machines in id order exactly.
 fn consolidated_homogeneous(
     env: &AllocEnv<'_>,
-    usage: &Usage,
-    pool: &PoolEntry,
+    pooled: &PooledUsage<'_>,
     r: GpuTypeId,
     w: u32,
 ) -> Option<Vec<PlacementSlice>> {
     let shape = env.prices.shape(r);
     // Cost key `(rank, γ, c)`: rank 0 ⇔ price exactly 0.0; within rank 1,
     // `a < b ⇔ γ_a·c_b < γ_b·c_a` (constant shapes use γ = 0, c = 1 so all
-    // compare equal). The pool holds every usable machine with free > 0 and
-    // the gang size is ≥ 1, so scanning it visits exactly the machines the
-    // full cluster scan would admit; ties break on machine id explicitly
-    // because the pool is not in id order.
+    // compare equal). The pool holds every usable machine with free > 0,
+    // most free first, so the feasible machines are exactly its prefix with
+    // free ≥ w; ties break on machine id explicitly because the pool is not
+    // in id order.
     let mut best: Option<(u8, u64, u64, MachineId)> = None;
-    for &(free, h) in &pool.by_free {
+    for &(free, h) in pooled.pool(r) {
         if free < w {
-            continue;
+            break;
         }
         let cap = env.cluster.capacity(h, r);
         let key: (u8, u64, u64) = if cap == 0 || shape == PriceShape::Zero {
@@ -464,7 +338,11 @@ fn consolidated_homogeneous(
         } else if shape == PriceShape::Constant {
             (1, 0, 1)
         } else {
-            (1, u64::from(usage.get(h, r).min(cap)), u64::from(cap))
+            (
+                1,
+                u64::from(pooled.usage().get(h, r).min(cap)),
+                u64::from(cap),
+            )
         };
         let cheaper = match &best {
             None => true,
@@ -490,18 +368,25 @@ fn consolidated_homogeneous(
 
 /// All `w` workers of type `r`, spread across the fewest machines
 /// (most-free-first fill).
-fn spread_homogeneous(pool: &PoolEntry, r: GpuTypeId, w: u32) -> Option<Vec<PlacementSlice>> {
-    fill(pool.by_free.iter().map(|&(f, h)| (h, r, f)), w)
+fn spread_homogeneous(
+    pool: &[(u32, MachineId)],
+    r: GpuTypeId,
+    w: u32,
+) -> Option<Vec<PlacementSlice>> {
+    fill(pool.iter().map(|&(f, h)| (h, r, f)), w)
 }
 
 /// All `w` workers filled from the fastest types first, spreading over
 /// machines as needed — the fully flexible task-level placement.
-fn mixed_spread(prefs: &[GpuTypeId], pools: &[&PoolEntry], w: u32) -> Option<Vec<PlacementSlice>> {
+fn mixed_spread(
+    pooled: &PooledUsage<'_>,
+    prefs: &[GpuTypeId],
+    w: u32,
+) -> Option<Vec<PlacementSlice>> {
     fill(
         prefs
             .iter()
-            .zip(pools)
-            .flat_map(|(&r, p)| p.by_free.iter().map(move |&(f, h)| (h, r, f))),
+            .flat_map(|&r| pooled.pool(r).iter().map(move |&(f, h)| (h, r, f))),
         w,
     )
 }
@@ -509,47 +394,38 @@ fn mixed_spread(prefs: &[GpuTypeId], pools: &[&PoolEntry], w: u32) -> Option<Vec
 /// All `w` workers on a single machine, mixing types (fastest first);
 /// evaluated per machine, returning the feasible fill with the highest
 /// bottleneck throughput (ties to lower machine id).
+///
+/// A machine's fill takes its free GPUs of `prefs[0]`, `prefs[1]`, … until
+/// the gang is complete; the last type it takes from, `prefs[k]`, is the
+/// first at which its cumulative free count reaches `w`. `prefs` holds only
+/// positive-rate types in descending rate order, so that type is the fill's
+/// bottleneck and the score is `rate(prefs[k]) · factor(h)`. Every machine
+/// so scored has free `prefs[k]` GPUs, so scanning pool `k` for machines at
+/// level `k` visits each feasible machine exactly once.
 fn mixed_best_single_machine(
     state: &JobState,
     env: &AllocEnv<'_>,
-    usage: &Usage,
+    pooled: &PooledUsage<'_>,
     prefs: &[GpuTypeId],
     w: u32,
 ) -> Option<Vec<PlacementSlice>> {
-    // Pass 1: score every machine without materializing its fill — the
-    // fill is a pure function of `(machine, prefs, w)`, so only the winner's
-    // needs to be built. (The previous version allocated a slice vector per
-    // machine; at cluster scale that allocation churn dominated candidate
-    // generation.)
+    let free = |h, r| pooled.usage().free(env.cluster, h, r);
     let mut best: Option<(f64, MachineId)> = None;
-    for h in env.cluster.machine_ids() {
-        if !env.machine_usable(h) {
-            continue;
-        }
-        let mut remaining = w;
-        let mut bottleneck = f64::INFINITY;
-        for &r in prefs {
-            if remaining == 0 {
-                break;
+    for (k, &r) in prefs.iter().enumerate() {
+        let rate = state.job.profile.rate(r);
+        for &(f, h) in pooled.pool(r) {
+            let below: u32 = prefs[..k].iter().map(|&q| free(h, q)).sum();
+            if below >= w || below + f < w {
+                continue;
             }
-            let free = usage.free(env.cluster, h, r);
-            let take = free.min(remaining);
-            if take > 0 {
-                bottleneck = bottleneck.min(state.job.profile.rate(r) * env.machine_factor(h));
-                remaining -= take;
+            let score = rate * env.machine_factor(h);
+            if best.is_none_or(|(b, bh)| score > b || (score == b && h < bh)) {
+                best = Some((score, h));
             }
-        }
-        if remaining == 0 && best.as_ref().is_none_or(|(b, _)| bottleneck > *b) {
-            best = Some((bottleneck, h));
         }
     }
-    // Pass 2: rebuild the winning machine's fill (deterministically the
-    // same takes pass 1 scored).
     let (_, h) = best?;
-    fill(
-        prefs.iter().map(|&r| (h, r, usage.free(env.cluster, h, r))),
-        w,
-    )
+    fill(prefs.iter().map(|&r| (h, r, free(h, r))), w)
 }
 
 #[cfg(test)]
@@ -779,7 +655,7 @@ mod tests {
             machine_factors: &factors,
         };
         let usage = Usage::empty(&cluster);
-        let cands = find_candidates(&state, &e, &usage);
+        let cands = find_candidates(&state, &e, &PooledUsage::new(&e, usage.clone()));
         assert!(!cands.is_empty());
         for c in &cands {
             assert!(
@@ -817,200 +693,270 @@ mod tests {
         assert!((got - 2.0 * unit).abs() < 1e-12);
     }
 
-    #[test]
-    fn candidate_cache_memoizes_per_state() {
-        let (cluster, state) = setup(2);
-        let comm = CommCostModel::default();
+    /// Machines 0..4 with `[(A, B)]` capacities (2, 1), (4, 0), (2, 2),
+    /// (3, 0), the env over them, and a one-GPU job to price with.
+    fn pool_cluster() -> (Cluster, JobState, PriceState) {
+        let mut b = hadar_cluster::ClusterBuilder::new();
+        let a = b.gpu_type("V100");
+        let c = b.gpu_type("K80");
+        b.machine(&[(a, 2), (c, 1)]);
+        b.machine(&[(a, 4)]);
+        b.machine(&[(a, 2), (c, 2)]);
+        b.machine(&[(a, 3)]);
+        let cluster = b.build();
+        let job = Job::for_model(JobId(0), DlTask::ResNet18, cluster.catalog(), 0.0, 1, 10);
+        let state = JobState::new(job);
         let prices = prices_for(&cluster, &state);
-        let u = EffectiveThroughput;
-        let e = env(&cluster, &comm, &prices, &u);
-        let usage = Usage::empty(&cluster);
-        let mut cache = CandidateCache::new();
+        (cluster, state, prices)
+    }
 
-        let direct = find_candidates(&state, &e, &usage);
-        assert_eq!(cache.candidates(&state, &e, &usage), direct.as_slice());
-        assert_eq!(cache.priced.len(), 1);
-        // Same (job, usage) again: answered from the memo, same content.
-        assert_eq!(cache.candidates(&state, &e, &usage), direct.as_slice());
-        // `best` agrees with `find_alloc`.
-        assert_eq!(
-            cache.best(&state, &e, &usage),
-            find_alloc(&state, &e, &usage)
-        );
-        assert_eq!(cache.priced.len(), 1);
+    fn slice(h: u32, r: u16, count: u32) -> PlacementSlice {
+        PlacementSlice {
+            machine: MachineId(h),
+            gpu: GpuTypeId(r),
+            count,
+        }
+    }
 
-        // A different usage state is a distinct key.
-        let mut used = usage.clone();
-        used.add(MachineId(0), GpuTypeId(0), 2);
-        assert_eq!(
-            cache.candidates(&state, &e, &used),
-            find_candidates(&state, &e, &used).as_slice()
-        );
-        assert_eq!(cache.priced.len(), 2);
+    fn ids(pool: &[(u32, MachineId)]) -> Vec<(u32, u32)> {
+        pool.iter().map(|&(f, h)| (f, h.0)).collect()
+    }
+
+    /// The pools of `pooled` equal the ones a fresh build at its usage has.
+    fn assert_in_step(e: &AllocEnv<'_>, pooled: &PooledUsage<'_>) {
+        let fresh = PooledUsage::new(e, pooled.usage().clone());
+        for r in e.cluster.catalog().ids() {
+            assert_eq!(pooled.pool(r), fresh.pool(r), "type {r:?}");
+        }
     }
 
     #[test]
-    fn pools_carry_across_rounds_and_stay_exact() {
-        // An admission on V100s changes only the V100 column, so the P100
-        // and K80 pools built at the empty state serve the next query and
-        // the next round unchanged — with candidate lists identical to the
-        // uncached enumeration.
-        let (cluster, state) = setup(2);
-        let comm = CommCostModel::default();
-        let prices = prices_for(&cluster, &state);
-        let u = EffectiveThroughput;
+    fn add_moves_machines_to_their_new_free_count() {
+        let (cluster, _, prices) = pool_cluster();
+        let (comm, u) = (CommCostModel::default(), EffectiveThroughput);
         let e = env(&cluster, &comm, &prices, &u);
-        let empty = Usage::empty(&cluster);
-        let mut used = empty.clone();
-        used.add(MachineId(0), GpuTypeId(0), 1);
-        let mut cache = CandidateCache::new();
-
-        cache.begin_round(&e);
-        cache.candidates(&state, &e, &empty);
-        assert_eq!(cache.pools.len(), 3);
-        assert_eq!(
-            cache.candidates(&state, &e, &used),
-            find_candidates(&state, &e, &used).as_slice()
+        // (slices added in one placement, expected type-A pool, type-B pool)
+        type Case = (
+            &'static [(u32, u16, u32)],
+            &'static [(u32, u32)],
+            &'static [(u32, u32)],
         );
-        assert_eq!(cache.pools.len(), 4, "only the V100 pool is rebuilt");
-
-        cache.begin_round(&e);
-        assert_eq!(cache.priced.len(), 0, "priced layer is per round");
-        assert_eq!(
-            cache.candidates(&state, &e, &used),
-            find_candidates(&state, &e, &used).as_slice()
-        );
-        assert_eq!(cache.pools.len(), 4);
+        let cases: [Case; 8] = [
+            (&[], &[(4, 1), (3, 3), (2, 0), (2, 2)], &[(2, 2), (1, 0)]),
+            // Reinsertion onto a tie goes before the higher id…
+            (
+                &[(1, 0, 1)],
+                &[(3, 1), (3, 3), (2, 0), (2, 2)],
+                &[(2, 2), (1, 0)],
+            ),
+            // …and after the lower ones.
+            (
+                &[(1, 0, 2)],
+                &[(3, 3), (2, 0), (2, 1), (2, 2)],
+                &[(2, 2), (1, 0)],
+            ),
+            (
+                &[(3, 0, 1)],
+                &[(4, 1), (2, 0), (2, 2), (2, 3)],
+                &[(2, 2), (1, 0)],
+            ),
+            (
+                &[(0, 0, 1)],
+                &[(4, 1), (3, 3), (2, 2), (1, 0)],
+                &[(2, 2), (1, 0)],
+            ),
+            // A machine with no free GPUs left drops out of the pool.
+            (&[(1, 0, 4)], &[(3, 3), (2, 0), (2, 2)], &[(2, 2), (1, 0)]),
+            (
+                &[(0, 1, 1), (2, 1, 1)],
+                &[(4, 1), (3, 3), (2, 0), (2, 2)],
+                &[(1, 2)],
+            ),
+            // Slices of several types and machines in one placement.
+            (
+                &[(1, 0, 3), (2, 0, 2), (2, 1, 2)],
+                &[(3, 3), (2, 0), (1, 1)],
+                &[(1, 0)],
+            ),
+        ];
+        for (slices, want_a, want_b) in cases {
+            let mut pooled = PooledUsage::new(&e, Usage::empty(&cluster));
+            let placement =
+                JobPlacement::from_slices(slices.iter().map(|&(h, r, n)| slice(h, r, n)));
+            pooled.add(&placement);
+            assert_eq!(ids(pooled.pool(GpuTypeId(0))), want_a, "add {slices:?}");
+            assert_eq!(ids(pooled.pool(GpuTypeId(1))), want_b, "add {slices:?}");
+            assert_in_step(&e, &pooled);
+            let want_used: u32 = slices.iter().map(|&(_, _, n)| n).sum();
+            assert_eq!(pooled.usage().total_used(), want_used);
+        }
     }
 
     #[test]
-    fn availability_change_drops_pools() {
-        // A machine going down must never be served from a pool sorted
-        // while it was up.
-        let (cluster, state) = setup(2);
-        let comm = CommCostModel::default();
-        let prices = prices_for(&cluster, &state);
-        let u = EffectiveThroughput;
-        let healthy = env(&cluster, &comm, &prices, &u);
-        let factors = [0.0, 1.0, 1.0];
-        let failed = AllocEnv {
+    fn add_on_a_clone_leaves_the_parent_untouched() {
+        // The DP clones the pools at each branch: a child's admissions must
+        // not leak into its parent or its siblings.
+        let (cluster, _, prices) = pool_cluster();
+        let (comm, u) = (CommCostModel::default(), EffectiveThroughput);
+        let e = env(&cluster, &comm, &prices, &u);
+        let mut parent = PooledUsage::new(&e, Usage::empty(&cluster));
+        parent.add(&JobPlacement::single(MachineId(3), GpuTypeId(0), 1));
+        let before = parent.clone();
+        let mut child = parent.clone();
+        child.add(&JobPlacement::single(MachineId(1), GpuTypeId(0), 4));
+        let mut sibling = parent.clone();
+        sibling.add(&JobPlacement::single(MachineId(0), GpuTypeId(0), 2));
+        for r in cluster.catalog().ids() {
+            assert_eq!(parent.pool(r), before.pool(r), "type {r:?}");
+        }
+        assert_eq!(parent.usage(), before.usage());
+        assert_eq!(ids(child.pool(GpuTypeId(0))), [(2, 0), (2, 2), (2, 3)]);
+        assert_eq!(ids(sibling.pool(GpuTypeId(0))), [(4, 1), (2, 2), (2, 3)]);
+        for p in [&parent, &child, &sibling] {
+            assert_in_step(&e, p);
+        }
+    }
+
+    #[test]
+    fn down_machines_stay_out_of_the_pools() {
+        let (cluster, _, prices) = pool_cluster();
+        let (comm, u) = (CommCostModel::default(), EffectiveThroughput);
+        let factors = [1.0, 0.0, 1.0, 0.5];
+        let e = AllocEnv {
             machine_factors: &factors,
             ..env(&cluster, &comm, &prices, &u)
         };
-        let usage = Usage::empty(&cluster);
-        let mut cache = CandidateCache::new();
-
-        cache.begin_round(&healthy);
-        cache.candidates(&state, &healthy, &usage);
-        cache.begin_round(&failed);
-        assert!(cache.pools.is_empty());
-        let cands = cache.candidates(&state, &failed, &usage);
-        assert_eq!(cands, find_candidates(&state, &failed, &usage).as_slice());
-        assert!(cands.iter().all(|c| c
-            .placement
-            .slices()
-            .iter()
-            .all(|s| s.machine != MachineId(0))));
+        let mut pooled = PooledUsage::new(&e, Usage::empty(&cluster));
+        assert_eq!(ids(pooled.pool(GpuTypeId(0))), [(3, 3), (2, 0), (2, 2)]);
+        pooled.add(&JobPlacement::single(MachineId(3), GpuTypeId(0), 2));
+        assert_eq!(ids(pooled.pool(GpuTypeId(0))), [(2, 0), (2, 2), (1, 3)]);
+        assert_in_step(&e, &pooled);
     }
 
-    #[test]
-    fn idle_pools_are_evicted() {
-        let (cluster, state) = setup(2);
-        let comm = CommCostModel::default();
-        let prices = prices_for(&cluster, &state);
-        let u = EffectiveThroughput;
-        let e = env(&cluster, &comm, &prices, &u);
-        let usage = Usage::empty(&cluster);
-        let mut cache = CandidateCache::new();
-
-        cache.begin_round(&e);
-        cache.candidates(&state, &e, &usage);
-        assert_eq!(cache.pools.len(), 3);
-        // Kept while idle for up to POOL_KEEP_ROUNDS rounds…
-        for _ in 0..POOL_KEEP_ROUNDS {
-            cache.begin_round(&e);
+    /// [`consolidated_homogeneous`] by its definition: every usable
+    /// machine in id order with `w` free type-`r` GPUs, the strictly
+    /// cheapest float price winning.
+    fn cheapest_machine_by_full_scan(
+        env: &AllocEnv<'_>,
+        usage: &Usage,
+        r: GpuTypeId,
+        w: u32,
+    ) -> Option<Vec<PlacementSlice>> {
+        let mut best: Option<(f64, MachineId)> = None;
+        for h in env.cluster.machine_ids() {
+            if !env.machine_usable(h) || usage.free(env.cluster, h, r) < w {
+                continue;
+            }
+            let cap = env.cluster.capacity(h, r);
+            let price = env.prices.price(r, usage.get(h, r), cap);
+            if best.is_none_or(|(b, _)| price < b) {
+                best = Some((price, h));
+            }
         }
-        assert_eq!(cache.pools.len(), 3);
-        // …and evicted one round later.
-        cache.begin_round(&e);
-        assert!(cache.pools.is_empty());
+        best.map(|(_, h)| {
+            vec![PlacementSlice {
+                machine: h,
+                gpu: r,
+                count: w,
+            }]
+        })
     }
 
-    #[test]
-    #[ignore = "manual perf probe"]
-    fn perf_probe_component_breakdown() {
-        use std::time::Instant;
-        let cluster = Cluster::scaled(64);
-        let models = [
-            DlTask::ResNet18,
-            DlTask::ResNet50,
-            DlTask::Lstm,
-            DlTask::Transformer,
-        ];
-        let states: Vec<JobState> = (0..600)
-            .map(|i| {
-                JobState::new(Job::for_model(
-                    JobId(i as u32),
-                    models[i % models.len()],
-                    cluster.catalog(),
-                    0.0,
-                    [1, 2, 4, 8][i % 4],
-                    40 + (i as u64 % 50),
-                ))
-            })
-            .collect();
-        let comm = CommCostModel::default();
-        let prices = PriceState::compute(&states, &cluster, &EffectiveThroughput, 0.0);
-        let u = EffectiveThroughput;
-        let e = env(&cluster, &comm, &prices, &u);
-        let mut usage = Usage::empty(&cluster);
-        let (mut t_pool, mut t_cons, mut t_spread, mut t_mixed, mut t_single, mut t_asm) =
-            (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        let mut queries = 0usize;
-        for s in &states {
-            if usage.is_cluster_full(&cluster) {
-                break;
+    /// The pre-pool scan of [`mixed_best_single_machine`]: every usable
+    /// machine in id order, its fill over `prefs` scored by the slowest
+    /// type it takes, strictly better replacing.
+    fn best_single_machine_by_full_scan(
+        state: &JobState,
+        env: &AllocEnv<'_>,
+        usage: &Usage,
+        prefs: &[GpuTypeId],
+        w: u32,
+    ) -> Option<Vec<PlacementSlice>> {
+        let mut best: Option<(f64, MachineId)> = None;
+        for h in env.cluster.machine_ids() {
+            if !env.machine_usable(h) {
+                continue;
             }
-            queries += 1;
-            let prefs = s.job.profile.types_by_preference();
-            let w = s.job.gang;
-            let t0 = Instant::now();
-            let owned: Vec<PoolEntry> = prefs.iter().map(|&r| build_pool(&e, &usage, r)).collect();
-            let pools: Vec<&PoolEntry> = owned.iter().collect();
-            t_pool += t0.elapsed().as_secs_f64();
-            let mut geoms = Vec::new();
-            let t0 = Instant::now();
-            for (&r, p) in prefs.iter().zip(&pools) {
-                geoms.extend(consolidated_homogeneous(&e, &usage, p, r, w));
-            }
-            t_cons += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            for (&r, p) in prefs.iter().zip(&pools) {
-                geoms.extend(spread_homogeneous(p, r, w));
-            }
-            t_spread += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            geoms.extend(mixed_spread(prefs, &pools, w));
-            t_mixed += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            geoms.extend(mixed_best_single_machine(s, &e, &usage, prefs, w));
-            t_single += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            let cands = assemble(s, &e, &usage, &geoms);
-            t_asm += t0.elapsed().as_secs_f64();
-            if let Some(c) = cands.first() {
-                if c.payoff > 0.0 {
-                    for sl in c.placement.slices() {
-                        usage.add(sl.machine, sl.gpu, sl.count);
-                    }
+            let mut remaining = w;
+            let mut bottleneck = f64::INFINITY;
+            for &r in prefs {
+                let take = usage.free(env.cluster, h, r).min(remaining);
+                if take > 0 {
+                    bottleneck = bottleneck.min(state.job.profile.rate(r) * env.machine_factor(h));
+                    remaining -= take;
                 }
             }
+            if remaining == 0 && best.as_ref().is_none_or(|(b, _)| bottleneck > *b) {
+                best = Some((bottleneck, h));
+            }
         }
-        let us = |t: f64| t / queries as f64 * 1e6;
-        eprintln!(
-            "{queries} queries: pool {:.2}us cons {:.2}us spread {:.2}us mixed {:.2}us single {:.2}us assemble {:.2}us",
-            us(t_pool), us(t_cons), us(t_spread), us(t_mixed), us(t_single), us(t_asm),
-        );
+        let (_, h) = best?;
+        fill(
+            prefs.iter().map(|&r| (h, r, usage.free(env.cluster, h, r))),
+            w,
+        )
+    }
+
+    #[test]
+    fn pool_scans_match_full_machine_scans() {
+        use hadar_rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x5C4);
+        let mut scored = 0;
+        for case in 0..400 {
+            let mut b = hadar_cluster::ClusterBuilder::new();
+            let types: Vec<GpuTypeId> = ["V100", "P100", "K80"]
+                .iter()
+                .map(|n| b.gpu_type(n))
+                .collect();
+            let machines = rng.gen_range_usize(1..9);
+            for _ in 0..machines {
+                let caps: Vec<(GpuTypeId, u32)> = types
+                    .iter()
+                    .map(|&r| (r, rng.gen_range_usize(0..4) as u32))
+                    .collect();
+                b.machine(&caps);
+            }
+            let cluster = b.build();
+            let mut usage = Usage::empty(&cluster);
+            for h in cluster.machine_ids() {
+                for &r in &types {
+                    let cap = cluster.capacity(h, r) as usize;
+                    usage.add(h, r, rng.gen_range_usize(0..cap + 1) as u32);
+                }
+            }
+            // Straggler factors, some machines down; rates drawn from a
+            // small set so ties and zero-rate types occur.
+            let factors: Vec<f64> = cluster
+                .machine_ids()
+                .map(|_| [0.0, 0.3, 0.7, 1.0, 1.0][rng.gen_range_usize(0..5)])
+                .collect();
+            let rates: Vec<f64> = types
+                .iter()
+                .map(|_| [0.0, 10.0, 20.0, 20.0, 35.0][rng.gen_range_usize(0..5)])
+                .collect();
+            let profile = hadar_workload::ThroughputProfile::from_rates(rates);
+            let gang = rng.gen_range_usize(1..9) as u32;
+            let job = Job::new(JobId(0), DlTask::Lstm, 0.0, gang, 1, 10, profile);
+            let state = JobState::new(job);
+            let prices = prices_for(&cluster, &state);
+            let (comm, u) = (CommCostModel::default(), EffectiveThroughput);
+            let e = AllocEnv {
+                machine_factors: &factors,
+                ..env(&cluster, &comm, &prices, &u)
+            };
+            let prefs = state.job.profile.types_by_preference();
+            let pooled = PooledUsage::new(&e, usage.clone());
+            let want = best_single_machine_by_full_scan(&state, &e, &usage, prefs, gang);
+            let got = mixed_best_single_machine(&state, &e, &pooled, prefs, gang);
+            assert_eq!(got, want, "case {case}: best single machine");
+            scored += usize::from(want.is_some());
+            for &r in prefs {
+                let want = cheapest_machine_by_full_scan(&e, &usage, r, gang);
+                let got = consolidated_homogeneous(&e, &pooled, r, gang);
+                assert_eq!(got, want, "case {case}: consolidated on {r:?}");
+            }
+        }
+        assert!(scored > 50, "only {scored} cases had a feasible machine");
     }
 
     #[test]

@@ -8,8 +8,8 @@ use hadar_sim::{DecisionPhases, JobState, Scheduler, SchedulerContext};
 use hadar_workload::Job;
 
 use crate::config::{AllocMode, HadarConfig};
-use crate::dp::{dp_allocation_cached, greedy_allocation_cached, Selection};
-use crate::find_alloc::{AllocEnv, CandidateCache};
+use crate::dp::{dp_allocation, greedy_allocation, Selection};
+use crate::find_alloc::AllocEnv;
 use crate::price::{CompetitiveBound, PriceState};
 use crate::profiler::ThroughputEstimator;
 
@@ -30,11 +30,6 @@ pub struct HadarScheduler {
     cached_set: Option<u64>,
     /// Whether every queued job was placed by the cached allocation.
     cached_all_placed: bool,
-    /// The candidate cache: priced candidates per round plus per-type
-    /// machine pools that survive across rounds (keyed by usage column
-    /// fingerprint; [`CandidateCache::begin_round`] invalidates them on any
-    /// availability or capacity change).
-    cache: CandidateCache,
     /// Set on every arrival/completion notification, cleared after a full
     /// re-optimization. Belt-and-braces companion to the job-set
     /// fingerprint: the incremental fast path must never fire between an
@@ -55,7 +50,6 @@ impl HadarScheduler {
             last_bound: None,
             cached_set: None,
             cached_all_placed: false,
-            cache: CandidateCache::new(),
             dirty: true,
             last_phases: None,
         }
@@ -78,7 +72,6 @@ fn run_subroutine(
     queue: &[&JobState],
     env: &AllocEnv<'_>,
     usage: &Usage,
-    cache: &mut CandidateCache,
 ) -> Selection {
     let use_dp = match alloc_mode {
         AllocMode::Dp => true,
@@ -86,9 +79,9 @@ fn run_subroutine(
         AllocMode::Auto { dp_max_queue } => queue.len() <= dp_max_queue,
     };
     if use_dp {
-        dp_allocation_cached(queue, env, usage, cache)
+        dp_allocation(queue, env, usage)
     } else {
-        greedy_allocation_cached(queue, env, usage, cache)
+        greedy_allocation(queue, env, usage)
     }
 }
 
@@ -187,20 +180,12 @@ impl Scheduler for HadarScheduler {
         };
         let usage = Usage::empty(ctx.cluster);
         let queue: Vec<&JobState> = states.iter().collect();
-        self.cache.begin_round(&env);
-        let gen0 = self.cache.gen_seconds();
         let t_select = Instant::now();
-        let selection = run_subroutine(
-            self.config.alloc_mode,
-            &queue,
-            &env,
-            &usage,
-            &mut self.cache,
-        );
+        let selection = run_subroutine(self.config.alloc_mode, &queue, &env, &usage);
         let subroutine_seconds = t_select.elapsed().as_secs_f64();
-        // The cache timed candidate generation internally while the
-        // subroutine ran; carve it out of the selection phase.
-        let candidates_seconds = (self.cache.gen_seconds() - gen0).clamp(0.0, subroutine_seconds);
+        // The subroutine timed candidate generation while it ran; carve it
+        // out of the selection phase.
+        let candidates_seconds = selection.candidates_seconds.clamp(0.0, subroutine_seconds);
         self.last_phases = Some(DecisionPhases {
             price_seconds,
             candidates_seconds,

@@ -1,26 +1,28 @@
-//! The cross-round candidate cache is exact: every candidate list the
-//! scheduler's long-lived [`CandidateCache`] serves must equal the uncached
-//! [`find_candidates`] oracle for the same job, usage and round — including
-//! under machine failures (evictions shrink the usable-GPU mask),
+//! The round's machine pools stay in step with its usage: after every
+//! admission, the pools [`PooledUsage::add`] maintains must equal pools
+//! freshly built at the same usage, and every queued job's candidate list
+//! read from them must equal [`find_candidates`] on the fresh build —
+//! including under machine failures (down machines leave the pools),
 //! stragglers, preemption penalties, and the noisy profiling estimator, all
-//! of which mutate the inputs the cache is keyed on. A stale entry served
-//! after any of these perturbations would show up here as a mismatch.
+//! of which change what the pools and candidates are built from.
 //!
 //! The check runs inside a [`Scheduler`] that mirrors [`HadarScheduler`]'s
-//! round path (same prices, environment, cache lifetime and subroutine)
-//! and, after each round's selection, applies the chosen placements one at
-//! a time, comparing the cache against the oracle for every queued job at
-//! every usage state on the way. Each scenario also runs the real
-//! `HadarScheduler` and requires the mirror's decision trail to match it
-//! bit for bit, so the cache checked here is the one the scheduler uses.
+//! round path (same prices, environment and subroutine). After each
+//! round's selection it replays the admissions of both the greedy and, on
+//! queues small enough for it, the DP: each selection's placements are
+//! added one at a time in queue order (the order the DP admits along its
+//! chosen path), comparing against fresh builds at every usage state on
+//! the way. Each scenario also runs the real `HadarScheduler` and requires
+//! the mirror's decision trail to match it bit for bit, so the path checked
+//! here is the one the scheduler takes.
 
 use hadar_cluster::{Allocation, Cluster, JobId, Usage};
-use hadar_core::dp::{dp_allocation_cached, greedy_allocation_cached};
+use hadar_core::dp::{dp_allocation, greedy_allocation, Selection};
 use hadar_core::find_alloc::{find_candidates, AllocEnv};
 use hadar_core::profiler::ProfilerConfig;
 use hadar_core::{
-    AllocMode, CandidateCache, Features, HadarConfig, HadarScheduler, PriceState,
-    ThroughputEstimator, UtilityKind,
+    AllocMode, Features, HadarConfig, HadarScheduler, PooledUsage, PriceState, ThroughputEstimator,
+    UtilityKind,
 };
 use hadar_sim::{
     FailureModel, JobState, PreemptionPenalty, Scheduler, SchedulerContext, SimConfig, SimOutcome,
@@ -31,25 +33,52 @@ use hadar_workload::{generate_trace, ArrivalPattern, Job, TraceConfig};
 /// The DP threshold of [`AllocMode::default`].
 const DP_MAX_QUEUE: usize = 9;
 
-/// `HadarScheduler` with the incremental fast path off, plus the oracle
-/// comparison after every round.
+/// `HadarScheduler` with the incremental fast path off, plus the
+/// in-step check after every round.
 struct OracleChecked {
-    cache: CandidateCache,
     estimator: ThroughputEstimator,
     utility: UtilityKind,
-    /// Cache-vs-oracle comparisons made (so a test can assert coverage).
-    checks: usize,
+    /// Admissions checked against fresh builds (so a test can assert
+    /// coverage).
+    admissions: usize,
 }
 
 impl OracleChecked {
     fn new(profiler: ProfilerConfig) -> Self {
         Self {
-            cache: CandidateCache::new(),
             estimator: ThroughputEstimator::new(profiler),
             utility: UtilityKind::default(),
-            checks: 0,
+            admissions: 0,
         }
     }
+}
+
+/// Replay `selection`'s admissions from the empty cluster, checking the
+/// in-step pools and every queued job's candidates after each one; returns
+/// the number of admissions checked.
+fn check(what: &str, selection: &Selection, queue: &[&JobState], env: &AllocEnv<'_>) -> usize {
+    let t = env.now;
+    let mut pooled = PooledUsage::new(env, Usage::empty(env.cluster));
+    for (_, cand) in &selection.decisions {
+        pooled.add(&cand.placement);
+        let fresh = PooledUsage::new(env, pooled.usage().clone());
+        for r in env.cluster.catalog().ids() {
+            assert_eq!(
+                pooled.pool(r),
+                fresh.pool(r),
+                "t={t}, {what}: type {r:?} pool out of step"
+            );
+        }
+        for s in queue {
+            assert_eq!(
+                find_candidates(s, env, &pooled),
+                find_candidates(s, env, &fresh),
+                "t={t}, {what}: candidates of job {} differ from a fresh build",
+                s.job.id
+            );
+        }
+    }
+    selection.decisions.len()
 }
 
 impl Scheduler for OracleChecked {
@@ -83,34 +112,15 @@ impl Scheduler for OracleChecked {
         };
         let usage = Usage::empty(ctx.cluster);
         let queue: Vec<&JobState> = states.iter().collect();
-        self.cache.begin_round(&env);
+        let greedy = greedy_allocation(&queue, &env, &usage);
+        self.admissions += check("greedy", &greedy, &queue, &env);
         let selection = if queue.len() <= DP_MAX_QUEUE {
-            dp_allocation_cached(&queue, &env, &usage, &mut self.cache)
+            let dp = dp_allocation(&queue, &env, &usage);
+            self.admissions += check("dp", &dp, &queue, &env);
+            dp
         } else {
-            greedy_allocation_cached(&queue, &env, &usage, &mut self.cache)
+            greedy
         };
-
-        // Apply the chosen placements one at a time (in queue order),
-        // checking every job's cached list against the oracle at each usage
-        // state on the way, the empty cluster first.
-        let mut walk = usage;
-        let mut steps = selection.decisions.iter();
-        loop {
-            for s in &queue {
-                assert_eq!(
-                    self.cache.candidates(s, &env, &walk),
-                    find_candidates(s, &env, &walk).as_slice(),
-                    "t={}: cache diverges from the oracle for job {}",
-                    ctx.time,
-                    s.job.id
-                );
-                self.checks += 1;
-            }
-            let Some((_, cand)) = steps.next() else { break };
-            for sl in cand.placement.slices() {
-                walk.add(sl.machine, sl.gpu, sl.count);
-            }
-        }
 
         let mut alloc = Allocation::empty();
         for (idx, cand) in selection.decisions {
@@ -145,7 +155,7 @@ fn profiler(seed: u64) -> ProfilerConfig {
 }
 
 /// Run the oracle-checked mirror and the real scheduler on one scenario;
-/// returns both outcomes and the mirror's comparison count.
+/// returns both outcomes and the mirror's checked admissions.
 fn run_both(seed: u64, pattern: ArrivalPattern, sim: SimConfig) -> (SimOutcome, SimOutcome, usize) {
     let (cluster, jobs) = scenario(seed, pattern);
     let mut checked = OracleChecked::new(profiler(seed));
@@ -163,7 +173,7 @@ fn run_both(seed: u64, pattern: ArrivalPattern, sim: SimConfig) -> (SimOutcome, 
     let real = Simulation::new(cluster, jobs, sim)
         .run(HadarScheduler::new(config))
         .expect("valid scenario");
-    (mirrored, real, checked.checks)
+    (mirrored, real, checked.admissions)
 }
 
 /// Everything decision-shaped in a run, bit-exact.
@@ -182,7 +192,7 @@ fn trail(out: &SimOutcome) -> Vec<(Option<u64>, Option<u64>, u32, u32)> {
 }
 
 #[test]
-fn cache_matches_oracle_across_seeds_and_fault_models() {
+fn pools_match_fresh_builds_across_seeds_and_fault_models() {
     for seed in 0..3u64 {
         // Failures force evictions mid-run; stragglers and the modeled
         // penalty perturb throughputs and prices round over round. Poisson
@@ -210,8 +220,8 @@ fn cache_matches_oracle_across_seeds_and_fault_models() {
             max_rounds: 300,
             ..SimConfig::default()
         };
-        let (mirrored, real, checks) = run_both(seed, pattern, sim);
-        assert!(checks > 0, "seed {seed}: no comparison made");
+        let (mirrored, real, admissions) = run_both(seed, pattern, sim);
+        assert!(admissions > 0, "seed {seed}: no admission checked");
         assert_eq!(
             trail(&mirrored),
             trail(&real),
@@ -222,11 +232,10 @@ fn cache_matches_oracle_across_seeds_and_fault_models() {
 }
 
 #[test]
-fn cache_is_exact_after_eviction_storms() {
+fn pools_stay_exact_through_eviction_storms() {
     // An aggressive failure process (MTBF 6 rounds, paper cluster) keeps
-    // evicting jobs and flipping the availability mask: the cache must
-    // invalidate on every such change rather than serve pre-failure
-    // geometries for machines that are down.
+    // evicting jobs and flipping the availability mask: machines that are
+    // down must never appear in a pool, built or maintained.
     let sim = SimConfig {
         failure: Some(FailureModel {
             mtbf_rounds: 6.0,
@@ -236,11 +245,11 @@ fn cache_is_exact_after_eviction_storms() {
         max_rounds: 250,
         ..SimConfig::default()
     };
-    let (mirrored, real, checks) = run_both(7, ArrivalPattern::Static, sim);
+    let (mirrored, real, admissions) = run_both(7, ArrivalPattern::Static, sim);
     assert!(
         mirrored.machine_failures() > 0,
         "scenario must actually inject failures"
     );
-    assert!(checks > 0);
+    assert!(admissions > 0);
     assert_eq!(trail(&mirrored), trail(&real));
 }

@@ -131,9 +131,14 @@ pub fn save_trace_csv(jobs: &[Job]) -> String {
 /// Parse a CSV produced by [`save_trace_csv`], resolving throughput rows
 /// against `catalog`.
 ///
-/// Returns an error message describing the first malformed line, if any.
+/// Returns an error message describing the first malformed line, if any:
+/// besides unparsable fields, a gang or epoch count of 0, zero iterations
+/// per epoch, a negative or non-finite arrival, and ids that are not
+/// exactly `0..n` (a duplicate, or one out of range) are rejected here
+/// rather than failing later as a panic.
 pub fn load_trace_csv(csv: &str, catalog: &GpuCatalog) -> Result<Vec<Job>, String> {
     let mut jobs = Vec::new();
+    let mut lines = Vec::new();
     for (lineno, line) in csv.lines().enumerate() {
         if lineno == 0 || line.trim().is_empty() {
             continue; // header / blank
@@ -151,6 +156,16 @@ pub fn load_trace_csv(csv: &str, catalog: &GpuCatalog) -> Result<Vec<Job>, Strin
         let n: u64 = fields[5]
             .parse()
             .map_err(|_| parse_err("iters_per_epoch"))?;
+        let invalid = |what: &str| Err(format!("line {}: {what}", lineno + 1));
+        if !(arrival.is_finite() && arrival >= 0.0) {
+            return invalid("arrival must be finite and non-negative");
+        }
+        if gang == 0 {
+            return invalid("gang must be at least 1");
+        }
+        if epochs == 0 || n == 0 {
+            return invalid("epochs and iters_per_epoch must be at least 1");
+        }
         jobs.push(Job::new(
             JobId(id),
             model,
@@ -160,6 +175,19 @@ pub fn load_trace_csv(csv: &str, catalog: &GpuCatalog) -> Result<Vec<Job>, Strin
             n,
             crate::throughput::ThroughputProfile::for_model(model, catalog),
         ));
+        lines.push(lineno + 1);
+    }
+    let mut seen = vec![false; jobs.len()];
+    for (job, line) in jobs.iter().zip(lines) {
+        match seen.get_mut(job.id.index()) {
+            Some(seen) if !*seen => *seen = true,
+            _ => {
+                let (id, n) = (job.id.0, jobs.len());
+                return Err(format!(
+                    "line {line}: id {id} is a duplicate or outside 0..{n}"
+                ));
+            }
+        }
     }
     Ok(jobs)
 }
@@ -245,6 +273,47 @@ mod tests {
         assert!(load_trace_csv("h\n0,LSTM,zero,1,1,10\n", &cat)
             .unwrap_err()
             .contains("arrival"));
+    }
+
+    /// Loads `rows` under a header; the error, which must name `line`.
+    fn rejected(rows: &str, line: usize) -> String {
+        let err = load_trace_csv(
+            &format!("id,model,arrival_s,gang,epochs,iters\n{rows}"),
+            &catalog(),
+        )
+        .expect_err("malformed trace must be rejected");
+        assert!(err.starts_with(&format!("line {line}: ")), "{err}");
+        err
+    }
+
+    #[test]
+    fn csv_rejects_zero_gang() {
+        assert!(rejected("0,LSTM,0.0,0,1,10\n", 2).contains("gang"));
+    }
+
+    #[test]
+    fn csv_rejects_nan_arrival() {
+        assert!(rejected("0,LSTM,NaN,1,1,10\n", 2).contains("arrival"));
+    }
+
+    #[test]
+    fn csv_rejects_negative_arrival() {
+        assert!(rejected("0,LSTM,0.0,1,1,10\n1,LSTM,-500,1,1,10\n", 3).contains("arrival"));
+    }
+
+    #[test]
+    fn csv_rejects_jobs_without_work() {
+        assert!(rejected("0,LSTM,0.0,1,0,10\n", 2).contains("epochs"));
+        assert!(rejected("0,LSTM,0.0,1,1,0\n", 2).contains("iters_per_epoch"));
+    }
+
+    #[test]
+    fn csv_rejects_ids_that_are_not_dense() {
+        assert!(rejected("0,LSTM,0.0,1,1,10\n0,LSTM,5.0,1,1,10\n", 3).contains("id 0"));
+        assert!(rejected("0,LSTM,0.0,1,1,10\n2,LSTM,5.0,1,1,10\n", 3).contains("id 2"));
+        // Any order of 0..n is dense.
+        let jobs = load_trace_csv("h\n1,LSTM,5.0,1,1,10\n0,LSTM,0.0,1,1,10\n", &catalog()).unwrap();
+        assert_eq!(jobs.len(), 2);
     }
 
     #[test]
