@@ -10,6 +10,10 @@ use hadar_baselines::{GavelScheduler, SrtfScheduler, TiresiasScheduler, YarnCsSc
 use hadar_core::{HadarConfig, HadarScheduler};
 use hadar_sim::Scheduler;
 
+/// The scheduler names `--scheduler` accepts (`yarn-cs` is an alias of
+/// `yarn`).
+pub const SCHEDULER_NAMES: &str = "hadar|gavel|tiresias|yarn|srtf";
+
 /// Build a scheduler by CLI name.
 pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
     match name {
@@ -19,7 +23,7 @@ pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
         "yarn" | "yarn-cs" => Ok(Box::new(YarnCsScheduler::new())),
         "srtf" => Ok(Box::new(SrtfScheduler::new())),
         other => Err(format!(
-            "unknown scheduler {other:?} (expected hadar|gavel|tiresias|yarn)"
+            "unknown scheduler {other:?} (expected {SCHEDULER_NAMES})"
         )),
     }
 }
@@ -72,9 +76,15 @@ mod tests {
 
     #[test]
     fn scheduler_names_resolve() {
-        for n in ["hadar", "gavel", "tiresias", "yarn", "yarn-cs", "srtf"] {
+        for n in SCHEDULER_NAMES.split('|').chain(["yarn-cs"]) {
             assert!(scheduler_by_name(n).is_ok(), "{n}");
         }
-        assert!(scheduler_by_name("slurm").is_err());
+        let Err(msg) = scheduler_by_name("slurm") else {
+            panic!("slurm resolved");
+        };
+        for n in SCHEDULER_NAMES.split('|') {
+            assert!(msg.contains(n), "{msg} omits {n}");
+        }
+        assert!(USAGE.contains(&format!("--scheduler {SCHEDULER_NAMES}")));
     }
 }

@@ -12,14 +12,14 @@ use crate::args::{
     parse_cluster, parse_failure, parse_pattern, parse_penalty, parse_runner, parse_straggler,
     Options,
 };
-use crate::commands::scheduler_by_name;
+use crate::commands::{scheduler_by_name, SCHEDULER_NAMES};
 
 /// Run one simulation. Returns `(report, per_job_csv, telemetry_jsonl)`;
 /// the stream is `Some` only when `--telemetry-out` was given.
 pub fn run(opts: &Options) -> Result<(String, String, Option<String>), String> {
     let scheduler_name = opts
         .get("scheduler")
-        .ok_or("--scheduler is required (hadar|gavel|tiresias|yarn)")?
+        .ok_or_else(|| format!("--scheduler is required ({SCHEDULER_NAMES})"))?
         .to_owned();
     scheduler_by_name(&scheduler_name)?; // validate the name up front
     let runner = parse_runner(opts)?;

@@ -154,11 +154,6 @@ impl Allocation {
         self.placements.is_empty()
     }
 
-    /// Total GPUs in use across all jobs.
-    pub fn total_gpus_used(&self) -> u32 {
-        self.placements.values().map(|p| p.total_workers()).sum()
-    }
-
     /// Aggregate into per-machine/type occupied counts `γ_h^r`.
     pub fn usage(&self, cluster: &Cluster) -> Usage {
         let mut u = Usage::empty(cluster);
@@ -334,7 +329,6 @@ mod tests {
             ]),
         );
         assert_eq!(alloc.validate(&cl, |_| 3), Ok(()));
-        assert_eq!(alloc.total_gpus_used(), 3);
     }
 
     #[test]

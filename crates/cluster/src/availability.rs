@@ -60,15 +60,6 @@ impl Availability {
         self.up.iter().any(|&u| !u)
     }
 
-    /// Ids of the machines currently down, in id order.
-    pub fn down_machines(&self) -> impl Iterator<Item = MachineId> + '_ {
-        self.up
-            .iter()
-            .enumerate()
-            .filter(|(_, &u)| !u)
-            .map(|(i, _)| MachineId(i as u32))
-    }
-
     /// Cluster-wide capacity of type `r` restricted to machines that are up:
     /// Σ_h `c_h^r · up_h`.
     pub fn available_of_type(&self, cluster: &Cluster, r: crate::catalog::GpuTypeId) -> u32 {
@@ -79,22 +70,6 @@ impl Availability {
             .machine_ids()
             .filter(|&h| self.is_up(h))
             .map(|h| cluster.capacity(h, r))
-            .sum()
-    }
-
-    /// Total GPUs on machines that are up.
-    pub fn available_gpus(&self, cluster: &Cluster) -> u32 {
-        if !self.any_down() {
-            return cluster.total_gpus();
-        }
-        cluster
-            .machine_ids()
-            .filter(|&h| self.is_up(h))
-            .map(|h| {
-                (0..cluster.num_types() as u16)
-                    .map(|r| cluster.capacity(h, crate::catalog::GpuTypeId(r)))
-                    .sum::<u32>()
-            })
             .sum()
     }
 
@@ -122,11 +97,9 @@ mod tests {
         let a = Availability::all_up(c.num_machines());
         assert!(!a.any_down());
         assert_eq!(a.num_down(), 0);
-        assert_eq!(a.available_gpus(&c), c.total_gpus());
         for (r, _) in c.catalog().iter() {
             assert_eq!(a.available_of_type(&c, r), c.total_of_type(r));
         }
-        assert_eq!(a.down_machines().count(), 0);
     }
 
     #[test]
@@ -141,10 +114,8 @@ mod tests {
         assert!(!a.is_up(MachineId(0)));
         assert!(a.is_up(MachineId(1)));
         assert_eq!(a.available_of_type(&c, v100), c.total_of_type(v100) - 4);
-        assert_eq!(a.available_gpus(&c), c.total_gpus() - 4);
-        assert_eq!(a.down_machines().collect::<Vec<_>>(), vec![MachineId(0)]);
         a.set(MachineId(0), true);
-        assert_eq!(a.available_gpus(&c), c.total_gpus());
+        assert_eq!(a.available_of_type(&c, v100), c.total_of_type(v100));
     }
 
     #[test]

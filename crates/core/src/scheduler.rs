@@ -60,11 +60,6 @@ impl HadarScheduler {
     pub fn last_competitive_bound(&self) -> Option<CompetitiveBound> {
         self.last_bound
     }
-
-    /// The active configuration.
-    pub fn config(&self) -> &HadarConfig {
-        &self.config
-    }
 }
 
 fn run_subroutine(

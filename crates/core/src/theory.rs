@@ -14,8 +14,8 @@
 //! [`audit_round`] re-runs one scheduling round while tracking the primal
 //! objective (total admitted utility), the dual objective
 //! (`Σ μ_j + Σ_{h,r} k_h^r(γ_final)·c_h^r`), and the worst-case
-//! allocation-cost ratio, so tests (and the `theory_check` binary) can
-//! verify that the guarantee holds on concrete instances. The discrete
+//! allocation-cost ratio, so tests can verify that the guarantee holds on
+//! concrete instances. The discrete
 //! step form of Definition 1 holds up to `(e^x − 1)/x` slack for step size
 //! `x = α·Δγ/c`; the audit reports the measured worst ratio rather than
 //! asserting exactness.
@@ -119,26 +119,32 @@ mod tests {
     use crate::find_alloc::Features;
     use crate::utility::EffectiveThroughput;
     use hadar_cluster::{Cluster, CommCostModel, JobId};
-    use hadar_workload::{DlTask, Job};
+    use hadar_workload::{generate_trace, ArrivalPattern, DlTask, Job, TraceConfig};
 
     fn audit(n: u32, seed_shift: u64) -> RoundAudit {
         let cluster = Cluster::paper_simulation();
-        let states: Vec<JobState> = (0..n)
+        let jobs = (0..n)
             .map(|i| {
-                JobState::new(Job::for_model(
+                Job::for_model(
                     JobId(i),
                     DlTask::ALL[((i as u64 + seed_shift) % 5) as usize],
                     cluster.catalog(),
                     0.0,
                     1 + (i + seed_shift as u32) % 4,
                     20 + 15 * i as u64,
-                ))
+                )
             })
             .collect();
-        let prices = PriceState::compute(&states, &cluster, &EffectiveThroughput, 0.0);
+        audit_jobs(&cluster, jobs)
+    }
+
+    /// Audit one round that starts with all of `jobs` queued.
+    fn audit_jobs(cluster: &Cluster, jobs: Vec<Job>) -> RoundAudit {
+        let states: Vec<JobState> = jobs.into_iter().map(JobState::new).collect();
+        let prices = PriceState::compute(&states, cluster, &EffectiveThroughput, 0.0);
         let comm = CommCostModel::default();
         let env = AllocEnv {
-            cluster: &cluster,
+            cluster,
             comm: &comm,
             prices: &prices,
             utility: &EffectiveThroughput,
@@ -163,6 +169,30 @@ mod tests {
                 a.guarantee_margin
             );
         }
+        // Generated static queues of every size from 4 to 128 jobs.
+        let cluster = Cluster::paper_simulation();
+        let mut worst = (f64::INFINITY, 0, 0);
+        for num_jobs in [4, 8, 16, 32, 64, 128] {
+            for seed in 0..4 {
+                let jobs = generate_trace(
+                    &TraceConfig {
+                        num_jobs,
+                        seed,
+                        pattern: ArrivalPattern::Static,
+                    },
+                    cluster.catalog(),
+                );
+                let margin = audit_jobs(&cluster, jobs).guarantee_margin;
+                if margin < worst.0 {
+                    worst = (margin, num_jobs, seed);
+                }
+            }
+        }
+        let (margin, num_jobs, seed) = worst;
+        assert!(
+            margin >= 1.0,
+            "2α guarantee violated: worst margin {margin} ({num_jobs} jobs, seed {seed})"
+        );
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render to a string with a separator line under the header.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -80,16 +75,6 @@ impl Table {
     }
 }
 
-/// Format seconds as hours with two decimals (the unit of Table III).
-pub fn fmt_hours(seconds: f64) -> String {
-    format!("{:.2}", seconds / 3600.0)
-}
-
-/// Format a ratio like "2.3x".
-pub fn fmt_ratio(r: f64) -> String {
-    format!("{r:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,11 +96,5 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new(vec!["A"]);
         t.row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(fmt_hours(7200.0), "2.00");
-        assert_eq!(fmt_ratio(2.345), "2.35x");
     }
 }

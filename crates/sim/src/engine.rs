@@ -98,23 +98,9 @@ pub struct Simulation {
 
 impl Simulation {
     /// Build a simulation. Jobs are admitted in arrival order; ids must be
-    /// dense `0..n` (as produced by the trace generator).
-    ///
-    /// # Panics
-    /// Panics if job ids are not dense `0..n`.
-    pub fn new(cluster: Cluster, mut jobs: Vec<Job>, config: SimConfig) -> Self {
-        // total_cmp: a NaN arrival (malformed trace) sorts last instead of
-        // panicking mid-sort; the admission loop then simply never admits it
-        // and the run ends at the round cap with an unstarted record.
-        jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
-        let mut seen = vec![false; jobs.len()];
-        for j in &jobs {
-            assert!(
-                j.id.index() < jobs.len() && !seen[j.id.index()],
-                "job ids must be dense 0..n"
-            );
-            seen[j.id.index()] = true;
-        }
+    /// dense `0..n` (as produced by the trace generator), or
+    /// [`Simulation::run`] returns [`SimError::InvalidConfig`].
+    pub fn new(cluster: Cluster, jobs: Vec<Job>, config: SimConfig) -> Self {
         Self {
             cluster,
             jobs,
@@ -129,10 +115,10 @@ impl Simulation {
 
     /// Run to completion (or the round cap) under `scheduler`.
     ///
-    /// Returns a [`SimError`] instead of panicking when the configuration is
-    /// invalid or the scheduler violates the allocation constraints, so one
-    /// bad cell in a parallel sweep degrades into an error row rather than
-    /// aborting every worker.
+    /// Returns a [`SimError`] instead of panicking when the configuration or
+    /// the job ids are invalid or the scheduler violates the allocation
+    /// constraints, so one bad cell in a parallel sweep degrades into an
+    /// error row rather than aborting every worker.
     pub fn run<S: Scheduler>(self, scheduler: S) -> SimResult {
         self.run_with_telemetry(scheduler, Telemetry::disabled())
     }
@@ -151,17 +137,42 @@ impl Simulation {
     ) -> SimResult {
         let Simulation {
             cluster,
-            jobs,
+            mut jobs,
             config,
         } = self;
         config.validate()?;
         let num_jobs = jobs.len();
         let round = config.round_length;
 
-        // Records indexed by job id.
-        let mut records: Vec<Option<JobRecord>> = vec![None; num_jobs];
+        // One record per job, indexed by job id.
+        jobs.sort_unstable_by_key(|j| j.id);
+        if let Some((i, j)) = jobs.iter().enumerate().find(|(i, j)| j.id.index() != *i) {
+            return Err(SimError::InvalidConfig(format!(
+                "job ids must be dense 0..{num_jobs}: position {i} holds {}",
+                j.id
+            )));
+        }
+        let mut records: Vec<JobRecord> = jobs
+            .into_iter()
+            .map(|job| JobRecord {
+                job,
+                first_scheduled: None,
+                finish: None,
+                rounds_run: 0,
+                reallocations: 0,
+            })
+            .collect();
+        // Admission order: by arrival, then id. total_cmp sorts a NaN
+        // arrival (malformed trace) last instead of panicking mid-sort; it
+        // fails every `arrival <= boundary` check, so the job is never
+        // admitted and the run ends at the round cap with its record unstarted.
+        let mut order: Vec<usize> = (0..num_jobs).collect();
+        order.sort_by(|&a, &b| {
+            let (ra, rb) = (records[a].job.arrival, records[b].job.arrival);
+            ra.total_cmp(&rb).then(a.cmp(&b))
+        });
+        let mut pending = order.into_iter().peekable();
         let mut active: Vec<JobState> = Vec::new();
-        let mut pending = jobs.into_iter().peekable();
         let mut rounds: Vec<RoundRecord> = Vec::new();
         let mut time = 0.0f64;
         let mut completed = 0usize;
@@ -184,10 +195,11 @@ impl Simulation {
             // the floor boundary would run one spurious all-idle round for
             // every mid-round arrival into an empty queue.)
             if active.is_empty() {
-                if let Some(next) = pending.peek() {
-                    if next.arrival > time {
-                        let below = (next.arrival / round).floor() * round;
-                        time = if next.arrival <= below + f64::EPSILON * below.max(1.0) {
+                if let Some(&next) = pending.peek() {
+                    let arrival = records[next].job.arrival;
+                    if arrival > time {
+                        let below = (arrival / round).floor() * round;
+                        time = if arrival <= below + f64::EPSILON * below.max(1.0) {
                             below
                         } else {
                             below + round
@@ -199,12 +211,11 @@ impl Simulation {
             let mut evicted_this_round = 0u32;
             // A job arriving exactly at the round boundary is admitted; one
             // arriving mid-round waits for the next boundary.
-            while pending
-                .peek()
-                .is_some_and(|j| j.arrival <= time + f64::EPSILON * time.max(1.0))
+            while let Some(i) =
+                pending.next_if(|&i| records[i].job.arrival <= time + f64::EPSILON * time.max(1.0))
             {
-                let job = pending.next().expect("peeked");
-                scheduler.on_arrival(&job);
+                let job = &records[i].job;
+                scheduler.on_arrival(job);
                 // The event carries the job's true submission time `a_j`,
                 // not the round boundary that admitted it. A mid-round
                 // arrival can predate events already logged from the
@@ -218,14 +229,7 @@ impl Simulation {
                         job: job.id,
                     },
                 );
-                records[job.id.index()] = Some(JobRecord {
-                    job: job.clone(),
-                    first_scheduled: None,
-                    finish: None,
-                    rounds_run: 0,
-                    reallocations: 0,
-                });
-                active.push(JobState::new(job));
+                active.push(JobState::new(job.clone()));
                 arrivals_this_round += 1;
             }
 
@@ -234,13 +238,14 @@ impl Simulation {
             let mut machine_factors = stragglers.step().to_vec();
             let transitions = failures.step();
             let availability = failures.availability();
+            let any_down = availability.any_down();
             for &h in &transitions.failed {
                 events.push(SimEvent::MachineFailed { time, machine: h });
             }
             for &h in &transitions.recovered {
                 events.push(SimEvent::MachineRecovered { time, machine: h });
             }
-            if availability.any_down() {
+            if any_down {
                 for (i, f) in machine_factors.iter_mut().enumerate() {
                     if !availability.is_up(MachineId(i as u32)) {
                         *f = 0.0;
@@ -283,7 +288,7 @@ impl Simulation {
                 telemetry: &telemetry,
             };
             let t0 = Instant::now();
-            let allocation = scheduler.schedule(&ctx);
+            let mut allocation = scheduler.schedule(&ctx);
             let decision_seconds = t0.elapsed().as_secs_f64();
             let phases = scheduler.last_decision_phases();
             let bk0 = Instant::now();
@@ -323,13 +328,12 @@ impl Simulation {
 
             for state in active.iter_mut() {
                 let mut new_placement = allocation
-                    .get(state.job.id)
-                    .cloned()
+                    .remove(state.job.id)
                     .unwrap_or_else(JobPlacement::empty);
                 // A placement touching a down machine cannot run: strip it,
                 // so the job simply loses the round (zero-rate masking for
                 // policies that ignore the availability mask).
-                if availability.any_down()
+                if any_down
                     && new_placement
                         .slices()
                         .iter()
@@ -356,8 +360,9 @@ impl Simulation {
                 for sl in new_placement.slices() {
                     util_by_type[sl.gpu.index()] += sl.count;
                 }
+                let rec = &mut records[state.job.id.index()];
                 if changed {
-                    if state.first_scheduled.is_none() {
+                    if rec.first_scheduled.is_none() {
                         events.push(SimEvent::Started {
                             time,
                             job: state.job.id,
@@ -373,19 +378,12 @@ impl Simulation {
                     }
                 }
                 running_jobs += 1;
-                // An active job without a record is an engine bookkeeping
-                // bug; degrade into an error row instead of panicking the
-                // whole sweep worker.
-                let Some(rec) = records[state.job.id.index()].as_mut() else {
-                    return Err(SimError::MissingRecord { job: state.job.id });
-                };
                 rec.rounds_run += 1;
                 if changed {
                     rec.reallocations += 1;
                     reallocations += 1;
                 }
-                if state.first_scheduled.is_none() {
-                    state.first_scheduled = Some(time);
+                if rec.first_scheduled.is_none() {
                     rec.first_scheduled = Some(time);
                 }
 
@@ -398,7 +396,9 @@ impl Simulation {
                 let workers = new_placement.total_workers() as f64;
                 held_gpu_seconds += workers * round;
 
-                let rate = job_rate(&state.job, &new_placement, &config.comm, &machine_factors);
+                let (rate, bottleneck) =
+                    rate_and_bottleneck(&state.job, &new_placement, &config.comm, &machine_factors)
+                        .unwrap_or_default();
                 if rate > 0.0 && eff > 0.0 {
                     let capacity_iters = rate * eff;
                     let work_time = if capacity_iters >= state.remaining_iters {
@@ -424,22 +424,6 @@ impl Simulation {
                     // bottleneck/X_r (straggler factors included).
                     let factor_of = |h: MachineId| -> f64 {
                         machine_factors.get(h.index()).copied().unwrap_or(1.0)
-                    };
-                    let Some(bottleneck) = new_placement
-                        .bottleneck_rate_per_slice(|h, r| state.job.profile.rate(r) * factor_of(h))
-                    else {
-                        // `rate > 0.0` above implies a positive bottleneck
-                        // over the same slices; reaching this branch means
-                        // the rate model disagrees with itself.
-                        return Err(SimError::InvariantViolation {
-                            scheduler: scheduler.name().to_owned(),
-                            round: round_no,
-                            detail: format!(
-                                "job {} holds a non-empty placement with no \
-                                 positive per-slice rate",
-                                state.job.id
-                            ),
-                        });
                     };
                     for sl in new_placement.slices() {
                         let x = state.job.profile.rate(sl.gpu) * factor_of(sl.machine);
@@ -481,30 +465,6 @@ impl Simulation {
             });
         }
 
-        // A run that hits the round cap before every job has arrived leaves
-        // the unadmitted jobs without records; synthesize unstarted ones so
-        // the outcome still covers the whole trace.
-        for job in pending {
-            debug_assert!(timed_out, "job {} pending without timeout", job.id);
-            let idx = job.id.index();
-            records[idx] = Some(JobRecord {
-                job,
-                first_scheduled: None,
-                finish: None,
-                rounds_run: 0,
-                reallocations: 0,
-            });
-        }
-        let records = records
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.ok_or(SimError::MissingRecord {
-                    job: JobId(i as u32),
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
         let mut outcome = SimOutcome::new(
             scheduler.name().to_owned(),
             records,
@@ -527,12 +487,22 @@ impl Simulation {
 /// 1.0), × gang size × the communication degradation for
 /// non-consolidated placements. 0.0 for an empty placement.
 pub fn job_rate(job: &Job, placement: &JobPlacement, comm: &CommCostModel, factors: &[f64]) -> f64 {
-    let Some(bottleneck) = placement.bottleneck_rate_per_slice(|h, r| {
+    rate_and_bottleneck(job, placement, comm, factors).map_or(0.0, |(rate, _)| rate)
+}
+
+/// [`job_rate`] together with the bottleneck per-task throughput it is
+/// built from; `None` for an empty placement.
+fn rate_and_bottleneck(
+    job: &Job,
+    placement: &JobPlacement,
+    comm: &CommCostModel,
+    factors: &[f64],
+) -> Option<(f64, f64)> {
+    let bottleneck = placement.bottleneck_rate_per_slice(|h, r| {
         job.profile.rate(r) * factors.get(h.index()).copied().unwrap_or(1.0)
-    }) else {
-        return 0.0;
-    };
-    bottleneck * placement.total_workers() as f64 * comm.placement_factor(placement)
+    })?;
+    let rate = bottleneck * placement.total_workers() as f64 * comm.placement_factor(placement);
+    Some((rate, bottleneck))
 }
 
 #[cfg(test)]
@@ -753,10 +723,63 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dense")]
     fn sparse_job_ids_rejected() {
-        let jobs = vec![small_job(5, 0.0, 1, 1)];
-        Simulation::new(cluster(), jobs, SimConfig::default());
+        for ids in [vec![5], vec![0, 0], vec![0, 2]] {
+            let jobs = ids.iter().map(|&i| small_job(i, 0.0, 1, 1)).collect();
+            let err = Simulation::new(cluster(), jobs, SimConfig::default())
+                .run(FifoV100)
+                .unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig(m) if m.contains("dense")),
+                "{ids:?}: {err:?}"
+            );
+        }
+    }
+
+    /// Allocates one fixed job id every round, whether or not it is queued.
+    struct Allocates(JobId);
+    impl Scheduler for Allocates {
+        fn name(&self) -> &str {
+            "Allocates"
+        }
+        fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Allocation {
+            let mut alloc = Allocation::empty();
+            let v100 = ctx.cluster.catalog().lookup("V100").expect("V100");
+            alloc.set(self.0, JobPlacement::single(MachineId(0), v100, 1));
+            alloc
+        }
+    }
+
+    fn assert_unknown_job(err: SimError, job: JobId, round: u64) {
+        match err {
+            SimError::UnknownJobAllocated {
+                scheduler,
+                job: j,
+                round: r,
+            } => assert_eq!((scheduler.as_str(), j, r), ("Allocates", job, round)),
+            other => panic!("expected UnknownJobAllocated, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn allocating_a_finished_job_is_an_error() {
+        // Job 0 finishes in round 1 (one epoch takes ~3 s); job 1 keeps the
+        // run going, and round 2 still allocates job 0.
+        let jobs = vec![small_job(0, 0.0, 1, 1), small_job(1, 0.0, 1, 10_000)];
+        let err = Simulation::new(cluster(), jobs, no_penalty_config())
+            .run(Allocates(JobId(0)))
+            .unwrap_err();
+        assert_unknown_job(err, JobId(0), 2);
+    }
+
+    #[test]
+    fn allocating_a_job_not_yet_admitted_is_an_error() {
+        // Job 1 arrives at the third boundary; round 1 already allocates it.
+        let jobs = vec![small_job(0, 0.0, 1, 10_000), small_job(1, 720.0, 1, 1)];
+        let err = Simulation::new(cluster(), jobs, no_penalty_config())
+            .run(Allocates(JobId(1)))
+            .unwrap_err();
+        assert_unknown_job(err, JobId(1), 1);
     }
 
     struct OverAllocator;

@@ -1,11 +1,10 @@
 //! Structured simulation errors.
 //!
-//! The engine used to `panic!` on policy bugs (invalid allocations,
-//! inconsistent records), which aborted the whole process — under
-//! [`crate::SweepRunner`] that meant one bad cell killed every worker
-//! thread of a parallel sweep. These paths now surface as [`SimError`]s:
-//! the failing cell degrades into an error row and the rest of the sweep
-//! completes.
+//! Bad input (an unusable config, non-dense job ids) and policy bugs
+//! (allocations outside the queue or over capacity) surface as
+//! [`SimError`]s rather than panics, so a failing run (or one cell of a
+//! [`crate::SweepRunner`] sweep) reports a typed reason and the rest of the
+//! sweep completes.
 
 use std::fmt;
 
@@ -15,7 +14,8 @@ use hadar_cluster::JobId;
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The [`crate::SimConfig`] is unusable (non-positive round length,
-    /// invalid straggler or failure model parameters, …).
+    /// invalid straggler or failure model parameters, …) or the trace's job
+    /// ids are not dense `0..n`.
     InvalidConfig(String),
     /// The scheduler allocated GPUs to a job that is not in the active set
     /// (unknown, finished, or not yet admitted).
@@ -35,24 +35,6 @@ pub enum SimError {
         /// 1-based round number in which the violation occurred.
         round: u64,
         /// The validation failure, rendered.
-        detail: String,
-    },
-    /// Internal bookkeeping inconsistency: a job finished the run without a
-    /// record. Indicates an engine bug rather than a policy bug.
-    MissingRecord {
-        /// The job without a record.
-        job: JobId,
-    },
-    /// The engine caught a mid-round invariant violation (e.g. a non-empty
-    /// placement with no positive bottleneck rate). Like
-    /// [`SimError::MissingRecord`] this indicates an engine or model bug,
-    /// but surfaces as an error row instead of a panicked sweep cell.
-    InvariantViolation {
-        /// Scheduler display name.
-        scheduler: String,
-        /// 1-based round number in which the violation was detected.
-        round: u64,
-        /// The broken invariant, rendered.
         detail: String,
     },
     /// A sweep cell panicked; the payload is the panic message. Produced by
@@ -79,17 +61,6 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "{scheduler}: invalid allocation in round {round}: {detail}"
-            ),
-            SimError::MissingRecord { job } => {
-                write!(f, "job {job} finished the run without a record")
-            }
-            SimError::InvariantViolation {
-                scheduler,
-                round,
-                detail,
-            } => write!(
-                f,
-                "{scheduler}: engine invariant violated in round {round}: {detail}"
             ),
             SimError::CellPanicked(msg) => write!(f, "sweep cell panicked: {msg}"),
         }
@@ -123,9 +94,6 @@ mod tests {
         assert!(SimError::CellPanicked("boom".into())
             .to_string()
             .contains("boom"));
-        assert!(SimError::MissingRecord { job: JobId(4) }
-            .to_string()
-            .contains("J4"));
         assert!(SimError::UnknownJobAllocated {
             scheduler: "X".into(),
             job: JobId(1),
@@ -133,15 +101,5 @@ mod tests {
         }
         .to_string()
         .contains("unknown"));
-
-        let iv = SimError::InvariantViolation {
-            scheduler: "Fifo".into(),
-            round: 9,
-            detail: "zero-rate placement for J2".into(),
-        };
-        let s = iv.to_string();
-        assert!(s.contains("Fifo"), "{s}");
-        assert!(s.contains("round 9"), "{s}");
-        assert!(s.contains("invariant"), "{s}");
     }
 }

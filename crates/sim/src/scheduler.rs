@@ -19,8 +19,6 @@ pub struct JobState {
     /// Accumulated seconds of service received so far (used by LAS policies
     /// such as Tiresias: attained service = `gang · service_seconds`).
     pub service_seconds: f64,
-    /// Time the job first received an allocation, if ever.
-    pub first_scheduled: Option<f64>,
     /// Iterations completed in the most recent round (0 while idle). When a
     /// machine fails, jobs it hosted lose the work since their last
     /// round-boundary checkpoint — the engine rolls this amount back onto
@@ -37,7 +35,6 @@ impl JobState {
             remaining_iters: remaining,
             placement: JobPlacement::empty(),
             service_seconds: 0.0,
-            first_scheduled: None,
             last_round_iters: 0.0,
         }
     }
@@ -211,7 +208,6 @@ mod tests {
         assert_eq!(s.remaining_iters, j.total_iterations());
         assert!(!s.is_running());
         assert_eq!(s.attained_service(), 0.0);
-        assert_eq!(s.first_scheduled, None);
     }
 
     #[test]

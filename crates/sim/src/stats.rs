@@ -352,17 +352,6 @@ impl SimOutcome {
         t
     }
 
-    /// Total wall-clock seconds of engine bookkeeping (validation, penalty
-    /// charging, progress advancement) across all rounds.
-    pub fn total_bookkeeping_seconds(&self) -> f64 {
-        self.rounds.iter().map(|r| r.bookkeeping_seconds).sum()
-    }
-
-    /// Total wall-clock seconds of scheduler decisions across all rounds.
-    pub fn total_decision_seconds(&self) -> f64 {
-        self.rounds.iter().map(|r| r.decision_seconds).sum()
-    }
-
     /// Isolated finish time of job `id` under this run's cluster and job
     /// count (exposed for FTF debugging / tests).
     pub fn isolated_finish_time(&self, id: JobId) -> f64 {
