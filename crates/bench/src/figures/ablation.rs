@@ -8,13 +8,15 @@
 //! * **throughput profiling noise** — decisions from noisy estimates,
 //! * **checkpoint penalty model** — none / flat 10 s / calibrated.
 
+use std::path::Path;
+
 use hadar_core::profiler::ProfilerConfig;
 use hadar_core::{AllocMode, Features, HadarConfig, HadarScheduler};
 use hadar_metrics::CsvWriter;
-use hadar_sim::{CheckpointModel, PreemptionPenalty, SimResult, Simulation, SweepRunner};
-use hadar_workload::ArrivalPattern;
+use hadar_sim::{CheckpointModel, PreemptionPenalty, Simulation, SweepRunner};
 
-use crate::figures::{results_dir, FigureResult};
+use crate::experiments::SchedulerKind;
+use crate::figures::{run_cells, FigureResult, PaperSweep};
 use crate::scenarios::paper_sim_scenario;
 
 struct Variant {
@@ -23,13 +25,13 @@ struct Variant {
     penalty: PreemptionPenalty,
 }
 
+/// The row of the unmodified scheduler, read from the shared healthy sweep.
+const FULL: &str = "full (default)";
+
+/// Every variant that switches something off (the full row is not among
+/// them: it is the healthy sweep's Hadar run).
 fn variants() -> Vec<Variant> {
     vec![
-        Variant {
-            label: "full (default)",
-            config: HadarConfig::default,
-            penalty: PreemptionPenalty::Fixed(10.0),
-        },
         Variant {
             label: "no mixed types",
             config: || HadarConfig {
@@ -93,22 +95,23 @@ fn variants() -> Vec<Variant> {
     ]
 }
 
-/// Run the ablation grid, fanning the per-variant cells out over `runner`.
-pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
-    let num_jobs = if quick { 30 } else { 160 };
-    let seed = 42;
-
-    let cells: Vec<Box<dyn FnOnce() -> SimResult + Send>> = variants()
+/// Run the ablation grid on `healthy`'s trace, fanning the per-variant
+/// cells out over `runner`; the full row is `healthy`'s Hadar run.
+pub fn run(healthy: &PaperSweep, runner: &SweepRunner, out_dir: &Path) -> FigureResult {
+    let (num_jobs, pattern) = (healthy.num_jobs, healthy.pattern);
+    let cells = variants()
         .into_iter()
         .map(|v| {
-            Box::new(move || {
-                let mut s = paper_sim_scenario(num_jobs, seed, ArrivalPattern::Static);
+            let cell = move || {
+                let mut s = paper_sim_scenario(num_jobs, PaperSweep::SEED, pattern);
                 s.config.penalty = v.penalty;
                 Simulation::new(s.cluster, s.jobs, s.config).run(HadarScheduler::new((v.config)()))
-            }) as Box<dyn FnOnce() -> SimResult + Send>
+            };
+            (v.label.to_owned(), cell)
         })
         .collect();
-    let results = runner.run(cells);
+    let (outcomes, timings) = run_cells(runner, cells);
+    let full = healthy.outcome(SchedulerKind::Hadar);
 
     let mut csv = CsvWriter::new(&[
         "variant",
@@ -119,14 +122,12 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
         "reallocation_rate",
     ]);
     let mut summary = format!("Ablation: Hadar design choices ({num_jobs} static jobs)\n");
-    let mut timings = Vec::new();
 
-    for (v, cell) in variants().into_iter().zip(results) {
-        let out = cell.outcome.expect("simulation cell failed");
-        timings.push((v.label.to_owned(), cell.wall_seconds));
-        assert_eq!(out.completed_jobs(), num_jobs, "{}", v.label);
+    let labels = std::iter::once(FULL).chain(variants().into_iter().map(|v| v.label));
+    for (label, out) in labels.zip(std::iter::once(full).chain(&outcomes)) {
+        assert_eq!(out.completed_jobs(), num_jobs, "{label}");
         csv.row(vec![
-            v.label.to_owned(),
+            label.to_owned(),
             format!("{:.3}", out.mean_jct() / 3600.0),
             format!("{:.3}", out.median_jct() / 3600.0),
             format!("{:.3}", out.makespan() / 3600.0),
@@ -135,7 +136,7 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
         ]);
         summary.push_str(&format!(
             "  {:<27} mean JCT {:>7.2} h | makespan {:>7.2} h | util {:>5.1}% | realloc {:>4.1}%\n",
-            v.label,
+            label,
             out.mean_jct() / 3600.0,
             out.makespan() / 3600.0,
             out.demand_weighted_utilization() * 100.0,
@@ -143,7 +144,7 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
         ));
     }
 
-    let path = results_dir().join("ablation_hadar.csv");
+    let path = out_dir.join("ablation_hadar.csv");
     csv.write_to(&path).expect("write ablation csv");
     FigureResult::new("ablation", summary, vec![path]).with_timings(timings)
 }
@@ -154,8 +155,19 @@ mod tests {
 
     #[test]
     fn all_variants_complete() {
-        let r = run(true, &SweepRunner::serial());
+        let healthy = PaperSweep::run(
+            24,
+            hadar_workload::ArrivalPattern::Static,
+            &[SchedulerKind::Hadar],
+            &SweepRunner::serial(),
+        );
+        let r = run(
+            &healthy,
+            &SweepRunner::serial(),
+            &crate::figures::test_out(),
+        );
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
-        assert_eq!(csv.lines().count(), 1 + variants().len());
+        assert_eq!(csv.lines().count(), 2 + variants().len());
+        assert!(csv.lines().nth(1).unwrap().starts_with(FULL));
     }
 }

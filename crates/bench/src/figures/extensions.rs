@@ -9,14 +9,19 @@
 //! its keep: under fragmentation SRTF's single-type gangs strand capacity
 //! while Hadar's mixed placements keep the cluster packed.
 
+use std::path::Path;
+
 use hadar_cluster::{Cluster, ClusterBuilder};
 use hadar_metrics::CsvWriter;
-use hadar_sim::{SimResult, SweepRunner};
-use hadar_workload::{generate_trace, ArrivalPattern, TraceConfig};
+use hadar_sim::{SimConfig, SweepRunner};
+use hadar_workload::{generate_trace, TraceConfig};
 
 use crate::experiments::{run_scenario, SchedulerKind};
-use crate::figures::{results_dir, FigureResult};
-use crate::scenarios::paper_sim_scenario;
+use crate::figures::{run_cells, FigureResult, PaperSweep};
+
+/// The paper's cluster: its Hadar row is the shared healthy sweep's run.
+const ABUNDANT: &str = "abundant (paper)";
+const FRAGMENTED: &str = "fragmented (2-GPU nodes)";
 
 /// A fragmented heterogeneous cluster: 30 machines with 2 GPUs each,
 /// interleaving V100/P100/K80, so any gang ≥ 3 must span machines and
@@ -33,71 +38,57 @@ pub fn fragmented_cluster() -> Cluster {
     b.build()
 }
 
-/// Run the extension comparison, fanning the (cluster × scheduler) cells
-/// out over `runner`.
-pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
-    let num_jobs = if quick { 24 } else { 160 };
-    let seed = 42;
-
-    let grid: Vec<(&'static str, Cluster, SchedulerKind)> = [
-        ("abundant (paper)", Cluster::paper_simulation()),
-        ("fragmented (2-GPU nodes)", fragmented_cluster()),
-    ]
-    .into_iter()
-    .flat_map(|(label, cluster)| {
-        [SchedulerKind::Hadar, SchedulerKind::Srtf]
-            .into_iter()
-            .map(move |kind| (label, cluster.clone(), kind))
-    })
-    .collect();
-
-    let cells: Vec<Box<dyn FnOnce() -> SimResult + Send>> = grid
+/// Run the extension comparison on `healthy`'s trace: the abundant-cluster
+/// Hadar row is `healthy`'s Hadar run, the other (cluster × scheduler)
+/// cells fan out over `runner`.
+pub fn run(healthy: &PaperSweep, runner: &SweepRunner, out_dir: &Path) -> FigureResult {
+    let (num_jobs, pattern) = (healthy.num_jobs, healthy.pattern);
+    let fragmented = fragmented_cluster();
+    let grid = [
+        (ABUNDANT, Cluster::paper_simulation(), SchedulerKind::Srtf),
+        (FRAGMENTED, fragmented.clone(), SchedulerKind::Hadar),
+        (FRAGMENTED, fragmented, SchedulerKind::Srtf),
+    ];
+    let cells = grid
         .iter()
-        .map(|(_, cluster, kind)| {
+        .map(|(label, cluster, kind)| {
             let (cluster, kind) = (cluster.clone(), *kind);
-            Box::new(move || {
-                let jobs = generate_trace(
-                    &TraceConfig {
-                        num_jobs,
-                        seed,
-                        pattern: ArrivalPattern::Static,
-                    },
-                    cluster.catalog(),
-                );
-                let s = paper_sim_scenario(1, 0, ArrivalPattern::Static); // config template
-                run_scenario(cluster, jobs, s.config, kind)
-            }) as Box<dyn FnOnce() -> SimResult + Send>
+            let cell = move || {
+                let config = TraceConfig {
+                    num_jobs,
+                    seed: PaperSweep::SEED,
+                    pattern,
+                };
+                let jobs = generate_trace(&config, cluster.catalog());
+                run_scenario(cluster, jobs, SimConfig::default(), kind)
+            };
+            (format!("{label} / {}", kind.name()), cell)
         })
         .collect();
-    let results = runner.run(cells);
+    let (outcomes, timings) = run_cells(runner, cells);
 
     let mut csv = CsvWriter::new(&["cluster", "scheduler", "mean_jct_hours", "util"]);
     let mut summary =
         format!("Extension: Hadar vs heterogeneity-aware SRTF ({num_jobs} static jobs)\n");
-    let mut timings = Vec::new();
-
-    {
-        for ((label, _, kind), cell) in grid.iter().zip(results) {
-            let (label, kind) = (*label, *kind);
-            let out = cell.outcome.expect("simulation cell failed");
-            timings.push((format!("{label} / {}", kind.name()), cell.wall_seconds));
-            assert_eq!(out.completed_jobs(), num_jobs, "{label}/{}", kind.name());
-            csv.row(vec![
-                label.to_owned(),
-                out.scheduler.clone(),
-                format!("{:.3}", out.mean_jct() / 3600.0),
-                format!("{:.4}", out.demand_weighted_utilization()),
-            ]);
-            summary.push_str(&format!(
-                "  {label:<26} {:<6} mean JCT {:>7.2} h | util {:>5.1}%\n",
-                out.scheduler,
-                out.mean_jct() / 3600.0,
-                out.demand_weighted_utilization() * 100.0,
-            ));
-        }
+    let rows = std::iter::once((ABUNDANT, healthy.outcome(SchedulerKind::Hadar)))
+        .chain(grid.iter().map(|(label, _, _)| *label).zip(&outcomes));
+    for (label, out) in rows {
+        assert_eq!(out.completed_jobs(), num_jobs, "{label}/{}", out.scheduler);
+        csv.row(vec![
+            label.to_owned(),
+            out.scheduler.clone(),
+            format!("{:.3}", out.mean_jct() / 3600.0),
+            format!("{:.4}", out.demand_weighted_utilization()),
+        ]);
+        summary.push_str(&format!(
+            "  {label:<26} {:<6} mean JCT {:>7.2} h | util {:>5.1}%\n",
+            out.scheduler,
+            out.mean_jct() / 3600.0,
+            out.demand_weighted_utilization() * 100.0,
+        ));
     }
 
-    let path = results_dir().join("extension_srtf.csv");
+    let path = out_dir.join("extension_srtf.csv");
     csv.write_to(&path).expect("write extensions csv");
     FigureResult::new("extensions", summary, vec![path]).with_timings(timings)
 }
@@ -118,7 +109,14 @@ mod tests {
 
     #[test]
     fn quick_run_covers_both_clusters() {
-        let r = run(true, &SweepRunner::serial());
+        let runner = SweepRunner::serial();
+        let healthy = PaperSweep::run(
+            24,
+            hadar_workload::ArrivalPattern::Static,
+            &[SchedulerKind::Hadar],
+            &runner,
+        );
+        let r = run(&healthy, &runner, &crate::figures::test_out());
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
         assert_eq!(csv.lines().count(), 5);
         assert!(csv.contains("fragmented"));

@@ -8,28 +8,29 @@
 //! with the eviction count and the GPU-hours of capacity lost to downtime —
 //! the failure-model analogue of the straggler experiment.
 
+use std::path::Path;
+
 use hadar_metrics::CsvWriter;
-use hadar_sim::{FailureModel, SimResult, SweepRunner};
-use hadar_workload::ArrivalPattern;
+use hadar_sim::{FailureModel, SweepRunner};
 
 use crate::experiments::{run_scenario, SchedulerKind};
-use crate::figures::{results_dir, FigureResult};
+use crate::figures::{run_cells, FigureResult, PaperSweep};
 use crate::scenarios::paper_sim_scenario;
 
 /// Mean time to repair, in rounds (30 simulated minutes).
 const MTTR_ROUNDS: f64 = 5.0;
 
-/// The MTBF sweep: `None` is the healthy reference, the rest inject
-/// failures with the given per-machine mean time between failures (rounds).
-fn mtbf_axis(quick: bool) -> Vec<Option<f64>> {
+/// The MTBF sweep (per-machine mean time between failures, in rounds);
+/// the healthy reference point comes from the shared sweep.
+fn mtbf_axis(quick: bool) -> &'static [f64] {
     if quick {
-        vec![None, Some(60.0)]
+        &[60.0]
     } else {
-        vec![None, Some(240.0), Some(120.0), Some(60.0)]
+        &[240.0, 120.0, 60.0]
     }
 }
 
-/// Label for one MTBF point.
+/// Label for one MTBF point (`None` is the healthy reference).
 fn mtbf_label(mtbf: Option<f64>) -> String {
     match mtbf {
         None => "healthy".to_owned(),
@@ -37,38 +38,33 @@ fn mtbf_label(mtbf: Option<f64>) -> String {
     }
 }
 
-/// Run the failure resilience comparison, fanning the
-/// (scheduler × MTBF) cells out over `runner`.
-pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
-    let num_jobs = if quick { 24 } else { 160 };
-    let seed = 42;
+/// Run the failure resilience comparison: the healthy reference comes from
+/// `healthy`, the (scheduler × MTBF) cells fan out over `runner`.
+pub fn run(
+    quick: bool,
+    healthy: &PaperSweep,
+    runner: &SweepRunner,
+    out_dir: &Path,
+) -> FigureResult {
+    let (num_jobs, pattern) = (healthy.num_jobs, healthy.pattern);
     let axis = mtbf_axis(quick);
 
-    let mut cells: Vec<Box<dyn FnOnce() -> SimResult + Send>> = Vec::new();
-    let mut labels: Vec<String> = Vec::new();
+    let mut cells = Vec::new();
     for kind in SchedulerKind::HEADLINE {
-        for &mtbf in &axis {
-            labels.push(format!("{} {}", kind.name(), mtbf_label(mtbf)));
-            cells.push(Box::new(move || {
-                let mut s = paper_sim_scenario(num_jobs, seed, ArrivalPattern::Static);
-                s.config.failure = mtbf.map(|m| FailureModel {
-                    mtbf_rounds: m,
+        for &mtbf in axis {
+            let cell = move || {
+                let mut s = paper_sim_scenario(num_jobs, PaperSweep::SEED, pattern);
+                s.config.failure = Some(FailureModel {
+                    mtbf_rounds: mtbf,
                     mttr_rounds: MTTR_ROUNDS,
                     seed: 17,
                 });
                 run_scenario(s.cluster, s.jobs, s.config, kind)
-            }));
+            };
+            cells.push((format!("{} {}", kind.name(), mtbf_label(Some(mtbf))), cell));
         }
     }
-    let results = runner.run(cells);
-    let timings: Vec<(String, f64)> = labels
-        .into_iter()
-        .zip(&results)
-        .map(|(l, c)| (l, c.wall_seconds))
-        .collect();
-    let mut outcomes = results
-        .into_iter()
-        .map(|c| c.outcome.expect("simulation cell failed"));
+    let (outcomes, timings) = run_cells(runner, cells);
 
     let mut csv = CsvWriter::new(&[
         "scheduler",
@@ -83,13 +79,16 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
         "Failures: JCT vs machine MTBF (mttr {MTTR_ROUNDS:.0} rounds, {num_jobs} static jobs)\n"
     );
 
-    for kind in SchedulerKind::HEADLINE {
-        let mut healthy_jct = None;
-        for &mtbf in &axis {
-            let out = outcomes.next().expect("one outcome per cell");
+    for (kind, faulty) in SchedulerKind::HEADLINE
+        .into_iter()
+        .zip(outcomes.chunks(axis.len()))
+    {
+        let reference = healthy.outcome(kind);
+        let h = reference.mean_jct();
+        let points = axis.iter().map(|&m| Some(m)).zip(faulty);
+        for (mtbf, out) in std::iter::once((None, reference)).chain(points) {
             assert_eq!(out.completed_jobs(), num_jobs, "{}", kind.name());
             let jct = out.mean_jct();
-            let h = *healthy_jct.get_or_insert(jct);
             let degradation = (jct - h) / h * 100.0;
             csv.row(vec![
                 kind.name().to_owned(),
@@ -112,7 +111,7 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
         }
     }
 
-    let path = results_dir().join("failures.csv");
+    let path = out_dir.join("failures.csv");
     csv.write_to(&path).expect("write failures csv");
     FigureResult::new("failures", summary, vec![path]).with_timings(timings)
 }
@@ -123,8 +122,15 @@ mod tests {
 
     #[test]
     fn quick_run_reports_all_schedulers() {
-        let r = run(true, &SweepRunner::serial());
-        assert_eq!(r.timings.len(), 8);
+        let runner = SweepRunner::serial();
+        let healthy = PaperSweep::run(
+            24,
+            hadar_workload::ArrivalPattern::Static,
+            &SchedulerKind::HEADLINE,
+            &runner,
+        );
+        let r = run(true, &healthy, &runner, &crate::figures::test_out());
+        assert_eq!(r.timings.len(), 4);
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
         assert_eq!(csv.lines().count(), 9);
         assert!(r.summary.contains("mtbf=60"));

@@ -1,67 +1,27 @@
 //! Fig. 3: cumulative fraction of jobs completed along the timeline, for the
 //! static (3a) and continuous (3b) traces, under all four schedulers.
 
+use std::path::Path;
+
 use hadar_metrics::{line_chart, CsvWriter};
-use hadar_sim::{SimResult, SweepRunner};
-use hadar_workload::ArrivalPattern;
 
-use crate::experiments::{run_scenario, SchedulerKind};
-use crate::figures::{ratio, results_dir, FigureResult};
-use crate::scenarios::paper_sim_scenario;
+use crate::experiments::SchedulerKind;
+use crate::figures::{indent, ratio, FigureResult, PaperSweep};
 
-/// Which of the two Fig. 3 panels to regenerate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Panel {
-    /// Fig. 3a: all 480 jobs available at t = 0.
-    Static,
-    /// Fig. 3b: Poisson arrivals at λ = 60 jobs/hour.
-    Continuous,
-}
-
-impl Panel {
-    fn pattern(self) -> ArrivalPattern {
-        match self {
-            Panel::Static => ArrivalPattern::Static,
-            Panel::Continuous => ArrivalPattern::paper_continuous(),
-        }
-    }
-    fn label(self) -> &'static str {
-        match self {
-            Panel::Static => "static",
-            Panel::Continuous => "continuous",
-        }
-    }
-}
-
-/// Regenerate one panel of Fig. 3, fanning the per-scheduler cells out over
-/// `runner`.
-pub fn run(panel: Panel, quick: bool, runner: &SweepRunner) -> FigureResult {
-    let num_jobs = if quick { 40 } else { 480 };
-    let seed = 42;
-
-    let cells: Vec<Box<dyn FnOnce() -> SimResult + Send>> = SchedulerKind::HEADLINE
-        .into_iter()
-        .map(|kind| {
-            Box::new(move || {
-                let s = paper_sim_scenario(num_jobs, seed, panel.pattern());
-                run_scenario(s.cluster, s.jobs, s.config, kind)
-            }) as Box<dyn FnOnce() -> SimResult + Send>
-        })
-        .collect();
-    let results = runner.run(cells);
-
+/// Regenerate one panel of Fig. 3 from `sweep` (its arrival pattern picks
+/// the panel: static is 3a, continuous 3b).
+pub fn run(sweep: &PaperSweep, out_dir: &Path) -> FigureResult {
+    let (num_jobs, panel) = (sweep.num_jobs, sweep.pattern_label());
     let mut csv = CsvWriter::new(&["scheduler", "time_hours", "fraction_completed"]);
-    let mut summary = format!("Fig. 3 ({}): {num_jobs} jobs, seed {seed}\n", panel.label());
-    let mut hadar_mean = 0.0;
-    let mut hadar_median = 0.0;
+    let mut summary = format!(
+        "Fig. 3 ({panel}): {num_jobs} jobs, seed {}\n",
+        PaperSweep::SEED
+    );
+    let hadar = sweep.outcome(SchedulerKind::Hadar).metrics();
     let mut cdf_series: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
-    let mut timings = Vec::new();
 
-    // Consume results in cell order so the ratios against Hadar (always the
-    // first cell) and the CSV stay identical to a serial run.
-    for (kind, cell) in SchedulerKind::HEADLINE.into_iter().zip(results) {
-        let out = cell.outcome.expect("simulation cell failed");
-        timings.push((out.scheduler.clone(), cell.wall_seconds));
+    for kind in SchedulerKind::HEADLINE {
+        let out = sweep.outcome(kind);
         assert_eq!(
             out.completed_jobs(),
             num_jobs,
@@ -81,17 +41,13 @@ pub fn run(panel: Panel, quick: bool, runner: &SweepRunner) -> FigureResult {
             cdf.into_iter().map(|(t, f)| (t / 3600.0, f)).collect(),
         ));
         let m = out.metrics();
-        if kind == SchedulerKind::Hadar {
-            hadar_mean = m.mean;
-            hadar_median = m.median;
-        }
         summary.push_str(&format!(
             "  {:<9} mean JCT {:>8.2} h ({}), median {:>8.2} h ({})\n",
             out.scheduler,
             m.mean / 3600.0,
-            ratio(hadar_mean, m.mean),
+            ratio(hadar.mean, m.mean),
             m.median / 3600.0,
-            ratio(hadar_median, m.median),
+            ratio(hadar.median, m.median),
         ));
     }
 
@@ -100,25 +56,30 @@ pub fn run(panel: Panel, quick: bool, runner: &SweepRunner) -> FigureResult {
         .map(|(n, s)| (n.as_str(), s.as_slice()))
         .collect();
     summary.push_str("\n  fraction completed vs time (hours):\n");
-    for line in line_chart(&series, 64, 12).lines() {
-        summary.push_str("  ");
-        summary.push_str(line);
-        summary.push('\n');
-    }
+    summary.push_str(&indent(&line_chart(&series, 64, 12)));
 
-    let path = results_dir().join(format!("fig3_{}.csv", panel.label()));
+    let path = out_dir.join(format!("fig3_{panel}.csv"));
     csv.write_to(&path).expect("write fig3 csv");
-    FigureResult::new(&format!("fig3_{}", panel.label()), summary, vec![path]).with_timings(timings)
+    FigureResult::new(&format!("fig3_{panel}"), summary, vec![path])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::test_out;
+    use hadar_sim::SweepRunner;
+    use hadar_workload::ArrivalPattern;
 
     #[test]
     fn quick_static_panel_runs() {
-        let r = run(Panel::Static, true, &SweepRunner::serial());
-        assert_eq!(r.timings.len(), 4);
+        let sweep = PaperSweep::run(
+            40,
+            ArrivalPattern::Static,
+            &SchedulerKind::HEADLINE,
+            &SweepRunner::serial(),
+        );
+        let r = run(&sweep, &test_out());
+        assert_eq!(r.name, "fig3_static");
         assert!(r.summary.contains("Hadar"));
         assert!(r.csv_paths[0].exists());
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();

@@ -12,42 +12,30 @@
 //!   checkpoint stalls and synchronization-barrier straggling; ≈1.0 for
 //!   YARN-CS by construction).
 
+use std::path::Path;
+
 use hadar_metrics::{bar_chart, CsvWriter};
-use hadar_sim::{SimResult, SweepRunner};
-use hadar_workload::ArrivalPattern;
 
-use crate::experiments::{run_scenario, SchedulerKind};
-use crate::figures::{results_dir, FigureResult};
-use crate::scenarios::paper_sim_scenario;
+use crate::experiments::SchedulerKind;
+use crate::figures::{indent, FigureResult, PaperSweep};
 
-/// Regenerate Fig. 4, fanning the per-scheduler cells out over `runner`.
-pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
-    let num_jobs = if quick { 40 } else { 480 };
-    let seed = 42;
-
-    let cells: Vec<Box<dyn FnOnce() -> SimResult + Send>> = SchedulerKind::HEADLINE
-        .into_iter()
-        .map(|kind| {
-            Box::new(move || {
-                let s = paper_sim_scenario(num_jobs, seed, ArrivalPattern::Static);
-                run_scenario(s.cluster, s.jobs, s.config, kind)
-            }) as Box<dyn FnOnce() -> SimResult + Send>
-        })
-        .collect();
-    let results = runner.run(cells);
-
+/// Regenerate Fig. 4 from the static comparison `sweep`.
+pub fn run(sweep: &PaperSweep, out_dir: &Path) -> FigureResult {
     let mut csv = CsvWriter::new(&[
         "scheduler",
         "demand_weighted_utilization",
         "held_time_utilization",
         "cluster_wide_utilization",
     ]);
-    let mut summary = format!("Fig. 4: GPU utilization, {num_jobs} static jobs, seed {seed}\n");
-    let mut timings = Vec::new();
+    let mut summary = format!(
+        "Fig. 4: GPU utilization, {} static jobs, seed {}\n",
+        sweep.num_jobs,
+        PaperSweep::SEED
+    );
+    let mut bars: Vec<(&str, f64)> = Vec::new();
 
-    for cell in results {
-        let out = cell.outcome.expect("simulation cell failed");
-        timings.push((out.scheduler.clone(), cell.wall_seconds));
+    for kind in SchedulerKind::HEADLINE {
+        let out = sweep.outcome(kind);
         let (dw, ht, cw) = (
             out.demand_weighted_utilization(),
             out.held_utilization(),
@@ -66,41 +54,34 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
             ht * 100.0,
             cw * 100.0
         ));
+        bars.push((kind.name(), dw * 100.0));
     }
 
     // Bar view of the headline (demand-weighted) metric.
-    let bars: Vec<(&str, f64)> = SchedulerKind::HEADLINE
-        .iter()
-        .zip(csv.as_str().lines().skip(1))
-        .map(|(k, line)| {
-            let v: f64 = line
-                .split(',')
-                .nth(1)
-                .expect("column")
-                .parse()
-                .expect("number");
-            (k.name(), v * 100.0)
-        })
-        .collect();
     summary.push('\n');
-    for line in bar_chart(&bars, 40).lines() {
-        summary.push_str("  ");
-        summary.push_str(line);
-        summary.push('\n');
-    }
+    summary.push_str(&indent(&bar_chart(&bars, 40)));
 
-    let path = results_dir().join("fig4_utilization.csv");
+    let path = out_dir.join("fig4_utilization.csv");
     csv.write_to(&path).expect("write fig4 csv");
-    FigureResult::new("fig4", summary, vec![path]).with_timings(timings)
+    FigureResult::new("fig4", summary, vec![path])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::test_out;
+    use hadar_sim::SweepRunner;
+    use hadar_workload::ArrivalPattern;
 
     #[test]
     fn quick_run_produces_all_rows() {
-        let r = run(true, &SweepRunner::serial());
+        let sweep = PaperSweep::run(
+            40,
+            ArrivalPattern::Static,
+            &SchedulerKind::HEADLINE,
+            &SweepRunner::serial(),
+        );
+        let r = run(&sweep, &test_out());
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
         assert_eq!(csv.lines().count(), 5); // header + 4 schedulers
         for name in ["Hadar", "Gavel", "Tiresias", "YARN-CS"] {

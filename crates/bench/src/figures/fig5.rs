@@ -1,13 +1,12 @@
 //! Fig. 5: finish-time fairness (FTF) comparison among Gavel, Tiresias, and
 //! Hadar. Lower ρ = fairer/faster than the 1/n-share baseline.
 
-use hadar_metrics::{bar_chart, CsvWriter};
-use hadar_sim::{SimResult, SweepRunner};
-use hadar_workload::ArrivalPattern;
+use std::path::Path;
 
-use crate::experiments::{run_scenario, SchedulerKind};
-use crate::figures::{results_dir, FigureResult};
-use crate::scenarios::paper_sim_scenario;
+use hadar_metrics::{bar_chart, CsvWriter};
+
+use crate::experiments::SchedulerKind;
+use crate::figures::{indent, FigureResult, PaperSweep};
 
 /// The schedulers of Fig. 5 (YARN-CS is excluded, as in the paper).
 const SCHEDULERS: [SchedulerKind; 3] = [
@@ -16,37 +15,20 @@ const SCHEDULERS: [SchedulerKind; 3] = [
     SchedulerKind::Tiresias,
 ];
 
-/// Regenerate Fig. 5, fanning the per-scheduler cells out over `runner`.
-pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
-    let num_jobs = if quick { 40 } else { 480 };
-    let seed = 42;
-
-    let cells: Vec<Box<dyn FnOnce() -> SimResult + Send>> = SCHEDULERS
-        .into_iter()
-        .map(|kind| {
-            Box::new(move || {
-                let s = paper_sim_scenario(num_jobs, seed, ArrivalPattern::Static);
-                run_scenario(s.cluster, s.jobs, s.config, kind)
-            }) as Box<dyn FnOnce() -> SimResult + Send>
-        })
-        .collect();
-    let results = runner.run(cells);
-
+/// Regenerate Fig. 5 from the static comparison `sweep`.
+pub fn run(sweep: &PaperSweep, out_dir: &Path) -> FigureResult {
     let mut csv = CsvWriter::new(&["scheduler", "mean_ftf", "median_ftf", "p95_ftf", "max_ftf"]);
     let mut dist = CsvWriter::new(&["scheduler", "job_id", "ftf"]);
-    let mut summary = format!("Fig. 5: finish-time fairness, {num_jobs} static jobs\n");
-    let mut hadar_mean = 0.0;
-    let mut timings = Vec::new();
+    let mut summary = format!(
+        "Fig. 5: finish-time fairness, {} static jobs\n",
+        sweep.num_jobs
+    );
+    let hadar_mean = sweep.outcome(SchedulerKind::Hadar).ftf().mean;
+    let mut bars: Vec<(&str, f64)> = Vec::new();
 
-    // Cell order is fixed (Hadar first), so the "(x Hadar)" ratios match a
-    // serial run exactly.
-    for (kind, cell) in SCHEDULERS.into_iter().zip(results) {
-        let out = cell.outcome.expect("simulation cell failed");
-        timings.push((out.scheduler.clone(), cell.wall_seconds));
+    for kind in SCHEDULERS {
+        let out = sweep.outcome(kind);
         let stats = out.ftf();
-        if kind == SchedulerKind::Hadar {
-            hadar_mean = stats.mean;
-        }
         csv.row(vec![
             out.scheduler.clone(),
             format!("{:.4}", stats.mean),
@@ -70,42 +52,36 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
             "  {:<9} mean ρ {:.3}{vs} | median {:.3} | p95 {:.3}\n",
             out.scheduler, stats.mean, stats.median, stats.p95
         ));
+        bars.push((kind.name(), stats.mean));
     }
 
-    let bars: Vec<(String, f64)> = csv
-        .as_str()
-        .lines()
-        .skip(1)
-        .map(|l| {
-            let mut it = l.split(',');
-            let name = it.next().expect("name").to_owned();
-            let v: f64 = it.next().expect("mean").parse().expect("number");
-            (name, v)
-        })
-        .collect();
-    let bar_refs: Vec<(&str, f64)> = bars.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     summary.push_str("\n  mean FTF rho (lower = fairer):\n");
-    for line in bar_chart(&bar_refs, 40).lines() {
-        summary.push_str("  ");
-        summary.push_str(line);
-        summary.push('\n');
-    }
+    summary.push_str(&indent(&bar_chart(&bars, 40)));
 
-    let path = results_dir().join("fig5_ftf.csv");
-    let dist_path = results_dir().join("fig5_ftf_distribution.csv");
+    let path = out_dir.join("fig5_ftf.csv");
+    let dist_path = out_dir.join("fig5_ftf_distribution.csv");
     csv.write_to(&path).expect("write fig5 csv");
     dist.write_to(&dist_path)
         .expect("write fig5 distribution csv");
-    FigureResult::new("fig5", summary, vec![path, dist_path]).with_timings(timings)
+    FigureResult::new("fig5", summary, vec![path, dist_path])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::test_out;
+    use hadar_sim::SweepRunner;
+    use hadar_workload::ArrivalPattern;
 
     #[test]
     fn quick_run_excludes_yarn() {
-        let r = run(true, &SweepRunner::serial());
+        let sweep = PaperSweep::run(
+            40,
+            ArrivalPattern::Static,
+            &SCHEDULERS,
+            &SweepRunner::serial(),
+        );
+        let r = run(&sweep, &test_out());
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
         assert!(!csv.contains("YARN"));
         assert_eq!(csv.lines().count(), 4);

@@ -2,49 +2,30 @@
 //! "flexibly specifying its scheduling policy towards makespan
 //! minimization" (the [`hadar_core::MinMakespan`] utility).
 
+use std::path::Path;
+
 use hadar_metrics::{bar_chart, CsvWriter};
-use hadar_sim::{SimResult, SweepRunner};
-use hadar_workload::ArrivalPattern;
 
-use crate::experiments::{run_scenario, SchedulerKind};
-use crate::figures::{results_dir, FigureResult};
-use crate::scenarios::paper_sim_scenario;
+use crate::experiments::SchedulerKind;
+use crate::figures::{indent, FigureResult, PaperSweep};
 
-/// Regenerate Fig. 6, fanning the per-scheduler cells out over `runner`.
-pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
-    let num_jobs = if quick { 40 } else { 480 };
-    let seed = 42;
+/// The schedulers of Fig. 6, Hadar with its makespan objective first.
+const SCHEDULERS: [SchedulerKind; 3] = [
+    SchedulerKind::HadarMakespan,
+    SchedulerKind::Gavel,
+    SchedulerKind::Tiresias,
+];
 
-    let schedulers = [
-        SchedulerKind::HadarMakespan,
-        SchedulerKind::Gavel,
-        SchedulerKind::Tiresias,
-    ];
-    let cells: Vec<Box<dyn FnOnce() -> SimResult + Send>> = schedulers
-        .into_iter()
-        .map(|kind| {
-            Box::new(move || {
-                let s = paper_sim_scenario(num_jobs, seed, ArrivalPattern::Static);
-                run_scenario(s.cluster, s.jobs, s.config, kind)
-            }) as Box<dyn FnOnce() -> SimResult + Send>
-        })
-        .collect();
-    let results = runner.run(cells);
-
+/// Regenerate Fig. 6 from the static comparison `sweep`.
+pub fn run(sweep: &PaperSweep, out_dir: &Path) -> FigureResult {
     let mut csv = CsvWriter::new(&["scheduler", "makespan_hours"]);
-    let mut summary = format!("Fig. 6: makespan, {num_jobs} static jobs\n");
-    let mut hadar_makespan = 0.0;
-    let mut timings = Vec::new();
+    let mut summary = format!("Fig. 6: makespan, {} static jobs\n", sweep.num_jobs);
+    let hadar_makespan = sweep.outcome(SchedulerKind::HadarMakespan).makespan();
+    let mut bars: Vec<(&str, f64)> = Vec::new();
 
-    // Hadar (makespan) is always the first cell, so the "(x Hadar)" ratios
-    // match a serial run exactly.
-    for (kind, cell) in schedulers.into_iter().zip(results) {
-        let out = cell.outcome.expect("simulation cell failed");
-        timings.push((out.scheduler.clone(), cell.wall_seconds));
+    for kind in SCHEDULERS {
+        let out = sweep.outcome(kind);
         let makespan = out.makespan();
-        if kind == SchedulerKind::HadarMakespan {
-            hadar_makespan = makespan;
-        }
         csv.row(vec![
             out.scheduler.clone(),
             format!("{:.3}", makespan / 3600.0),
@@ -59,39 +40,33 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
             out.scheduler,
             makespan / 3600.0
         ));
+        bars.push((kind.name(), makespan / 3600.0));
     }
 
-    let bars: Vec<(String, f64)> = csv
-        .as_str()
-        .lines()
-        .skip(1)
-        .map(|l| {
-            let mut it = l.split(',');
-            let name = it.next().expect("name").to_owned();
-            let v: f64 = it.next().expect("makespan").parse().expect("number");
-            (name, v)
-        })
-        .collect();
-    let bar_refs: Vec<(&str, f64)> = bars.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     summary.push_str("\n  makespan (hours):\n");
-    for line in bar_chart(&bar_refs, 40).lines() {
-        summary.push_str("  ");
-        summary.push_str(line);
-        summary.push('\n');
-    }
+    summary.push_str(&indent(&bar_chart(&bars, 40)));
 
-    let path = results_dir().join("fig6_makespan.csv");
+    let path = out_dir.join("fig6_makespan.csv");
     csv.write_to(&path).expect("write fig6 csv");
-    FigureResult::new("fig6", summary, vec![path]).with_timings(timings)
+    FigureResult::new("fig6", summary, vec![path])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::test_out;
+    use hadar_sim::SweepRunner;
+    use hadar_workload::ArrivalPattern;
 
     #[test]
     fn quick_run_uses_makespan_objective() {
-        let r = run(true, &SweepRunner::serial());
+        let sweep = PaperSweep::run(
+            40,
+            ArrivalPattern::Static,
+            &SCHEDULERS,
+            &SweepRunner::serial(),
+        );
+        let r = run(&sweep, &test_out());
         assert!(r.summary.contains("Hadar (makespan)"));
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
         assert_eq!(csv.lines().count(), 4);

@@ -15,6 +15,7 @@
 //! the cells always run serially. Its CSV is correspondingly excluded from
 //! the serial-vs-parallel byte-equality guarantee.
 
+use std::path::Path;
 use std::time::Instant;
 
 use hadar_baselines::GavelScheduler;
@@ -25,7 +26,7 @@ use hadar_sim::{SimConfig, Simulation};
 use hadar_solver::{total_throughput_lp, GavelLpInput};
 use hadar_workload::{generate_trace, ArrivalPattern, Job, TraceConfig};
 
-use crate::figures::{results_dir, FigureResult};
+use crate::figures::FigureResult;
 
 /// Cluster used for `n` jobs: grows linearly with the workload
 /// (3 GPU types × `n/32` nodes × 4 GPUs ⇒ `3n/8` GPUs).
@@ -94,7 +95,7 @@ fn general_lp_seconds(cluster: &Cluster, jobs: &[Job]) -> f64 {
 }
 
 /// Regenerate Fig. 7.
-pub fn run(quick: bool) -> FigureResult {
+pub fn run(quick: bool, out_dir: &Path) -> FigureResult {
     let sizes: &[usize] = if quick {
         &[32, 64]
     } else {
@@ -125,7 +126,7 @@ pub fn run(quick: bool) -> FigureResult {
             d.gavel_lp * 1e3
         ));
     }
-    let path = results_dir().join("fig7_scalability.csv");
+    let path = out_dir.join("fig7_scalability.csv");
     csv.write_to(&path).expect("write fig7 csv");
     FigureResult::new("fig7", summary, vec![path])
 }
@@ -143,7 +144,7 @@ mod tests {
 
     #[test]
     fn quick_run_measures_two_sizes() {
-        let r = run(true);
+        let r = run(true, &crate::figures::test_out());
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("jobs,cluster_gpus,hadar_seconds,gavel_seconds,gavel_lp_seconds\n"));

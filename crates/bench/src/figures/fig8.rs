@@ -2,12 +2,14 @@
 //! Hadar, Gavel, and Tiresias. The min–max band width shows each system's
 //! variability under load.
 
+use std::path::Path;
+
 use hadar_metrics::CsvWriter;
 use hadar_sim::SweepRunner;
 use hadar_workload::ArrivalPattern;
 
 use crate::experiments::{run_scenario, SchedulerKind};
-use crate::figures::{results_dir, FigureResult};
+use crate::figures::{run_cells, FigureResult};
 use crate::scenarios::paper_sim_scenario;
 
 /// The schedulers of Fig. 8.
@@ -19,16 +21,15 @@ const SCHEDULERS: [SchedulerKind; 3] = [
 
 /// Regenerate Fig. 8, fanning the (scheduler × rate × seed) cells out over
 /// `runner`.
-pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
+pub fn run(quick: bool, runner: &SweepRunner, out_dir: &Path) -> FigureResult {
     let (num_jobs, rates, seeds): (usize, &[f64], &[u64]) = if quick {
         (30, &[60.0], &[1])
     } else {
         (240, &[30.0, 45.0, 60.0, 75.0, 90.0], &[1, 2, 3])
     };
 
-    let mut tasks: Vec<Box<dyn FnOnce() -> hadar_sim::SimResult + Send>> = Vec::new();
+    let mut cells = Vec::new();
     let mut index: Vec<(SchedulerKind, f64)> = Vec::new();
-    let mut labels: Vec<String> = Vec::new();
     for kind in SCHEDULERS {
         for &rate in rates {
             for &seed in seeds {
@@ -36,24 +37,15 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
                     jobs_per_hour: rate,
                 };
                 index.push((kind, rate));
-                labels.push(format!("{} λ={rate}/h seed {seed}", kind.name()));
-                tasks.push(Box::new(move || {
+                let cell = move || {
                     let s = paper_sim_scenario(num_jobs, seed, pattern);
                     run_scenario(s.cluster, s.jobs, s.config, kind)
-                }));
+                };
+                cells.push((format!("{} λ={rate}/h seed {seed}", kind.name()), cell));
             }
         }
     }
-    let results = runner.run(tasks);
-    let timings: Vec<(String, f64)> = labels
-        .into_iter()
-        .zip(&results)
-        .map(|(l, c)| (l, c.wall_seconds))
-        .collect();
-    let outcomes: Vec<hadar_sim::SimOutcome> = results
-        .into_iter()
-        .map(|c| c.outcome.expect("simulation cell failed"))
-        .collect();
+    let (outcomes, timings) = run_cells(runner, cells);
 
     let mut csv = CsvWriter::new(&[
         "scheduler",
@@ -90,7 +82,7 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
         }
     }
 
-    let path = results_dir().join("fig8_jct_vs_rate.csv");
+    let path = out_dir.join("fig8_jct_vs_rate.csv");
     csv.write_to(&path).expect("write fig8 csv");
     FigureResult::new("fig8", summary, vec![path]).with_timings(timings)
 }
@@ -101,7 +93,7 @@ mod tests {
 
     #[test]
     fn quick_run_covers_three_schedulers() {
-        let r = run(true, &SweepRunner::serial());
+        let r = run(true, &SweepRunner::serial(), &crate::figures::test_out());
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
         assert_eq!(csv.lines().count(), 4); // header + 3 schedulers × 1 rate
     }

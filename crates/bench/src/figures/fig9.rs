@@ -3,17 +3,19 @@
 //! optimal allocations but more checkpoint overhead; long rounds add
 //! queuing delay and allocation drift.
 
+use std::path::Path;
+
 use hadar_metrics::CsvWriter;
 use hadar_sim::SweepRunner;
 use hadar_workload::ArrivalPattern;
 
 use crate::experiments::{run_scenario, SchedulerKind};
-use crate::figures::{results_dir, FigureResult};
+use crate::figures::{run_cells, FigureResult};
 use crate::scenarios::paper_sim_scenario;
 
 /// Regenerate Fig. 9, fanning the (round length × rate) cells out over
 /// `runner`.
-pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
+pub fn run(quick: bool, runner: &SweepRunner, out_dir: &Path) -> FigureResult {
     let (num_jobs, round_minutes, rates): (usize, &[f64], &[f64]) = if quick {
         (30, &[6.0, 48.0], &[60.0])
     } else {
@@ -25,12 +27,12 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
     };
     let seed = 11;
 
-    let mut tasks: Vec<Box<dyn FnOnce() -> hadar_sim::SimResult + Send>> = Vec::new();
+    let mut cells = Vec::new();
     let mut index: Vec<(f64, f64)> = Vec::new();
     for &rm in round_minutes {
         for &rate in rates {
             index.push((rm, rate));
-            tasks.push(Box::new(move || {
+            let cell = move || {
                 let mut s = paper_sim_scenario(
                     num_jobs,
                     seed,
@@ -40,19 +42,11 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
                 );
                 s.config.round_length = rm * 60.0;
                 run_scenario(s.cluster, s.jobs, s.config, SchedulerKind::Hadar)
-            }));
+            };
+            cells.push((format!("round {rm} min λ={rate}/h"), cell));
         }
     }
-    let results = runner.run(tasks);
-    let timings: Vec<(String, f64)> = index
-        .iter()
-        .zip(&results)
-        .map(|(&(rm, rate), c)| (format!("round {rm} min λ={rate}/h"), c.wall_seconds))
-        .collect();
-    let outcomes: Vec<hadar_sim::SimOutcome> = results
-        .into_iter()
-        .map(|c| c.outcome.expect("simulation cell failed"))
-        .collect();
+    let (outcomes, timings) = run_cells(runner, cells);
 
     let mut csv = CsvWriter::new(&["round_minutes", "jobs_per_hour", "mean_jct_hours"]);
     let mut summary = format!("Fig. 9: Hadar avg JCT vs round length ({num_jobs} jobs/run)\n");
@@ -69,7 +63,7 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
         ));
     }
 
-    let path = results_dir().join("fig9_round_length.csv");
+    let path = out_dir.join("fig9_round_length.csv");
     csv.write_to(&path).expect("write fig9 csv");
     FigureResult::new("fig9", summary, vec![path]).with_timings(timings)
 }
@@ -80,7 +74,7 @@ mod tests {
 
     #[test]
     fn quick_run_sweeps_round_lengths() {
-        let r = run(true, &SweepRunner::serial());
+        let r = run(true, &SweepRunner::serial(), &crate::figures::test_out());
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
         assert_eq!(csv.lines().count(), 3); // header + 2 rounds × 1 rate
         assert!(r.summary.contains("round"));

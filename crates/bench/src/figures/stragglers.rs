@@ -8,19 +8,19 @@
 //! are straggler-blind and pay the synchronization-barrier penalty for as
 //! long as a slowdown lasts.
 
+use std::path::Path;
+
 use hadar_metrics::CsvWriter;
-use hadar_sim::{SimResult, StragglerModel, SweepRunner};
-use hadar_workload::ArrivalPattern;
+use hadar_sim::{StragglerModel, SweepRunner};
 
 use crate::experiments::{run_scenario, SchedulerKind};
-use crate::figures::{results_dir, FigureResult};
+use crate::figures::{run_cells, FigureResult, PaperSweep};
 use crate::scenarios::paper_sim_scenario;
 
-/// Run the straggler resilience comparison, fanning the
-/// (scheduler × {healthy, straggling}) cells out over `runner`.
-pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
-    let num_jobs = if quick { 24 } else { 160 };
-    let seed = 42;
+/// Run the straggler resilience comparison: the healthy runs come from
+/// `healthy`, the straggling cells fan out over `runner`.
+pub fn run(healthy: &PaperSweep, runner: &SweepRunner, out_dir: &Path) -> FigureResult {
+    let (num_jobs, pattern) = (healthy.num_jobs, healthy.pattern);
     let model = StragglerModel {
         incidence: 0.03,
         slowdown: 0.4,
@@ -28,33 +28,18 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
         seed: 17,
     };
 
-    let mut cells: Vec<Box<dyn FnOnce() -> SimResult + Send>> = Vec::new();
-    let mut labels: Vec<String> = Vec::new();
-    for kind in SchedulerKind::HEADLINE {
-        for straggling in [false, true] {
-            labels.push(format!(
-                "{} {}",
-                kind.name(),
-                if straggling { "straggling" } else { "healthy" }
-            ));
-            cells.push(Box::new(move || {
-                let mut s = paper_sim_scenario(num_jobs, seed, ArrivalPattern::Static);
-                if straggling {
-                    s.config.straggler = Some(model);
-                }
+    let cells = SchedulerKind::HEADLINE
+        .into_iter()
+        .map(|kind| {
+            let cell = move || {
+                let mut s = paper_sim_scenario(num_jobs, PaperSweep::SEED, pattern);
+                s.config.straggler = Some(model);
                 run_scenario(s.cluster, s.jobs, s.config, kind)
-            }));
-        }
-    }
-    let results = runner.run(cells);
-    let timings: Vec<(String, f64)> = labels
-        .into_iter()
-        .zip(&results)
-        .map(|(l, c)| (l, c.wall_seconds))
+            };
+            (format!("{} straggling", kind.name()), cell)
+        })
         .collect();
-    let mut outcomes = results
-        .into_iter()
-        .map(|c| c.outcome.expect("simulation cell failed"));
+    let (straggling, timings) = run_cells(runner, cells);
 
     let mut csv = CsvWriter::new(&[
         "scheduler",
@@ -66,11 +51,9 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
         "Stragglers: JCT degradation under transient machine slowdowns ({num_jobs} static jobs)\n"
     );
 
-    for kind in SchedulerKind::HEADLINE {
-        let healthy = outcomes.next().expect("healthy cell");
-        let straggling = outcomes.next().expect("straggling cell");
+    for (kind, straggling) in SchedulerKind::HEADLINE.into_iter().zip(&straggling) {
         assert_eq!(straggling.completed_jobs(), num_jobs, "{}", kind.name());
-        let (h, g) = (healthy.mean_jct(), straggling.mean_jct());
+        let (h, g) = (healthy.outcome(kind).mean_jct(), straggling.mean_jct());
         let degradation = (g - h) / h * 100.0;
         csv.row(vec![
             kind.name().to_owned(),
@@ -87,7 +70,7 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
         ));
     }
 
-    let path = results_dir().join("stragglers.csv");
+    let path = out_dir.join("stragglers.csv");
     csv.write_to(&path).expect("write stragglers csv");
     FigureResult::new("stragglers", summary, vec![path]).with_timings(timings)
 }
@@ -98,8 +81,15 @@ mod tests {
 
     #[test]
     fn quick_run_reports_all_schedulers() {
-        let r = run(true, &SweepRunner::serial());
-        assert_eq!(r.timings.len(), 8);
+        let runner = SweepRunner::serial();
+        let healthy = PaperSweep::run(
+            24,
+            hadar_workload::ArrivalPattern::Static,
+            &SchedulerKind::HEADLINE,
+            &runner,
+        );
+        let r = run(&healthy, &runner, &crate::figures::test_out());
+        assert_eq!(r.timings.len(), 4);
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
         assert_eq!(csv.lines().count(), 5);
         assert!(r.summary.contains("straggling"));

@@ -2,13 +2,15 @@
 //! relative size class — plus the synthetic per-GPU throughputs this
 //! reproduction uses in place of Gavel's raw measurements.
 
+use std::path::Path;
+
 use hadar_metrics::{CsvWriter, Table};
 use hadar_workload::DlTask;
 
-use crate::figures::{results_dir, FigureResult};
+use crate::figures::FigureResult;
 
 /// Regenerate Table II.
-pub fn run(_quick: bool) -> FigureResult {
+pub fn run(out_dir: &Path) -> FigureResult {
     let mut table = Table::new(vec![
         "Task",
         "Model",
@@ -50,7 +52,7 @@ pub fn run(_quick: bool) -> FigureResult {
             format!("{}", t.checkpoint_mib()),
         ]);
     }
-    let path = results_dir().join("table2_workloads.csv");
+    let path = out_dir.join("table2_workloads.csv");
     csv.write_to(&path).expect("write table2 csv");
     FigureResult::new(
         "table2",
@@ -65,7 +67,7 @@ mod tests {
 
     #[test]
     fn lists_all_five_models() {
-        let r = run(true);
+        let r = run(&crate::figures::test_out());
         for m in ["ResNet-50", "ResNet-18", "LSTM", "CycleGAN", "Transformer"] {
             assert!(r.summary.contains(m), "{m} missing");
         }

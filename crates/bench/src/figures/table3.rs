@@ -9,11 +9,13 @@
 //! delay). The paper validates its simulator against the testbed within
 //! 10 %; we reproduce that claim as the gap between these two rows.
 
+use std::path::Path;
+
 use hadar_metrics::{CsvWriter, Table};
-use hadar_sim::{CheckpointModel, PreemptionPenalty, SimResult, SweepRunner};
+use hadar_sim::{CheckpointModel, PreemptionPenalty, SweepRunner};
 
 use crate::experiments::{run_scenario, SchedulerKind};
-use crate::figures::{results_dir, FigureResult};
+use crate::figures::{run_cells, FigureResult};
 use crate::scenarios::aws_prototype_scenario;
 
 const SCHEDULERS: [SchedulerKind; 3] = [
@@ -22,46 +24,39 @@ const SCHEDULERS: [SchedulerKind; 3] = [
     SchedulerKind::Tiresias,
 ];
 
+/// The two cluster modes: the calibrated "physical" stand-in first.
+const MODES: [(bool, &str); 2] = [(true, "Physical (modeled)"), (false, "Simulated")];
+
 /// Regenerate Table III, fanning the (cluster mode × scheduler) cells out
 /// over `runner`.
-pub fn run(_quick: bool, runner: &SweepRunner) -> FigureResult {
-    let grid: Vec<(bool, SchedulerKind)> = [true, false]
+pub fn run(runner: &SweepRunner, out_dir: &Path) -> FigureResult {
+    let cells = MODES
         .into_iter()
-        .flat_map(|physical| SCHEDULERS.into_iter().map(move |kind| (physical, kind)))
-        .collect();
-    let sim_cells: Vec<Box<dyn FnOnce() -> SimResult + Send>> = grid
-        .iter()
-        .map(|&(physical, kind)| {
-            Box::new(move || {
-                let mut s = aws_prototype_scenario(0);
-                if physical {
-                    s.config.penalty = PreemptionPenalty::Modeled(CheckpointModel::default());
-                }
-                run_scenario(s.cluster, s.jobs, s.config, kind)
-            }) as Box<dyn FnOnce() -> SimResult + Send>
+        .flat_map(|(physical, label)| {
+            SCHEDULERS.into_iter().map(move |kind| {
+                let cell = move || {
+                    let mut s = aws_prototype_scenario(0);
+                    if physical {
+                        s.config.penalty = PreemptionPenalty::Modeled(CheckpointModel::default());
+                    }
+                    run_scenario(s.cluster, s.jobs, s.config, kind)
+                };
+                (format!("{label} / {}", kind.name()), cell)
+            })
         })
         .collect();
-    let results = runner.run(sim_cells);
+    let (outcomes, timings) = run_cells(runner, cells);
 
     let mut table = Table::new(vec!["Cluster", "Metric", "Hadar", "Gavel", "Tiresias"]);
     let mut csv = CsvWriter::new(&["cluster", "scheduler", "mean_jct_hours", "makespan_hours"]);
-    let mut timings = Vec::new();
 
-    // One row group per cluster mode: (label, per-scheduler (name, jct, makespan)).
-    type ClusterRow = (String, Vec<(String, f64, f64)>);
-    let mut rows: Vec<ClusterRow> = Vec::new();
-    let mut outcomes = grid.iter().zip(results);
-    for physical in [true, false] {
-        let label = if physical {
-            "Physical (modeled)"
-        } else {
-            "Simulated"
-        };
+    // One row group per cluster mode: (label, per-scheduler (jct, makespan)).
+    let mut rows: Vec<(&str, Vec<(f64, f64)>)> = Vec::new();
+    let mut outcomes = outcomes.iter();
+    for (_, label) in MODES {
         let mut cells = Vec::new();
         for _ in SCHEDULERS {
-            let (_, cell) = outcomes.next().expect("one outcome per grid cell");
-            let out = cell.outcome.expect("simulation cell failed");
-            timings.push((format!("{label} / {}", out.scheduler), cell.wall_seconds));
+            let out = outcomes.next().expect("one outcome per grid cell");
             assert_eq!(out.completed_jobs(), 10, "{}", out.scheduler);
             let jct = out.mean_jct() / 3600.0;
             let makespan = out.makespan() / 3600.0;
@@ -71,35 +66,35 @@ pub fn run(_quick: bool, runner: &SweepRunner) -> FigureResult {
                 format!("{jct:.3}"),
                 format!("{makespan:.3}"),
             ]);
-            cells.push((out.scheduler.clone(), jct, makespan));
+            cells.push((jct, makespan));
         }
-        rows.push((label.to_owned(), cells));
+        rows.push((label, cells));
     }
 
     for (label, cells) in &rows {
         table.row(vec![
-            label.clone(),
+            label.to_string(),
             "JCT (h)".to_owned(),
+            format!("{:.2}", cells[0].0),
+            format!("{:.2}", cells[1].0),
+            format!("{:.2}", cells[2].0),
+        ]);
+        table.row(vec![
+            label.to_string(),
+            "Makespan (h)".to_owned(),
             format!("{:.2}", cells[0].1),
             format!("{:.2}", cells[1].1),
             format!("{:.2}", cells[2].1),
         ]);
-        table.row(vec![
-            label.clone(),
-            "Makespan (h)".to_owned(),
-            format!("{:.2}", cells[0].2),
-            format!("{:.2}", cells[1].2),
-            format!("{:.2}", cells[2].2),
-        ]);
     }
     // The paper's simulator-vs-testbed agreement claim: JCT within 10 %.
-    let gap = (rows[0].1[0].1 - rows[1].1[0].1).abs() / rows[1].1[0].1.max(1e-9) * 100.0;
+    let gap = (rows[0].1[0].0 - rows[1].1[0].0).abs() / rows[1].1[0].0.max(1e-9) * 100.0;
     let summary = format!(
         "Table III: AWS prototype workload (10 jobs, 8 GPUs)\n{}\nHadar JCT gap physical-vs-simulated: {gap:.1}%\n",
         table.render()
     );
 
-    let path = results_dir().join("table3_prototype.csv");
+    let path = out_dir.join("table3_prototype.csv");
     csv.write_to(&path).expect("write table3 csv");
     FigureResult::new("table3", summary, vec![path]).with_timings(timings)
 }
@@ -110,7 +105,7 @@ mod tests {
 
     #[test]
     fn produces_both_cluster_rows() {
-        let r = run(true, &SweepRunner::serial());
+        let r = run(&SweepRunner::serial(), &crate::figures::test_out());
         assert!(r.summary.contains("Physical (modeled)"));
         assert!(r.summary.contains("Simulated"));
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();

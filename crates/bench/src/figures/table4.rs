@@ -3,17 +3,19 @@
 //! measured column: the realized overhead observed in a simulation run
 //! with the modeled checkpoint costs.
 
+use std::path::Path;
+
 use hadar_metrics::{CsvWriter, Table};
-use hadar_sim::{CheckpointModel, PreemptionPenalty, SimResult, SweepRunner};
+use hadar_sim::{CheckpointModel, PreemptionPenalty, SweepRunner};
 use hadar_workload::{ArrivalPattern, DlTask};
 
 use crate::experiments::{run_scenario, SchedulerKind};
-use crate::figures::{results_dir, FigureResult};
+use crate::figures::{run_cells, FigureResult};
 use crate::scenarios::paper_sim_scenario;
 
 /// Regenerate Table IV. The live cross-check run is submitted through
 /// `runner` as a single cell.
-pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
+pub fn run(quick: bool, runner: &SweepRunner, out_dir: &Path) -> FigureResult {
     let model = CheckpointModel::default();
     let round = 360.0;
 
@@ -43,18 +45,13 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
     // Cross-check with a live run: total stall time / total held time under
     // the modeled penalty.
     let num_jobs = if quick { 20 } else { 120 };
-    let cell: Vec<Box<dyn FnOnce() -> SimResult + Send>> = vec![Box::new(move || {
+    let cell = move || {
         let mut s = paper_sim_scenario(num_jobs, 5, ArrivalPattern::Static);
         s.config.penalty = PreemptionPenalty::Modeled(model);
         run_scenario(s.cluster, s.jobs, s.config, SchedulerKind::Hadar)
-    })];
-    let mut results = runner.run(cell);
-    let live = results.pop().expect("live cross-check cell");
-    let timings = vec![("Hadar live cross-check".to_owned(), live.wall_seconds)];
-    let realloc_rate = live
-        .outcome
-        .expect("simulation cell failed")
-        .reallocation_rate();
+    };
+    let (live, timings) = run_cells(runner, vec![("Hadar live cross-check".to_owned(), cell)]);
+    let realloc_rate = live[0].reallocation_rate();
 
     let summary = format!(
         "Table IV: preemption overhead per model (6-minute rounds, {} MiB/s effective SSD)\n{}\nLive run: {:.1}% of job-rounds required reallocation (paper §IV-A-5 reports ~30%)\n",
@@ -62,7 +59,7 @@ pub fn run(quick: bool, runner: &SweepRunner) -> FigureResult {
         table.render(),
         realloc_rate * 100.0,
     );
-    let path = results_dir().join("table4_overhead.csv");
+    let path = out_dir.join("table4_overhead.csv");
     csv.write_to(&path).expect("write table4 csv");
     FigureResult::new("table4", summary, vec![path]).with_timings(timings)
 }
@@ -73,7 +70,7 @@ mod tests {
 
     #[test]
     fn overheads_match_paper_within_tolerance() {
-        let r = run(true, &SweepRunner::serial());
+        let r = run(true, &SweepRunner::serial(), &crate::figures::test_out());
         // Spot-check the headline entries of Table IV.
         let csv = std::fs::read_to_string(&r.csv_paths[0]).unwrap();
         let rn50 = csv

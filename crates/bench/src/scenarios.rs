@@ -7,8 +7,6 @@ use hadar_workload::{generate_trace, ArrivalPattern, DlTask, Job, TraceConfig};
 /// A fully specified experiment input.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Human-readable label ("static", "continuous λ=60", …).
-    pub label: String,
     /// Cluster topology.
     pub cluster: Cluster,
     /// The trace.
@@ -32,14 +30,7 @@ pub fn paper_sim_scenario(num_jobs: usize, seed: u64, pattern: ArrivalPattern) -
         },
         cluster.catalog(),
     );
-    let label = match pattern {
-        ArrivalPattern::Static => format!("static/{num_jobs}jobs/seed{seed}"),
-        ArrivalPattern::Poisson { jobs_per_hour } => {
-            format!("continuous-λ{jobs_per_hour}/{num_jobs}jobs/seed{seed}")
-        }
-    };
     Scenario {
-        label,
         cluster,
         jobs,
         config: SimConfig::default(),
@@ -84,7 +75,6 @@ pub fn aws_prototype_scenario(seed: u64) -> Scenario {
         })
         .collect();
     Scenario {
-        label: format!("aws-prototype/seed{seed}"),
         cluster,
         jobs,
         config: SimConfig::default(),
@@ -101,7 +91,6 @@ mod tests {
         assert_eq!(s.jobs.len(), 480);
         assert_eq!(s.cluster.total_gpus(), 60);
         assert_eq!(s.config.round_length, 360.0);
-        assert!(s.label.contains("static"));
     }
 
     #[test]

@@ -1,35 +1,44 @@
 //! The core guarantee of the parallel sweep runner: fanning figure cells
 //! over a thread pool produces byte-identical CSVs and identical summaries
 //! to the strict serial reference, and parallel runs are deterministic.
-//!
-//! One test function on purpose: the experiments locate their output via
-//! the process-wide `HADAR_RESULTS_DIR` variable, so the serial and
-//! parallel runs must happen sequentially in a single test.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use hadar_bench::figures::{self, PaperSweep};
+use hadar_bench::SchedulerKind;
 use hadar_sim::SweepRunner;
+use hadar_workload::ArrivalPattern;
 
 /// Run a representative slice of the figure suite into `dir` and return
 /// `(csv name -> bytes, figure name -> summary)`.
 ///
-/// The slice covers the sweep shapes: order-dependent "(x Hadar)"
-/// ratios (fig5), a parameter-grid sweep (fig9), a multi-cluster
-/// comparison (extensions), and the seeded fault-injection sweep
-/// (failures), whose RNG-driven eviction timeline must also be
-/// thread-count-invariant.
+/// The slice covers the sweep shapes: one figure fed by each shared
+/// sweep — order-dependent "(x Hadar)" ratios (fig5, from the static
+/// comparison) and the seeded fault-injection sweep (failures, from the
+/// healthy runs), whose RNG-driven eviction timeline must also be
+/// thread-count-invariant — a multi-cluster comparison (extensions), and a
+/// parameter-grid sweep (fig9).
 fn run_figures_into(
     dir: &Path,
     runner: &SweepRunner,
 ) -> (BTreeMap<String, Vec<u8>>, BTreeMap<String, String>) {
-    std::fs::create_dir_all(dir).unwrap();
-    std::env::set_var("HADAR_RESULTS_DIR", dir);
+    let comparison = PaperSweep::run(
+        40,
+        ArrivalPattern::Static,
+        &[
+            SchedulerKind::Hadar,
+            SchedulerKind::Gavel,
+            SchedulerKind::Tiresias,
+        ],
+        runner,
+    );
+    let healthy = PaperSweep::run(24, ArrivalPattern::Static, &SchedulerKind::HEADLINE, runner);
     let results = vec![
-        hadar_bench::figures::fig5::run(true, runner),
-        hadar_bench::figures::fig9::run(true, runner),
-        hadar_bench::figures::extensions::run(true, runner),
-        hadar_bench::figures::failures::run(true, runner),
+        figures::fig5::run(&comparison, dir),
+        figures::fig9::run(true, runner, dir),
+        figures::extensions::run(&healthy, runner, dir),
+        figures::failures::run(true, &healthy, runner, dir),
     ];
     let mut csvs = BTreeMap::new();
     let mut summaries = BTreeMap::new();

@@ -2,7 +2,7 @@
 //! offline list — no clap).
 
 use hadar_cluster::Cluster;
-use hadar_sim::{CheckpointModel, FailureModel, PreemptionPenalty, StragglerModel, SweepRunner};
+use hadar_sim::{CheckpointModel, FailureModel, PreemptionPenalty, StragglerModel};
 use hadar_workload::ArrivalPattern;
 
 /// Parsed `--key value` options plus positional arguments.
@@ -15,7 +15,8 @@ pub struct Options {
 impl Options {
     /// Parse from an argument iterator (excluding the program name).
     ///
-    /// Every `--key` consumes the following token as its value.
+    /// Every `--key` consumes the following token as its value, which may
+    /// not itself start with `--` (a missing value, not a path).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = Options::default();
         let mut it = args.into_iter();
@@ -23,6 +24,7 @@ impl Options {
             if let Some(key) = a.strip_prefix("--") {
                 let value = it
                     .next()
+                    .filter(|v| !v.starts_with("--"))
                     .ok_or_else(|| format!("--{key} expects a value"))?;
                 out.pairs.push((key.to_owned(), value));
             } else {
@@ -30,6 +32,25 @@ impl Options {
             }
         }
         Ok(out)
+    }
+
+    /// Reject any `--key` not in `accepted`, naming the first such key, so
+    /// a misspelled option fails instead of being silently ignored.
+    pub fn accept_only(&self, accepted: &[&str]) -> Result<(), String> {
+        match self
+            .pairs
+            .iter()
+            .find(|(k, _)| !accepted.contains(&k.as_str()))
+        {
+            None => Ok(()),
+            Some((key, _)) if accepted.is_empty() => {
+                Err(format!("unknown option --{key} (this command takes none)"))
+            }
+            Some((key, _)) => Err(format!(
+                "unknown option --{key} (expected one of --{})",
+                accepted.join(", --")
+            )),
+        }
     }
 
     /// Positional arguments in order.
@@ -119,19 +140,6 @@ pub fn parse_penalty(spec: &str) -> Result<PreemptionPenalty, String> {
     }
 }
 
-/// Build the sweep runner from `--threads N` (N ≥ 1; 1 = strict serial).
-/// Without the flag, `HADAR_THREADS` or the machine's available
-/// parallelism (capped at 16) decides.
-pub fn parse_runner(opts: &Options) -> Result<SweepRunner, String> {
-    match opts.get("threads") {
-        None => Ok(SweepRunner::from_env()),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(SweepRunner::new(n)),
-            _ => Err(format!("--threads expects a positive integer, got {v:?}")),
-        },
-    }
-}
-
 /// Parse `--straggler INCIDENCE,SLOWDOWN,MEAN_ROUNDS,SEED`.
 pub fn parse_straggler(spec: &str) -> Result<StragglerModel, String> {
     let parts: Vec<&str> = spec.split(',').collect();
@@ -207,6 +215,8 @@ mod tests {
     #[test]
     fn missing_value_is_error() {
         assert!(Options::parse(vec!["--jobs".to_string()]).is_err());
+        let args = ["--csv", "--jobs", "4"].map(String::from);
+        assert!(Options::parse(args).is_err());
     }
 
     #[test]
@@ -250,14 +260,25 @@ mod tests {
     }
 
     #[test]
+    fn unknown_keys_rejected() {
+        let o = opts(&["simulate", "--jobs", "4", "--sed", "3"]);
+        assert!(o.accept_only(&["jobs", "sed"]).is_ok());
+        let err = o.accept_only(&["jobs", "seed"]).unwrap_err();
+        assert!(err.contains("--sed"), "{err}");
+        assert!(err.contains("--seed"), "{err}");
+        let err = o.accept_only(&[]).unwrap_err();
+        assert!(err.contains("--jobs"), "{err}");
+        assert!(opts(&["catalog"]).accept_only(&[]).is_ok());
+    }
+
+    #[test]
     fn threads() {
-        assert_eq!(parse_runner(&opts(&[])).unwrap(), SweepRunner::from_env());
-        assert_eq!(
-            parse_runner(&opts(&["--threads", "3"])).unwrap().threads(),
-            3
-        );
-        assert!(parse_runner(&opts(&["--threads", "0"])).is_err());
-        assert!(parse_runner(&opts(&["--threads", "many"])).is_err());
+        // The worker count is not an option: a leftover `--threads` is an
+        // unknown key like any other.
+        let err = opts(&["--threads", "4"])
+            .accept_only(&["jobs"])
+            .unwrap_err();
+        assert!(err.contains("--threads"), "{err}");
     }
 
     #[test]

@@ -1,21 +1,39 @@
 //! `hadar-cli compare`: all four schedulers on one workload. The four
-//! simulation cells are submitted through a `hadar_sim::SweepRunner`, so
-//! `--threads N` runs them concurrently (results are identical to a serial
-//! run; only wall-clock differs).
+//! simulation cells run concurrently on a `hadar_sim::SweepRunner` with one
+//! worker per core (results are identical to a serial run; only wall-clock
+//! differs).
 
 use hadar_metrics::Table;
-use hadar_sim::{SimConfig, SimResult, Simulation, Telemetry};
+use hadar_sim::{SimConfig, Simulation, SweepRunner, Telemetry};
 use hadar_workload::{generate_trace, ArrivalPattern, TraceConfig};
 
-use crate::args::{parse_cluster, parse_failure, parse_pattern, parse_runner, Options};
+use crate::args::{parse_cluster, parse_failure, parse_pattern, Options};
 use crate::commands::scheduler_by_name;
 
 const SCHEDULERS: [&str; 4] = ["hadar", "gavel", "tiresias", "yarn"];
+
+/// The options `compare` accepts.
+const KEYS: &[&str] = &[
+    "jobs",
+    "seed",
+    "pattern",
+    "cluster",
+    "mtbf",
+    "mttr",
+    "failure-seed",
+    "telemetry-out",
+];
 
 /// Run the comparison. Returns `(table, telemetry_jsonl)`; the stream
 /// (every scheduler's JSONL concatenated, in table order) is `Some` only
 /// when `--telemetry-out` was given.
 pub fn run(opts: &Options) -> Result<(String, Option<String>), String> {
+    run_on(opts, &SweepRunner::default())
+}
+
+/// [`run`] with the four cells fanned out over `runner`.
+fn run_on(opts: &Options, runner: &SweepRunner) -> Result<(String, Option<String>), String> {
+    opts.accept_only(KEYS)?;
     let num_jobs: usize = opts.get_parsed("jobs", 48)?;
     if num_jobs == 0 {
         return Err("--jobs must be ≥ 1".into());
@@ -26,7 +44,6 @@ pub fn run(opts: &Options) -> Result<(String, Option<String>), String> {
         None => ArrivalPattern::Static,
     };
     let cluster = parse_cluster(opts.get("cluster").unwrap_or("paper"))?;
-    let runner = parse_runner(opts)?;
     let jobs = generate_trace(
         &TraceConfig {
             num_jobs,
@@ -42,11 +59,11 @@ pub fn run(opts: &Options) -> Result<(String, Option<String>), String> {
     };
 
     let observe = opts.get("telemetry-out").is_some();
-    let cells: Vec<Box<dyn FnOnce() -> SimResult + Send>> = SCHEDULERS
+    let cells: Vec<_> = SCHEDULERS
         .into_iter()
         .map(|name| {
             let (cluster, jobs) = (cluster.clone(), jobs.clone());
-            Box::new(move || {
+            move || {
                 let scheduler = scheduler_by_name(name).expect("known scheduler name");
                 let sink = if observe {
                     Telemetry::enabled()
@@ -54,7 +71,7 @@ pub fn run(opts: &Options) -> Result<(String, Option<String>), String> {
                     Telemetry::disabled()
                 };
                 Simulation::new(cluster, jobs, config).run_with_telemetry(scheduler, sink)
-            }) as Box<dyn FnOnce() -> SimResult + Send>
+            }
         })
         .collect();
     let results = runner.run(cells);
@@ -141,11 +158,22 @@ mod tests {
         }
     }
 
+    /// The comparison table of `args` run on `threads` workers, without
+    /// the header line (thread count) and the cell wall-clock lines.
+    fn table(args: &[&str], threads: usize) -> String {
+        let opts = Options::parse(args.iter().map(|s| s.to_string())).unwrap();
+        let (out, _) = run_on(&opts, &SweepRunner::new(threads)).unwrap();
+        out.lines()
+            .filter(|l| !l.contains("worker threads") && !l.contains("cell wall-clock"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
     #[test]
     fn failure_injection_is_deterministic_across_threads() {
         // Fixed --failure-seed: the same fault timeline (and therefore the
         // same table) whatever the worker count.
-        let base = [
+        let args = [
             "--jobs",
             "6",
             "--seed",
@@ -156,40 +184,25 @@ mod tests {
             "0.3",
             "--failure-seed",
             "7",
-            "--threads",
         ];
-        let table = |threads: &str| {
-            let args: Vec<String> = base
-                .iter()
-                .map(|s| s.to_string())
-                .chain([threads.to_string()])
-                .collect();
-            let (out, _) = run(&Options::parse(args).unwrap()).unwrap();
-            out.lines()
-                .filter(|l| !l.contains("worker threads") && !l.contains("cell wall-clock"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(table("1"), table("4"));
+        assert_eq!(table(&args, 1), table(&args, 4));
     }
 
     #[test]
     fn threaded_run_matches_serial_table() {
-        let base = ["--jobs", "6", "--seed", "4", "--threads"];
-        let table = |threads: &str| {
-            let args: Vec<String> = base
-                .iter()
-                .map(|s| s.to_string())
-                .chain([threads.to_string()])
-                .collect();
-            let (out, _) = run(&Options::parse(args).unwrap()).unwrap();
-            // Strip the header line (thread count) and cell wall-clock
-            // lines; the metric table itself must be identical.
-            out.lines()
-                .filter(|l| !l.contains("worker threads") && !l.contains("cell wall-clock"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(table("1"), table("4"));
+        let args = ["--jobs", "6", "--seed", "4"];
+        assert_eq!(table(&args, 1), table(&args, 4));
+    }
+
+    #[test]
+    fn compare_rejects_unknown_options() {
+        for (args, key) in [
+            (&["--jobs", "4", "--threds", "1"][..], "--threds"),
+            (&["--jobs", "4", "--threads", "1"][..], "--threads"),
+        ] {
+            let opts = Options::parse(args.iter().map(|s| s.to_string())).unwrap();
+            let err = run(&opts).unwrap_err();
+            assert!(err.contains(key), "{err}");
+        }
     }
 }

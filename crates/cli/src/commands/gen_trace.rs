@@ -4,9 +4,13 @@ use hadar_workload::{generate_trace, save_trace_csv, ArrivalPattern, TraceConfig
 
 use crate::args::{parse_cluster, parse_pattern, Options};
 
+/// The options `gen-trace` accepts.
+const KEYS: &[&str] = &["jobs", "seed", "pattern", "cluster", "out"];
+
 /// Generate a trace; returns `(report, csv)` — the CSV goes to `--out` or
 /// stdout.
 pub fn run(opts: &Options) -> Result<(String, String), String> {
+    opts.accept_only(KEYS)?;
     let num_jobs: usize = opts.get_parsed("jobs", 480)?;
     let seed: u64 = opts.get_parsed("seed", 0)?;
     let pattern = match opts.get("pattern") {

@@ -47,7 +47,6 @@ USAGE:
                      [--straggler INC,SLOW,ROUNDS,SEED]
                      [--mtbf HOURS] [--mttr HOURS] [--failure-seed S]
                      [--csv FILE] [--telemetry-out FILE]
-                     [--threads N]
       Run one simulation and print the metric report. --mtbf enables
       seeded machine fault injection (mean time between failures per
       machine, in hours; --mttr is the mean repair time, default 0.5 h):
@@ -60,14 +59,16 @@ USAGE:
 
   hadar-cli compare [--jobs N] [--seed S] [--pattern P] [--cluster C]
                     [--mtbf HOURS] [--mttr HOURS] [--failure-seed S]
-                    [--telemetry-out FILE] [--threads N]
+                    [--telemetry-out FILE]
       Run all four schedulers on the same workload and print a table.
-      --threads N fans the four runs over N worker threads (default:
-      HADAR_THREADS or the machine parallelism; results are identical to
-      --threads 1, only wall-clock differs). The --mtbf/--mttr/
+      The four runs share one worker per core; results are identical to
+      a serial run, only wall-clock differs. The --mtbf/--mttr/
       --failure-seed fault-injection flags work as in simulate;
       --telemetry-out concatenates every scheduler's JSONL stream into
       FILE in table order.
+
+  Every subcommand rejects an option it does not list, an option without
+  a value and a stray argument (exit code 2).
 ";
 
 #[cfg(test)]

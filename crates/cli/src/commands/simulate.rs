@@ -1,28 +1,41 @@
-//! `hadar-cli simulate`.
-//!
-//! The (single) simulation cell is submitted through the shared
-//! `hadar_sim::SweepRunner` like every sweep cell in the workspace, so the
-//! report includes the cell's wall-clock time and `--threads` is accepted
-//! for symmetry with `compare` (it cannot change a one-cell run).
+//! `hadar-cli simulate`: one simulation, timed, with its metric report.
 
-use hadar_sim::{SimConfig, SimOutcome, SimResult, Simulation, Telemetry};
+use std::time::Instant;
+
+use hadar_sim::{SimConfig, SimOutcome, Simulation, Telemetry};
 use hadar_workload::{generate_trace, load_trace_csv, ArrivalPattern, TraceConfig};
 
 use crate::args::{
-    parse_cluster, parse_failure, parse_pattern, parse_penalty, parse_runner, parse_straggler,
-    Options,
+    parse_cluster, parse_failure, parse_pattern, parse_penalty, parse_straggler, Options,
 };
 use crate::commands::{scheduler_by_name, SCHEDULER_NAMES};
+
+/// The options `simulate` accepts.
+const KEYS: &[&str] = &[
+    "scheduler",
+    "trace",
+    "jobs",
+    "seed",
+    "pattern",
+    "cluster",
+    "round-min",
+    "penalty",
+    "straggler",
+    "mtbf",
+    "mttr",
+    "failure-seed",
+    "csv",
+    "telemetry-out",
+];
 
 /// Run one simulation. Returns `(report, per_job_csv, telemetry_jsonl)`;
 /// the stream is `Some` only when `--telemetry-out` was given.
 pub fn run(opts: &Options) -> Result<(String, String, Option<String>), String> {
-    let scheduler_name = opts
-        .get("scheduler")
-        .ok_or_else(|| format!("--scheduler is required ({SCHEDULER_NAMES})"))?
-        .to_owned();
-    scheduler_by_name(&scheduler_name)?; // validate the name up front
-    let runner = parse_runner(opts)?;
+    opts.accept_only(KEYS)?;
+    let scheduler = scheduler_by_name(
+        opts.get("scheduler")
+            .ok_or_else(|| format!("--scheduler is required ({SCHEDULER_NAMES})"))?,
+    )?;
     let cluster = parse_cluster(opts.get("cluster").unwrap_or("paper"))?;
 
     // Workload: either a trace file or generated on the fly.
@@ -68,21 +81,16 @@ pub fn run(opts: &Options) -> Result<(String, String, Option<String>), String> {
 
     let n = jobs.len();
     let observe = opts.get("telemetry-out").is_some();
-    let cell: Vec<Box<dyn FnOnce() -> SimResult + Send>> = vec![Box::new(move || {
-        let scheduler = scheduler_by_name(&scheduler_name).expect("validated scheduler name");
-        let sink = if observe {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
-        Simulation::new(cluster, jobs, config).run_with_telemetry(scheduler, sink)
-    })];
-    let result = runner
-        .run(cell)
-        .pop()
-        .expect("one result for one simulation cell");
-    let outcome = result.outcome.map_err(|e| e.to_string())?;
-    let mut report = render_report(&outcome, n, result.wall_seconds);
+    let sink = if observe {
+        Telemetry::enabled()
+    } else {
+        Telemetry::disabled()
+    };
+    let start = Instant::now();
+    let outcome = Simulation::new(cluster, jobs, config)
+        .run_with_telemetry(scheduler, sink)
+        .map_err(|e| e.to_string())?;
+    let mut report = render_report(&outcome, n, start.elapsed().as_secs_f64());
     if observe {
         let t = outcome.telemetry_summary();
         report.push_str(&format!(
@@ -179,6 +187,23 @@ mod tests {
     #[test]
     fn simulate_requires_scheduler() {
         assert!(run(&opts(&["--jobs", "4"])).is_err());
+    }
+
+    #[test]
+    fn simulate_rejects_unknown_options() {
+        for (args, key) in [
+            (
+                &["--scheduler", "yarn", "--jobz", "5", "--sed", "3"][..],
+                "--jobz",
+            ),
+            (
+                &["--scheduler", "hadar", "--jobs", "4", "--threads", "2"][..],
+                "--threads",
+            ),
+        ] {
+            let err = run(&opts(args)).unwrap_err();
+            assert!(err.contains(key), "{err}");
+        }
     }
 
     #[test]

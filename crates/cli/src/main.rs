@@ -17,9 +17,16 @@ fn main() {
         Ok(o) => o,
         Err(e) => fail(&e),
     };
-    let command = opts.positional().first().map(String::as_str).unwrap_or("");
+    let command = match opts.positional() {
+        [] => "",
+        [command] => command.as_str(),
+        [_, extra, ..] => fail(&format!("unexpected argument {extra:?}")),
+    };
     match command {
-        "catalog" => print!("{}", commands::catalog::run()),
+        "catalog" => match opts.accept_only(&[]) {
+            Ok(()) => print!("{}", commands::catalog::run()),
+            Err(e) => fail(&e),
+        },
         "gen-trace" => match commands::gen_trace::run(&opts) {
             Ok((report, csv)) => {
                 eprintln!("{report}");

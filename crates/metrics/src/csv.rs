@@ -3,7 +3,6 @@
 //! Fields containing commas, quotes, or newlines are quoted per RFC 4180.
 //! Kept dependency-free by design (DESIGN.md §8).
 
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
@@ -34,13 +33,6 @@ impl CsvWriter {
         assert_eq!(cells.len(), self.width, "CSV row width mismatch");
         self.push_row(cells);
         self
-    }
-
-    /// Append a row of float cells, formatted with up to 6 significant
-    /// decimals.
-    pub fn row_f64(&mut self, cells: &[f64]) -> &mut Self {
-        let strs: Vec<String> = cells.iter().map(|v| format_float(*v)).collect();
-        self.row(strs)
     }
 
     fn push_row(&mut self, cells: Vec<String>) {
@@ -84,24 +76,6 @@ fn escape(field: &str) -> String {
     }
 }
 
-fn format_float(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        // Integral values print without a fractional tail.
-        format!("{}", v as i64)
-    } else {
-        let mut s = String::new();
-        write!(s, "{v:.6}").expect("write to String cannot fail");
-        // Trim trailing zeros but keep at least one decimal digit.
-        while s.ends_with('0') {
-            s.pop();
-        }
-        if s.ends_with('.') {
-            s.push('0');
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,7 +84,7 @@ mod tests {
     fn basic_document() {
         let mut w = CsvWriter::new(&["a", "b"]);
         w.row(vec!["1", "x"]);
-        w.row_f64(&[2.5, 3.0]);
+        w.row(vec!["2.5", "3"]);
         assert_eq!(w.as_str(), "a,b\n1,x\n2.5,3\n");
     }
 
@@ -131,13 +105,6 @@ mod tests {
     fn width_checked() {
         let mut w = CsvWriter::new(&["a", "b"]);
         w.row(vec!["only-one"]);
-    }
-
-    #[test]
-    fn float_formatting() {
-        assert_eq!(format_float(1.0), "1");
-        assert_eq!(format_float(0.123456789), "0.123457");
-        assert_eq!(format_float(2.50), "2.5");
     }
 
     #[test]

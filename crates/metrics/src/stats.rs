@@ -113,26 +113,6 @@ pub fn cdf_points(completion_times: &[f64]) -> Vec<(f64, f64)> {
     out
 }
 
-/// Sample a CDF at evenly spaced time points (for fixed-grid figure output):
-/// returns the completed fraction at each of `steps + 1` points spanning
-/// `[0, horizon]`.
-pub fn cdf_on_grid(completion_times: &[f64], horizon: f64, steps: usize) -> Vec<(f64, f64)> {
-    assert!(horizon > 0.0 && steps > 0);
-    let pts = cdf_points(completion_times);
-    (0..=steps)
-        .map(|i| {
-            let t = horizon * i as f64 / steps as f64;
-            // Index of the first CDF point strictly after t; the point
-            // before it (if any) is the last one at or before t. Binary
-            // search instead of a linear scan per grid point keeps the
-            // sweep at O((steps + points) log points) overall.
-            let idx = pts.partition_point(|&(pt, _)| pt <= t);
-            let frac = if idx == 0 { 0.0 } else { pts[idx - 1].1 };
-            (t, frac)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,63 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn cdf_grid_sampling() {
-        let g = cdf_on_grid(&[1.0, 3.0], 4.0, 4);
-        assert_eq!(g.len(), 5);
-        assert_eq!(g[0], (0.0, 0.0));
-        assert_eq!(g[1], (1.0, 0.5));
-        assert_eq!(g[2], (2.0, 0.5));
-        assert_eq!(g[3], (3.0, 1.0));
-        assert_eq!(g[4], (4.0, 1.0));
-    }
-
-    #[test]
     fn cdf_of_empty_is_empty() {
         assert!(cdf_points(&[]).is_empty());
-    }
-
-    /// The linear-scan reference the binary search replaced.
-    fn cdf_on_grid_reference(times: &[f64], horizon: f64, steps: usize) -> Vec<(f64, f64)> {
-        let pts = cdf_points(times);
-        (0..=steps)
-            .map(|i| {
-                let t = horizon * i as f64 / steps as f64;
-                let frac = pts
-                    .iter()
-                    .take_while(|(pt, _)| *pt <= t)
-                    .last()
-                    .map_or(0.0, |&(_, f)| f);
-                (t, frac)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn cdf_grid_matches_linear_scan_reference() {
-        // Property check over deterministic pseudo-random samples, including
-        // duplicates, boundary-aligned values, and points past the horizon.
-        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for case in 0..50 {
-            let n = (next() % 40) as usize;
-            let times: Vec<f64> = (0..n)
-                .map(|_| match next() % 4 {
-                    // Exactly on a grid boundary — the `<=` edge case.
-                    0 => (next() % 12) as f64,
-                    // Beyond the horizon.
-                    1 => 12.0 + (next() % 100) as f64 / 7.0,
-                    _ => (next() % 1200) as f64 / 100.0,
-                })
-                .collect();
-            let steps = 1 + (next() % 24) as usize;
-            let got = cdf_on_grid(&times, 12.0, steps);
-            let want = cdf_on_grid_reference(&times, 12.0, steps);
-            assert_eq!(got, want, "case {case}: times={times:?} steps={steps}");
-        }
     }
 }

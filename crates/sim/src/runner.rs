@@ -10,7 +10,7 @@
 //! Cells are fallible: an invalid configuration or a policy bug surfaces as
 //! a [`SimError`] row for that cell, and a cell that *panics* is caught and
 //! degraded into [`SimError::CellPanicked`] — one bad cell no longer kills
-//! every worker of a `--threads N` sweep.
+//! every worker of a parallel sweep.
 //!
 //! With `threads == 1` the runner degrades to a strict serial loop on the
 //! caller's thread — the reference path. Because each cell is an
@@ -24,7 +24,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::error::{SimError, SimResult};
-use crate::stats::SimOutcome;
 
 /// One completed sweep cell: the simulation result (outcome or structured
 /// error) plus how long the cell took to execute on its worker thread.
@@ -43,8 +42,13 @@ pub struct SweepRunner {
 }
 
 impl Default for SweepRunner {
+    /// One worker per available core (`available_parallelism()`), at most 16.
     fn default() -> Self {
-        Self::from_env()
+        let threads = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .min(16);
+        Self { threads }
     }
 }
 
@@ -61,22 +65,6 @@ impl SweepRunner {
     /// The strict serial reference runner.
     pub fn serial() -> Self {
         Self { threads: 1 }
-    }
-
-    /// Thread count from the `HADAR_THREADS` environment variable if set
-    /// (and ≥ 1), else `available_parallelism()` capped at 16.
-    pub fn from_env() -> Self {
-        let threads = std::env::var("HADAR_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-                    .min(16)
-            });
-        Self { threads }
     }
 
     /// The configured worker count.
@@ -150,24 +138,6 @@ impl SweepRunner {
             })
             .collect()
     }
-
-    /// Execute every cell and return just the outcomes in cell order.
-    ///
-    /// # Panics
-    /// Panics if any cell fails — use [`SweepRunner::run`] when errors
-    /// should degrade gracefully.
-    pub fn run_outcomes<F>(&self, cells: Vec<F>) -> Vec<SimOutcome>
-    where
-        F: FnOnce() -> SimResult + Send,
-    {
-        self.run(cells)
-            .into_iter()
-            .map(|c| {
-                c.outcome
-                    .unwrap_or_else(|e| panic!("sweep cell failed: {e}"))
-            })
-            .collect()
-    }
 }
 
 /// Render a panic payload as a message (the common `&str` / `String`
@@ -227,29 +197,30 @@ mod tests {
 
     #[test]
     fn parallel_results_preserve_order() {
-        let tasks: Vec<Box<dyn FnOnce() -> SimResult + Send>> = (1..=6)
-            .map(|i| Box::new(move || one_sim(i * 50)) as Box<dyn FnOnce() -> SimResult + Send>)
-            .collect();
-        let out = SweepRunner::new(3).run_outcomes(tasks);
+        let tasks: Vec<_> = (1..=6).map(|i| move || one_sim(i * 50)).collect();
+        let out = SweepRunner::new(3).run(tasks);
         assert_eq!(out.len(), 6);
         // Larger epoch counts finish later: JCTs must be non-decreasing in
         // input order.
-        let jcts: Vec<f64> = out.iter().map(|o| o.mean_jct()).collect();
+        let jcts: Vec<f64> = out
+            .iter()
+            .map(|c| c.outcome.as_ref().unwrap().mean_jct())
+            .collect();
         assert!(jcts.windows(2).all(|w| w[0] <= w[1]), "{jcts:?}");
     }
 
     #[test]
     fn empty_task_list() {
         let tasks: Vec<Box<dyn FnOnce() -> SimResult + Send>> = Vec::new();
-        assert!(SweepRunner::new(4).run_outcomes(tasks).is_empty());
+        assert!(SweepRunner::new(4).run(tasks).is_empty());
     }
 
     #[test]
     fn single_thread_works() {
         let tasks: Vec<Box<dyn FnOnce() -> SimResult + Send>> = vec![Box::new(|| one_sim(10))];
-        let out = SweepRunner::new(1).run_outcomes(tasks);
+        let out = SweepRunner::new(1).run(tasks);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].completed_jobs(), 1);
+        assert_eq!(out[0].outcome.as_ref().unwrap().completed_jobs(), 1);
     }
 
     fn cell_jcts(runner: &SweepRunner) -> Vec<Vec<f64>> {
@@ -363,7 +334,8 @@ mod tests {
     }
 
     #[test]
-    fn from_env_yields_at_least_one_thread() {
-        assert!(SweepRunner::from_env().threads() >= 1);
+    fn default_yields_at_least_one_thread() {
+        let threads = SweepRunner::default().threads();
+        assert!((1..=16).contains(&threads), "{threads}");
     }
 }

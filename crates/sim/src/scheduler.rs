@@ -79,19 +79,6 @@ pub struct SchedulerContext<'a> {
 }
 
 impl SchedulerContext<'_> {
-    /// Convenience: per-type total free capacity if nothing were allocated
-    /// this round (i.e. the full cluster minus failed machines —
-    /// round-based schedulers place from scratch each round).
-    pub fn capacity_of(&self, r: hadar_cluster::GpuTypeId) -> u32 {
-        self.availability.available_of_type(self.cluster, r)
-    }
-
-    /// The throughput factor of machine `h` (1.0 when injection is
-    /// disabled, 0.0 while the machine is down).
-    pub fn machine_factor(&self, h: hadar_cluster::MachineId) -> f64 {
-        self.machine_factors.get(h.index()).copied().unwrap_or(1.0)
-    }
-
     /// Whether machine `h` is up this round.
     pub fn is_up(&self, h: hadar_cluster::MachineId) -> bool {
         self.availability.is_up(h)

@@ -99,17 +99,6 @@ impl Job {
         self.total_iterations() / self.best_rate()
     }
 
-    /// `t_j^max` (Eq. 8): maximum runtime when stuck on the slowest usable
-    /// type. Infinite if the job cannot run at all.
-    pub fn max_runtime(&self) -> f64 {
-        let worst = self.worst_rate();
-        if worst > 0.0 {
-            self.total_iterations() / worst
-        } else {
-            f64::INFINITY
-        }
-    }
-
     /// Total GPU-time of the job in hours, assuming it runs on the fastest
     /// type: `W_j · t_j^min / 3600` — the quantity the paper buckets into
     /// size classes.
@@ -139,16 +128,14 @@ mod tests {
         assert_eq!(j.best_rate(), 240.0);
         assert_eq!(j.worst_rate(), 40.0);
         assert!((j.min_runtime() - 39_000.0 / 240.0).abs() < 1e-9);
-        assert!((j.max_runtime() - 39_000.0 / 40.0).abs() < 1e-9);
         // 2 GPUs * 162.5 s = 0.09 GPU-hours => Small.
         assert_eq!(j.size_class(), SizeClass::Small);
     }
 
     #[test]
-    fn unrunnable_job_has_infinite_max_runtime() {
+    fn unrunnable_job_has_zero_worst_rate() {
         let p = ThroughputProfile::from_rates(vec![0.0]);
         let j = Job::new(JobId(1), DlTask::Lstm, 0.0, 1, 1, 10, p);
-        assert!(j.max_runtime().is_infinite());
         assert_eq!(j.worst_rate(), 0.0);
     }
 

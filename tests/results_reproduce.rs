@@ -3,9 +3,6 @@
 //! CSV must equal its copy under `results/` byte for byte, so no change can
 //! move a decision without this test noticing. `fig7_scalability.csv` holds
 //! wall-clock decision times, so only its header and row count are checked.
-//!
-//! Its own test binary on purpose: the experiments locate their output via
-//! the process-wide `HADAR_RESULTS_DIR` variable.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -15,6 +12,10 @@ use hadar_sim::SweepRunner;
 
 /// The CSV that records timings rather than decisions.
 const TIMED: &str = "fig7_scalability.csv";
+
+/// The suite's distinct simulation cells; a cell that repeats another
+/// (same cluster, trace, config and policy) would raise the count.
+const CELLS: usize = 111;
 
 fn csv_names(dir: &Path) -> BTreeSet<String> {
     std::fs::read_dir(dir)
@@ -29,8 +30,9 @@ fn results_reproduce_from_head() {
     let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
     let out = std::env::temp_dir().join(format!("hadar-results-{}", std::process::id()));
     std::fs::create_dir_all(&out).unwrap();
-    std::env::set_var("HADAR_RESULTS_DIR", &out);
-    run_all(false, &SweepRunner::new(2));
+    let results = run_all(false, &SweepRunner::new(2), &out);
+    let cells: usize = results.iter().map(|r| r.timings.len()).sum();
+    assert_eq!(cells, CELLS, "the full suite's sweep cell count moved");
 
     assert_eq!(
         csv_names(&out),
