@@ -10,7 +10,6 @@
 //! most 16); any worker count produces byte-identical CSVs (except
 //! `fig7_scalability.csv`, whose values *are* wall-clock measurements).
 
-use hadar_bench::experiments::results_dir;
 use hadar_bench::figures;
 
 fn main() {
@@ -23,9 +22,10 @@ fn main() {
             std::process::exit(2);
         }
     }
+    let out = std::env::var("HADAR_RESULTS_DIR").unwrap_or_else(|_| "results".to_owned());
     let runner = hadar_sim::SweepRunner::default();
     let t0 = std::time::Instant::now();
-    let results = figures::run_all(quick, &runner, &results_dir());
+    let results = figures::run_all(quick, &runner, out.as_ref());
     println!("==============================================================");
     for r in &results {
         println!("--- {} ---", r.name);

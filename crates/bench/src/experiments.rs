@@ -2,7 +2,7 @@
 
 use hadar_baselines::{GavelScheduler, SrtfScheduler, TiresiasScheduler, YarnCsScheduler};
 use hadar_cluster::Cluster;
-use hadar_core::{HadarConfig, HadarScheduler, MinMakespan, UtilityKind};
+use hadar_core::{HadarConfig, HadarScheduler, UtilityKind};
 use hadar_sim::{Scheduler, SimConfig, SimResult, Simulation, Telemetry};
 use hadar_workload::Job;
 
@@ -49,7 +49,7 @@ impl SchedulerKind {
         match self {
             SchedulerKind::Hadar => Box::new(HadarScheduler::new(HadarConfig::default())),
             SchedulerKind::HadarMakespan => Box::new(HadarScheduler::new(
-                HadarConfig::with_utility(UtilityKind::MinMakespan(MinMakespan::default())),
+                HadarConfig::with_utility(UtilityKind::MinMakespan),
             )),
             SchedulerKind::Gavel => Box::new(GavelScheduler::paper_default()),
             SchedulerKind::Tiresias => Box::new(TiresiasScheduler::paper_default()),
@@ -87,14 +87,6 @@ pub fn run_scenario_with_telemetry(
     // Label with the comparison name (e.g. distinguish Hadar variants).
     outcome.scheduler = kind.name().to_owned();
     Ok(outcome)
-}
-
-/// The directory the experiment binaries write to: `HADAR_RESULTS_DIR`,
-/// else `results` under the working directory.
-pub fn results_dir() -> std::path::PathBuf {
-    std::path::PathBuf::from(
-        std::env::var("HADAR_RESULTS_DIR").unwrap_or_else(|_| "results".to_owned()),
-    )
 }
 
 #[cfg(test)]

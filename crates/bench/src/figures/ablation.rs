@@ -10,10 +10,9 @@
 
 use std::path::Path;
 
-use hadar_core::profiler::ProfilerConfig;
 use hadar_core::{AllocMode, Features, HadarConfig, HadarScheduler};
 use hadar_metrics::CsvWriter;
-use hadar_sim::{CheckpointModel, PreemptionPenalty, Simulation, SweepRunner};
+use hadar_sim::{PreemptionPenalty, Simulation, SweepRunner};
 
 use crate::experiments::SchedulerKind;
 use crate::figures::{run_cells, FigureResult, PaperSweep};
@@ -73,11 +72,7 @@ fn variants() -> Vec<Variant> {
         Variant {
             label: "noisy profiling (20%)",
             config: || HadarConfig {
-                profiler: Some(ProfilerConfig {
-                    rounds: 3,
-                    noise: 0.2,
-                    seed: 1,
-                }),
+                profiling_seed: Some(1),
                 ..HadarConfig::default()
             },
             penalty: PreemptionPenalty::Fixed(10.0),
@@ -85,12 +80,12 @@ fn variants() -> Vec<Variant> {
         Variant {
             label: "no checkpoint penalty",
             config: HadarConfig::default,
-            penalty: PreemptionPenalty::None,
+            penalty: PreemptionPenalty::Fixed(0.0),
         },
         Variant {
             label: "modeled checkpoint penalty",
             config: HadarConfig::default,
-            penalty: PreemptionPenalty::Modeled(CheckpointModel::default()),
+            penalty: PreemptionPenalty::Modeled,
         },
     ]
 }

@@ -12,7 +12,7 @@
 use std::path::Path;
 
 use hadar_metrics::{CsvWriter, Table};
-use hadar_sim::{CheckpointModel, PreemptionPenalty, SweepRunner};
+use hadar_sim::{PreemptionPenalty, SweepRunner};
 
 use crate::experiments::{run_scenario, SchedulerKind};
 use crate::figures::{run_cells, FigureResult};
@@ -37,7 +37,7 @@ pub fn run(runner: &SweepRunner, out_dir: &Path) -> FigureResult {
                 let cell = move || {
                     let mut s = aws_prototype_scenario(0);
                     if physical {
-                        s.config.penalty = PreemptionPenalty::Modeled(CheckpointModel::default());
+                        s.config.penalty = PreemptionPenalty::Modeled;
                     }
                     run_scenario(s.cluster, s.jobs, s.config, kind)
                 };

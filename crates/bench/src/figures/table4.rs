@@ -6,7 +6,8 @@
 use std::path::Path;
 
 use hadar_metrics::{CsvWriter, Table};
-use hadar_sim::{CheckpointModel, PreemptionPenalty, SweepRunner};
+use hadar_sim::checkpoint::{overhead_percent, EFFECTIVE_BANDWIDTH_MIB_S};
+use hadar_sim::{PreemptionPenalty, SweepRunner};
 use hadar_workload::{ArrivalPattern, DlTask};
 
 use crate::experiments::{run_scenario, SchedulerKind};
@@ -16,7 +17,6 @@ use crate::scenarios::paper_sim_scenario;
 /// Regenerate Table IV. The live cross-check run is submitted through
 /// `runner` as a single cell.
 pub fn run(quick: bool, runner: &SweepRunner, out_dir: &Path) -> FigureResult {
-    let model = CheckpointModel::default();
     let round = 360.0;
 
     let mut table = Table::new(vec!["Model", "Overhead w/ realloc", "Overhead w/o realloc"]);
@@ -27,8 +27,8 @@ pub fn run(quick: bool, runner: &SweepRunner, out_dir: &Path) -> FigureResult {
         "overhead_without_realloc_pct",
     ]);
     for t in DlTask::ALL {
-        let w = model.overhead_percent(t, round, true);
-        let wo = model.overhead_percent(t, round, false);
+        let w = overhead_percent(t, round, true);
+        let wo = overhead_percent(t, round, false);
         table.row(vec![
             t.model_name().to_owned(),
             format!("{w:.2}%"),
@@ -47,7 +47,7 @@ pub fn run(quick: bool, runner: &SweepRunner, out_dir: &Path) -> FigureResult {
     let num_jobs = if quick { 20 } else { 120 };
     let cell = move || {
         let mut s = paper_sim_scenario(num_jobs, 5, ArrivalPattern::Static);
-        s.config.penalty = PreemptionPenalty::Modeled(model);
+        s.config.penalty = PreemptionPenalty::Modeled;
         run_scenario(s.cluster, s.jobs, s.config, SchedulerKind::Hadar)
     };
     let (live, timings) = run_cells(runner, vec![("Hadar live cross-check".to_owned(), cell)]);
@@ -55,7 +55,7 @@ pub fn run(quick: bool, runner: &SweepRunner, out_dir: &Path) -> FigureResult {
 
     let summary = format!(
         "Table IV: preemption overhead per model (6-minute rounds, {} MiB/s effective SSD)\n{}\nLive run: {:.1}% of job-rounds required reallocation (paper §IV-A-5 reports ~30%)\n",
-        model.effective_bandwidth_mib_s,
+        EFFECTIVE_BANDWIDTH_MIB_S,
         table.render(),
         realloc_rate * 100.0,
     );

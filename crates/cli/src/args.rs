@@ -2,7 +2,7 @@
 //! offline list — no clap).
 
 use hadar_cluster::Cluster;
-use hadar_sim::{CheckpointModel, FailureModel, PreemptionPenalty, StragglerModel};
+use hadar_sim::{FailureModel, PreemptionPenalty, StragglerModel};
 use hadar_workload::ArrivalPattern;
 
 /// Parsed `--key value` options plus positional arguments.
@@ -87,8 +87,8 @@ pub fn parse_pattern(spec: &str) -> Result<ArrivalPattern, String> {
         let jobs_per_hour: f64 = rate
             .parse()
             .map_err(|_| format!("bad poisson rate {rate:?}"))?;
-        if jobs_per_hour <= 0.0 {
-            return Err("poisson rate must be positive".into());
+        if !jobs_per_hour.is_finite() || jobs_per_hour <= 0.0 {
+            return Err("poisson rate must be finite and positive".into());
         }
         return Ok(ArrivalPattern::Poisson { jobs_per_hour });
     }
@@ -119,11 +119,11 @@ pub fn parse_cluster(spec: &str) -> Result<Cluster, String> {
     }
 }
 
-/// Parse `--penalty none|fixed:SECONDS|modeled`.
+/// Parse `--penalty none|fixed:SECONDS|modeled`; `none` is `fixed:0`.
 pub fn parse_penalty(spec: &str) -> Result<PreemptionPenalty, String> {
     match spec {
-        "none" => Ok(PreemptionPenalty::None),
-        "modeled" => Ok(PreemptionPenalty::Modeled(CheckpointModel::default())),
+        "none" => Ok(PreemptionPenalty::Fixed(0.0)),
+        "modeled" => Ok(PreemptionPenalty::Modeled),
         other => {
             if let Some(s) = other.strip_prefix("fixed:") {
                 let secs: f64 = s.parse().map_err(|_| format!("bad penalty {s:?}"))?;
@@ -229,6 +229,8 @@ mod tests {
             }
         );
         assert!(parse_pattern("poisson:-1").is_err());
+        assert!(parse_pattern("poisson:NaN").is_err());
+        assert!(parse_pattern("poisson:inf").is_err());
         assert!(parse_pattern("burst").is_err());
     }
 
@@ -244,15 +246,18 @@ mod tests {
 
     #[test]
     fn penalties() {
-        assert_eq!(parse_penalty("none").unwrap(), PreemptionPenalty::None);
+        assert_eq!(
+            parse_penalty("none").unwrap(),
+            PreemptionPenalty::Fixed(0.0)
+        );
         assert_eq!(
             parse_penalty("fixed:12.5").unwrap(),
             PreemptionPenalty::Fixed(12.5)
         );
-        assert!(matches!(
+        assert_eq!(
             parse_penalty("modeled").unwrap(),
-            PreemptionPenalty::Modeled(_)
-        ));
+            PreemptionPenalty::Modeled
+        );
         assert!(parse_penalty("fixed:-1").is_err());
         assert!(parse_penalty("fixed:NaN").is_err());
         assert!(parse_penalty("fixed:inf").is_err());

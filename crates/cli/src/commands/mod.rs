@@ -74,6 +74,7 @@ USAGE:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::Options;
 
     #[test]
     fn scheduler_names_resolve() {
@@ -87,5 +88,59 @@ mod tests {
             assert!(msg.contains(n), "{msg} omits {n}");
         }
         assert!(USAGE.contains(&format!("--scheduler {SCHEDULER_NAMES}")));
+    }
+
+    /// Every numeric option of every simulating subcommand turns `nan`,
+    /// `inf` and `-1` into an error, never a panic.
+    #[test]
+    fn no_numeric_option_panics() {
+        const ALL: &[&str] = &["simulate", "compare", "gen-trace"];
+        const RUNS: &[&str] = &["simulate", "compare"];
+        const SIMULATE: &[&str] = &["simulate"];
+        // Each option, with `{}` where the bad value goes, and the
+        // subcommands that take it.
+        let options: [(&[&str], &[&str]); 13] = [
+            (&["--pattern", "poisson:{}"], ALL),
+            (&["--jobs", "{}"], ALL),
+            (&["--seed", "{}"], ALL),
+            (&["--cluster", "scaled:{}"], ALL),
+            (&["--mtbf", "{}"], RUNS),
+            (&["--mtbf", "40", "--mttr", "{}"], RUNS),
+            (&["--mtbf", "40", "--failure-seed", "{}"], RUNS),
+            (&["--round-min", "{}"], SIMULATE),
+            (&["--penalty", "fixed:{}"], SIMULATE),
+            (&["--straggler", "{},0.5,3,1"], SIMULATE),
+            (&["--straggler", "0.1,{},3,1"], SIMULATE),
+            (&["--straggler", "0.1,0.5,{},1"], SIMULATE),
+            (&["--straggler", "0.1,0.5,3,{}"], SIMULATE),
+        ];
+        let run = |command: &str, opts: &Options| match command {
+            "simulate" => simulate::run(opts).map(drop),
+            "compare" => compare::run(opts).map(drop),
+            _ => gen_trace::run(opts).map(drop),
+        };
+        for (option, commands) in options {
+            for &command in commands {
+                for bad in ["nan", "inf", "-1"] {
+                    // A later `--jobs` overrides the small default.
+                    let base: &[&str] = match command {
+                        "simulate" => &["--scheduler", "yarn", "--jobs", "4"],
+                        _ => &["--jobs", "4"],
+                    };
+                    let args: Vec<String> = base
+                        .iter()
+                        .chain(option)
+                        .map(|a| a.replace("{}", bad))
+                        .collect();
+                    let opts = Options::parse(args.clone()).expect("well-formed options");
+                    let got = std::panic::catch_unwind(|| run(command, &opts));
+                    assert!(
+                        matches!(got, Ok(Err(_))),
+                        "{command} {} must return an error",
+                        args.join(" ")
+                    );
+                }
+            }
+        }
     }
 }

@@ -64,8 +64,8 @@ pub fn run(opts: &Options) -> Result<(String, String, Option<String>), String> {
     };
 
     let round_min: f64 = opts.get_parsed("round-min", 6.0)?;
-    if round_min <= 0.0 {
-        return Err("--round-min must be positive".into());
+    if !round_min.is_finite() || round_min <= 0.0 {
+        return Err("--round-min must be finite and positive".into());
     }
     let mut config = SimConfig {
         round_length: round_min * 60.0,

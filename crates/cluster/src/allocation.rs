@@ -78,11 +78,6 @@ impl JobPlacement {
         ms.len()
     }
 
-    /// Whether all workers sit on a single machine.
-    pub fn is_consolidated(&self) -> bool {
-        self.num_machines() <= 1
-    }
-
     /// Distinct GPU types used, in ascending id order.
     pub fn gpu_types(&self) -> Vec<GpuTypeId> {
         let mut ts: Vec<GpuTypeId> = self.slices.iter().map(|s| s.gpu).collect();
@@ -142,11 +137,6 @@ impl Allocation {
     /// Iterate `(job, placement)` in job-id order.
     pub fn iter(&self) -> impl Iterator<Item = (JobId, &JobPlacement)> {
         self.placements.iter().map(|(&j, p)| (j, p))
-    }
-
-    /// Number of scheduled jobs.
-    pub fn num_jobs(&self) -> usize {
-        self.placements.len()
     }
 
     /// Whether no job is scheduled.
@@ -298,7 +288,6 @@ mod tests {
         assert_eq!(p.slices()[0].machine, MachineId(0));
         assert_eq!(p.slices()[1].count, 2);
         assert_eq!(p.num_machines(), 2);
-        assert!(!p.is_consolidated());
     }
 
     #[test]

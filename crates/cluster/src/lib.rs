@@ -18,7 +18,7 @@
 //! * [`Usage`] — the occupied-counts view `γ_h^r(t)` used by the
 //!   price function of the primal–dual framework,
 //! * [`Placer`] — the most-free-first gang fill every policy places with,
-//! * [`CommCostModel`] — the cross-server communication penalty applied to
+//! * [`comm`] — the cross-server communication penalty applied to
 //!   non-consolidated placements in Algorithm 2's `FIND_ALLOC`.
 //!
 //! The crate is dependency-free and deterministic; all randomness lives in
@@ -56,7 +56,6 @@ pub use allocation::{Allocation, JobPlacement, PlacementSlice};
 pub use availability::Availability;
 pub use catalog::{GpuCatalog, GpuTypeId};
 pub use cluster::{Cluster, ClusterBuilder};
-pub use comm::CommCostModel;
 pub use machine::{Machine, MachineId};
 pub use placer::Placer;
 pub use usage::Usage;

@@ -62,22 +62,6 @@ impl Usage {
         self.total += count;
     }
 
-    /// Release `count` occupied GPUs.
-    ///
-    /// # Panics
-    /// Panics (in debug builds, via underflow check) if releasing more than
-    /// held.
-    #[inline]
-    pub fn sub(&mut self, h: MachineId, r: GpuTypeId, count: u32) {
-        let i = self.idx(h, r);
-        let delta = weight(i).wrapping_mul(count as u64);
-        self.used[i] = self.used[i]
-            .checked_sub(count)
-            .expect("usage underflow: released more GPUs than held");
-        self.hash = self.hash.wrapping_sub(delta);
-        self.total -= count;
-    }
-
     /// Free GPUs of type `r` on machine `h`, `c_h^r − γ_h^r`
     /// (saturating at 0 if over-allocated).
     #[inline]
@@ -108,7 +92,7 @@ impl Usage {
     /// A compact fingerprint of the usage state, used as a memoization key
     /// by the dynamic-programming dual subroutine (Algorithm 2).
     ///
-    /// Maintained incrementally in [`Usage::add`]/[`Usage::sub`] as the
+    /// Maintained incrementally in [`Usage::add`] as the
     /// position-weighted sum `Σ_i weight(i)·used[i]` (mod 2⁶⁴) with fixed
     /// splitmix64 per-index weights, so reading it is O(1) instead of a scan
     /// over the whole `H × R` matrix — the DP subroutine fingerprints the
@@ -137,11 +121,6 @@ impl Usage {
         }
         h
     }
-
-    /// Raw occupied counts, row-major `[h][r]`.
-    pub fn raw(&self) -> &[u32] {
-        &self.used
-    }
 }
 
 #[cfg(test)]
@@ -159,24 +138,14 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_free_roundtrip() {
+    fn add_then_free() {
         let (cl, a, c) = cl();
         let mut u = Usage::empty(&cl);
         u.add(MachineId(0), a, 3);
         assert_eq!(u.get(MachineId(0), a), 3);
         assert_eq!(u.free(&cl, MachineId(0), a), 1);
-        u.sub(MachineId(0), a, 2);
-        assert_eq!(u.free(&cl, MachineId(0), a), 3);
         assert_eq!(u.free(&cl, MachineId(1), c), 2);
         assert_eq!(u.free_on_machine(&cl, MachineId(1)), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "usage underflow")]
-    fn sub_underflow_panics() {
-        let (cl, a, _) = cl();
-        let mut u = Usage::empty(&cl);
-        u.sub(MachineId(0), a, 1);
     }
 
     #[test]
@@ -206,12 +175,11 @@ mod tests {
     #[test]
     fn fingerprint_is_path_independent() {
         // The incremental hash must depend only on the final counts, not on
-        // the order or granularity of the add/sub calls that produced them.
+        // the order or granularity of the add calls that produced them.
         let (cl, a, c) = cl();
         let mut u1 = Usage::empty(&cl);
-        u1.add(MachineId(0), a, 3);
+        u1.add(MachineId(0), a, 2);
         u1.add(MachineId(1), c, 2);
-        u1.sub(MachineId(0), a, 1);
 
         let mut u2 = Usage::empty(&cl);
         u2.add(MachineId(1), c, 1);
@@ -222,12 +190,6 @@ mod tests {
         assert_eq!(u1, u2);
         assert_eq!(u1.fingerprint(), u2.fingerprint());
         assert_eq!(u1.total_used(), 4);
-
-        // Releasing everything returns to the empty fingerprint.
-        u1.sub(MachineId(0), a, 2);
-        u1.sub(MachineId(1), c, 2);
-        assert_eq!(u1.fingerprint(), Usage::empty(&cl).fingerprint());
-        assert_eq!(u1.total_used(), 0);
     }
 
     #[test]

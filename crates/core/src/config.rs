@@ -1,12 +1,11 @@
 //! Hadar scheduler configuration.
 
 use crate::find_alloc::Features;
-use crate::profiler::ProfilerConfig;
 use crate::utility::UtilityKind;
 
 /// How the dual subroutine selects the job subset each round (Algorithm 2
 /// ships both "a greedy algorithm and a dynamic programming approach").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllocMode {
     /// Always use the memoized dynamic program (exact subset selection;
     /// exponential worst case — use only for small queues).
@@ -14,19 +13,14 @@ pub enum AllocMode {
     /// Always use the single-pass greedy in utility-density order
     /// (`O(|Q| · H · R)` per round).
     Greedy,
-    /// Dynamic program when at most `dp_max_queue` jobs are queued, greedy
-    /// beyond — the default (`dp_max_queue = 9`).
-    Auto {
-        /// Largest queue the DP is applied to.
-        dp_max_queue: usize,
-    },
+    /// Dynamic program when at most [`DP_MAX_QUEUE`] jobs are queued,
+    /// greedy beyond — the default.
+    #[default]
+    Auto,
 }
 
-impl Default for AllocMode {
-    fn default() -> Self {
-        AllocMode::Auto { dp_max_queue: 9 }
-    }
-}
+/// Largest queue [`AllocMode::Auto`] applies the dynamic program to.
+pub const DP_MAX_QUEUE: usize = 9;
 
 /// Configuration of [`crate::HadarScheduler`].
 #[derive(Debug)]
@@ -36,14 +30,11 @@ pub struct HadarConfig {
     pub utility: UtilityKind,
     /// Dual-subroutine mode.
     pub alloc_mode: AllocMode,
-    /// The checkpoint-restart stall (seconds) the scheduler *assumes* a
-    /// reallocation costs when estimating finish times. Should match the
-    /// simulator's [`hadar_sim::PreemptionPenalty`]; default 10 s (§IV-A).
-    pub expected_realloc_penalty: f64,
     /// Optional throughput-profiling stage (Fig. 2's estimator): when set,
     /// scheduling decisions in a job's first rounds use noisy throughput
-    /// estimates instead of oracle values.
-    pub profiler: Option<ProfilerConfig>,
+    /// estimates, drawn with this seed, instead of oracle values (see
+    /// [`crate::ThroughputEstimator`]).
+    pub profiling_seed: Option<u64>,
     /// Ablation switches for candidate generation (mixed-type placements,
     /// sticky placements). All on by default.
     pub features: Features,
@@ -60,8 +51,7 @@ impl Default for HadarConfig {
         Self {
             utility: UtilityKind::default(),
             alloc_mode: AllocMode::default(),
-            expected_realloc_penalty: 10.0,
-            profiler: None,
+            profiling_seed: None,
             features: Features::default(),
             incremental: true,
         }
@@ -86,17 +76,16 @@ mod tests {
     #[test]
     fn defaults_match_paper_settings() {
         let c = HadarConfig::default();
-        assert_eq!(c.alloc_mode, AllocMode::Auto { dp_max_queue: 9 });
-        assert_eq!(c.expected_realloc_penalty, 10.0);
-        assert!(c.profiler.is_none());
+        assert_eq!(c.alloc_mode, AllocMode::Auto);
+        assert!(c.profiling_seed.is_none());
         assert_eq!(c.utility.name(), "effective-throughput");
         assert!(c.incremental);
     }
 
     #[test]
     fn with_utility_overrides_objective() {
-        let c = HadarConfig::with_utility(UtilityKind::MinMakespan(Default::default()));
+        let c = HadarConfig::with_utility(UtilityKind::MinMakespan);
         assert_eq!(c.utility.name(), "min-makespan");
-        assert_eq!(c.expected_realloc_penalty, 10.0);
+        assert!(c.incremental);
     }
 }

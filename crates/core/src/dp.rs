@@ -216,7 +216,7 @@ mod tests {
     use super::*;
     use crate::price::PriceState;
     use crate::utility::EffectiveThroughput;
-    use hadar_cluster::{Cluster, CommCostModel, JobId};
+    use hadar_cluster::{Cluster, JobId};
     use hadar_workload::{DlTask, Job};
 
     fn mk_states(specs: &[(DlTask, u32, u64)]) -> (Cluster, Vec<JobState>) {
@@ -240,14 +240,11 @@ mod tests {
 
     fn run_both(cluster: &Cluster, states: &[JobState]) -> (Selection, Selection) {
         let prices = PriceState::compute(states, cluster, &EffectiveThroughput, 0.0);
-        let comm = CommCostModel::default();
         let env = AllocEnv {
             cluster,
-            comm: &comm,
             prices: &prices,
             utility: &EffectiveThroughput,
             now: 0.0,
-            realloc_stall: 10.0,
             features: Default::default(),
             machine_factors: &[],
         };
@@ -365,14 +362,11 @@ mod tests {
             (DlTask::CycleGan, 1, 6),
         ]);
         let prices = PriceState::compute(&states, &cluster, &NanUtility, 0.0);
-        let comm = CommCostModel::default();
         let env = AllocEnv {
             cluster: &cluster,
-            comm: &comm,
             prices: &prices,
             utility: &NanUtility,
             now: 0.0,
-            realloc_stall: 10.0,
             features: Default::default(),
             machine_factors: &[],
         };
@@ -409,7 +403,7 @@ mod randomized_tests {
     use super::*;
     use crate::price::PriceState;
     use crate::utility::EffectiveThroughput;
-    use hadar_cluster::{Cluster, CommCostModel, JobId};
+    use hadar_cluster::{Cluster, JobId};
     use hadar_rng::{Rng, StdRng};
     use hadar_workload::{DlTask, Job};
 
@@ -438,14 +432,11 @@ mod randomized_tests {
                 })
                 .collect();
             let prices = PriceState::compute(&states, &cluster, &EffectiveThroughput, 0.0);
-            let comm = CommCostModel::default();
             let env = AllocEnv {
                 cluster: &cluster,
-                comm: &comm,
                 prices: &prices,
                 utility: &EffectiveThroughput,
                 now: 0.0,
-                realloc_stall: 10.0,
                 features: Default::default(),
                 machine_factors: &[],
             };

@@ -71,6 +71,4 @@ pub use price::{CompetitiveBound, PriceShape, PriceState};
 pub use profiler::ThroughputEstimator;
 pub use scheduler::HadarScheduler;
 pub use theory::{audit_round, RoundAudit};
-pub use utility::{
-    EffectiveThroughput, FtfUtility, MinMakespan, RawEffectiveThroughput, Utility, UtilityKind,
-};
+pub use utility::{EffectiveThroughput, FtfUtility, MinMakespan, Utility, UtilityKind};

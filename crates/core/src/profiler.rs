@@ -4,49 +4,35 @@
 //! available accelerator type either from user input or by profiling during
 //! the first few rounds of execution". In the simulator the oracle profile
 //! is known, so the estimator models the profiling phase: during a job's
-//! first `rounds` scheduling rounds, decisions see the true rates perturbed
-//! by deterministic multiplicative noise; afterwards the measured (exact)
-//! profile is used. This lets ablations quantify how sensitive Hadar is to
-//! estimation error.
+//! first [`PROFILING_ROUNDS`] scheduling rounds, decisions see the true
+//! rates perturbed by deterministic multiplicative noise of up to
+//! [`PROFILING_NOISE`]; afterwards the measured (exact) profile is used.
+//! This lets ablations quantify how sensitive Hadar is to estimation error.
 
 use std::collections::HashMap;
 
 use hadar_cluster::JobId;
 use hadar_workload::{Job, ThroughputProfile};
 
-/// Profiling-phase parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfilerConfig {
-    /// Rounds a job is observed before its profile is considered measured.
-    pub rounds: u32,
-    /// Maximum relative error during the profiling phase (e.g. 0.2 = ±20 %).
-    pub noise: f64,
-    /// Seed decorrelating noise across experiments.
-    pub seed: u64,
-}
+/// Rounds a job is observed before its profile is considered measured.
+pub const PROFILING_ROUNDS: u32 = 3;
 
-impl Default for ProfilerConfig {
-    fn default() -> Self {
-        Self {
-            rounds: 3,
-            noise: 0.2,
-            seed: 0,
-        }
-    }
-}
+/// Maximum relative error during the profiling phase (±20 %).
+pub const PROFILING_NOISE: f64 = 0.2;
 
 /// Tracks per-job observation counts and serves (possibly noisy) profiles.
 #[derive(Debug, Clone, Default)]
 pub struct ThroughputEstimator {
-    config: ProfilerConfig,
+    /// Seed decorrelating noise across experiments.
+    seed: u64,
     seen: HashMap<JobId, u32>,
 }
 
 impl ThroughputEstimator {
-    /// Build with `config`.
-    pub fn new(config: ProfilerConfig) -> Self {
+    /// Build with the noise `seed`.
+    pub fn new(seed: u64) -> Self {
         Self {
-            config,
+            seed,
             seen: HashMap::new(),
         }
     }
@@ -70,7 +56,7 @@ impl ThroughputEstimator {
     /// The profile the scheduler should use for `job` right now: noisy while
     /// under-observed, exact once profiled.
     pub fn profile_for(&self, job: &Job) -> ThroughputProfile {
-        if self.observations(job.id) >= self.config.rounds || self.config.noise <= 0.0 {
+        if self.observations(job.id) >= PROFILING_ROUNDS {
             return job.profile.clone();
         }
         let rates: Vec<f64> = job
@@ -82,9 +68,9 @@ impl ThroughputEstimator {
                 if x <= 0.0 {
                     return x;
                 }
-                let u = hash01(self.config.seed, job.id.0 as u64, r as u64);
+                let u = hash01(self.seed, job.id.0 as u64, r as u64);
                 // Multiplicative error in [1−noise, 1+noise].
-                x * (1.0 + self.config.noise * (2.0 * u - 1.0))
+                x * (1.0 + PROFILING_NOISE * (2.0 * u - 1.0))
             })
             .collect();
         ThroughputProfile::from_rates(rates)
@@ -117,51 +103,35 @@ mod tests {
     #[test]
     fn noisy_until_profiled() {
         let j = job();
-        let mut est = ThroughputEstimator::new(ProfilerConfig {
-            rounds: 2,
-            noise: 0.2,
-            seed: 7,
-        });
+        let mut est = ThroughputEstimator::new(7);
         let noisy = est.profile_for(&j);
         assert_ne!(noisy, j.profile, "noise must perturb the profile");
         // Error bounded by ±20 %.
         for (a, b) in noisy.raw().iter().zip(j.profile.raw()) {
-            assert!((a / b - 1.0).abs() <= 0.2 + 1e-12);
+            assert!((a / b - 1.0).abs() <= PROFILING_NOISE + 1e-12);
+        }
+        for _ in 1..PROFILING_ROUNDS {
+            est.observe(j.id);
+            assert_ne!(est.profile_for(&j), j.profile);
         }
         est.observe(j.id);
-        assert_ne!(est.profile_for(&j), j.profile);
-        est.observe(j.id);
-        assert_eq!(est.profile_for(&j), j.profile, "profiled after 2 rounds");
+        assert_eq!(est.profile_for(&j), j.profile, "profiled after 3 rounds");
     }
 
     #[test]
     fn noise_is_deterministic() {
         let j = job();
-        let est1 = ThroughputEstimator::new(ProfilerConfig::default());
-        let est2 = ThroughputEstimator::new(ProfilerConfig::default());
+        let est1 = ThroughputEstimator::new(0);
+        let est2 = ThroughputEstimator::new(0);
         assert_eq!(est1.profile_for(&j), est2.profile_for(&j));
-        let est3 = ThroughputEstimator::new(ProfilerConfig {
-            seed: 99,
-            ..ProfilerConfig::default()
-        });
+        let est3 = ThroughputEstimator::new(99);
         assert_ne!(est1.profile_for(&j), est3.profile_for(&j));
-    }
-
-    #[test]
-    fn zero_noise_is_exact() {
-        let j = job();
-        let est = ThroughputEstimator::new(ProfilerConfig {
-            rounds: 5,
-            noise: 0.0,
-            seed: 0,
-        });
-        assert_eq!(est.profile_for(&j), j.profile);
     }
 
     #[test]
     fn forget_resets_observations() {
         let j = job();
-        let mut est = ThroughputEstimator::new(ProfilerConfig::default());
+        let mut est = ThroughputEstimator::new(0);
         est.observe(j.id);
         est.observe(j.id);
         assert_eq!(est.observations(j.id), 2);

@@ -7,7 +7,7 @@ use hadar_cluster::{Allocation, JobId, Usage};
 use hadar_sim::{DecisionPhases, JobState, Scheduler, SchedulerContext};
 use hadar_workload::Job;
 
-use crate::config::{AllocMode, HadarConfig};
+use crate::config::{AllocMode, HadarConfig, DP_MAX_QUEUE};
 use crate::dp::{dp_allocation, greedy_allocation, Selection};
 use crate::find_alloc::AllocEnv;
 use crate::price::{CompetitiveBound, PriceState};
@@ -43,7 +43,7 @@ pub struct HadarScheduler {
 impl HadarScheduler {
     /// Build from a configuration.
     pub fn new(config: HadarConfig) -> Self {
-        let estimator = config.profiler.map(ThroughputEstimator::new);
+        let estimator = config.profiling_seed.map(ThroughputEstimator::new);
         Self {
             config,
             estimator,
@@ -71,7 +71,7 @@ fn run_subroutine(
     let use_dp = match alloc_mode {
         AllocMode::Dp => true,
         AllocMode::Greedy => false,
-        AllocMode::Auto { dp_max_queue } => queue.len() <= dp_max_queue,
+        AllocMode::Auto => queue.len() <= DP_MAX_QUEUE,
     };
     if use_dp {
         dp_allocation(queue, env, usage)
@@ -165,11 +165,9 @@ impl Scheduler for HadarScheduler {
         }
         let env = AllocEnv {
             cluster: ctx.cluster,
-            comm: ctx.comm,
             prices: &prices,
             utility: &self.config.utility,
             now: ctx.time,
-            realloc_stall: self.config.expected_realloc_penalty,
             features: self.config.features,
             machine_factors: ctx.machine_factors,
         };
@@ -221,8 +219,7 @@ impl Scheduler for HadarScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::ProfilerConfig;
-    use crate::utility::{MinMakespan, UtilityKind};
+    use crate::utility::UtilityKind;
     use hadar_cluster::Cluster;
     use hadar_sim::{PreemptionPenalty, SimConfig, Simulation};
     use hadar_workload::{generate_trace, ArrivalPattern, DlTask, Job, TraceConfig};
@@ -371,7 +368,7 @@ mod tests {
     #[test]
     fn makespan_utility_runs() {
         let (cluster, jobs) = trace(8, 5);
-        let cfg = HadarConfig::with_utility(UtilityKind::MinMakespan(MinMakespan::default()));
+        let cfg = HadarConfig::with_utility(UtilityKind::MinMakespan);
         let out = Simulation::new(cluster, jobs, SimConfig::default())
             .run(HadarScheduler::new(cfg))
             .unwrap();
@@ -382,7 +379,7 @@ mod tests {
     fn profiler_enabled_still_completes() {
         let (cluster, jobs) = trace(8, 6);
         let cfg = HadarConfig {
-            profiler: Some(ProfilerConfig::default()),
+            profiling_seed: Some(0),
             ..HadarConfig::default()
         };
         let out = Simulation::new(cluster, jobs, SimConfig::default())
@@ -406,7 +403,7 @@ mod tests {
             Job::for_model(JobId(1), DlTask::Lstm, cluster.catalog(), 0.0, 1, 20),
         ];
         let cfg = SimConfig {
-            penalty: PreemptionPenalty::None,
+            penalty: PreemptionPenalty::Fixed(0.0),
             ..SimConfig::default()
         };
         let out = Simulation::new(cluster, jobs, cfg)

@@ -118,7 +118,7 @@ mod tests {
     use super::*;
     use crate::find_alloc::Features;
     use crate::utility::EffectiveThroughput;
-    use hadar_cluster::{Cluster, CommCostModel, JobId};
+    use hadar_cluster::{Cluster, JobId};
     use hadar_workload::{generate_trace, ArrivalPattern, DlTask, Job, TraceConfig};
 
     fn audit(n: u32, seed_shift: u64) -> RoundAudit {
@@ -142,14 +142,11 @@ mod tests {
     fn audit_jobs(cluster: &Cluster, jobs: Vec<Job>) -> RoundAudit {
         let states: Vec<JobState> = jobs.into_iter().map(JobState::new).collect();
         let prices = PriceState::compute(&states, cluster, &EffectiveThroughput, 0.0);
-        let comm = CommCostModel::default();
         let env = AllocEnv {
             cluster,
-            comm: &comm,
             prices: &prices,
             utility: &EffectiveThroughput,
             now: 0.0,
-            realloc_stall: 10.0,
             features: Features::default(),
             machine_factors: &[],
         };
@@ -216,14 +213,11 @@ mod tests {
     fn empty_round_audit_is_trivial() {
         let cluster = Cluster::paper_simulation();
         let prices = PriceState::compute(&[], &cluster, &EffectiveThroughput, 0.0);
-        let comm = CommCostModel::default();
         let env = AllocEnv {
             cluster: &cluster,
-            comm: &comm,
             prices: &prices,
             utility: &EffectiveThroughput,
             now: 0.0,
-            realloc_stall: 10.0,
             features: Features::default(),
             machine_factors: &[],
         };

@@ -34,8 +34,7 @@ pub trait Utility: Send + Sync {
 /// by `max_r X_j^r` expresses each job's progress in units of "best-device
 /// worker equivalents" (exactly how Gavel normalizes throughputs), making
 /// utilities commensurable: a job scores its gang size when running fully
-/// on its fastest type. For the unnormalized literal form of the paper's
-/// definition, use [`RawEffectiveThroughput`].
+/// on its fastest type.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EffectiveThroughput;
 
@@ -52,40 +51,19 @@ impl Utility for EffectiveThroughput {
     }
 }
 
-/// The literal unnormalized effective throughput `E_j·N_j / (f_j − a_j)`,
-/// in raw iterations/second. Only meaningful when all jobs train comparable
-/// models; shipped for fidelity and ablations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RawEffectiveThroughput;
-
-impl Utility for RawEffectiveThroughput {
-    fn name(&self) -> &str {
-        "raw-effective-throughput"
-    }
-    fn value(&self, job: &Job, jct: f64, _finish: f64) -> f64 {
-        if jct <= 0.0 {
-            return 0.0;
-        }
-        job.total_iterations() / jct
-    }
-}
-
 /// Makespan objective (§III-A: `min max_j f_j`): utility decays with the
 /// *absolute* finish time, so the scheduler prefers schedules that pull the
 /// latest finishers earlier regardless of arrival times.
 ///
-/// `scale` sets the utility magnitude (`U = scale · W_j / f_j`); it cancels
-/// in all intra-round comparisons but keeps prices well-conditioned.
-#[derive(Debug, Clone, Copy)]
-pub struct MinMakespan {
-    /// Numerator scale (default `1e6`).
-    pub scale: f64,
-}
+/// [`MinMakespan::SCALE`] sets the utility magnitude
+/// (`U = SCALE · W_j / f_j`); it cancels in all intra-round comparisons but
+/// keeps prices well-conditioned.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MinMakespan;
 
-impl Default for MinMakespan {
-    fn default() -> Self {
-        Self { scale: 1e6 }
-    }
+impl MinMakespan {
+    /// Numerator scale.
+    pub const SCALE: f64 = 1e6;
 }
 
 impl Utility for MinMakespan {
@@ -96,14 +74,14 @@ impl Utility for MinMakespan {
         if finish <= 0.0 {
             return 0.0;
         }
-        self.scale * job.gang as f64 / finish
+        Self::SCALE * job.gang as f64 / finish
     }
 }
 
 /// Finish-time-fairness objective (§III-A:
 /// `min max_j (f_j − a_j)/(f_j^isolated − a_j)`): inverse predicted slowdown
 /// `1/ρ` weighted by the job's *tail-risk rate* `1/iso`,
-/// `U = scale / (jct · iso)`.
+/// `U = SCALE / (jct · iso)`.
 ///
 /// The naive choice `U = 1/ρ = iso/jct` inverts the objective's priorities:
 /// a job already behind its fair share has a large accrued `jct`, hence a
@@ -120,7 +98,6 @@ impl Utility for MinMakespan {
 pub struct FtfUtility {
     cluster: Cluster,
     n_jobs: usize,
-    scale: f64,
 }
 
 impl FtfUtility {
@@ -136,7 +113,6 @@ impl FtfUtility {
         Self {
             cluster,
             n_jobs: n_jobs.max(1),
-            scale: Self::SCALE,
         }
     }
 }
@@ -155,20 +131,22 @@ impl Utility for FtfUtility {
         }
         // (1/ρ) · (1/iso) = iso/(jct·iso²): inverse slowdown, weighted by
         // how fast ρ degrades per second this job is kept waiting.
-        self.scale / (jct * iso)
+        Self::SCALE / (jct * iso)
     }
 }
 
-/// Enum-dispatch wrapper so configurations stay `Copy`-friendly and the
-/// scheduler avoids `dyn` in its hot loop. Custom utilities can still be
-/// used via [`UtilityKind::Custom`].
+/// The objective a [`crate::HadarConfig`] owns: one of the shipped
+/// utilities, named without a box, or any user-supplied one via
+/// [`UtilityKind::Custom`]. The scheduler reads it through `&dyn Utility`
+/// ([`crate::find_alloc::AllocEnv::utility`]); its `Debug` prints the
+/// objective's name.
 #[derive(Default)]
 pub enum UtilityKind {
     /// [`EffectiveThroughput`].
     #[default]
     EffectiveThroughput,
-    /// [`MinMakespan`] with its scale.
-    MinMakespan(MinMakespan),
+    /// [`MinMakespan`].
+    MinMakespan,
     /// [`FtfUtility`].
     Ftf(FtfUtility),
     /// Any user-supplied utility.
@@ -185,7 +163,7 @@ impl Utility for UtilityKind {
     fn name(&self) -> &str {
         match self {
             UtilityKind::EffectiveThroughput => EffectiveThroughput.name(),
-            UtilityKind::MinMakespan(u) => u.name(),
+            UtilityKind::MinMakespan => MinMakespan.name(),
             UtilityKind::Ftf(u) => u.name(),
             UtilityKind::Custom(u) => u.name(),
         }
@@ -193,7 +171,7 @@ impl Utility for UtilityKind {
     fn value(&self, job: &Job, jct: f64, finish: f64) -> f64 {
         match self {
             UtilityKind::EffectiveThroughput => EffectiveThroughput.value(job, jct, finish),
-            UtilityKind::MinMakespan(u) => u.value(job, jct, finish),
+            UtilityKind::MinMakespan => MinMakespan.value(job, jct, finish),
             UtilityKind::Ftf(u) => u.value(job, jct, finish),
             UtilityKind::Custom(u) => u.value(job, jct, finish),
         }
@@ -226,18 +204,9 @@ mod tests {
     }
 
     #[test]
-    fn raw_effective_throughput_is_unnormalized() {
-        let j = job();
-        let raw = RawEffectiveThroughput.value(&j, 100.0, 100.0);
-        assert!((raw - j.total_iterations() / 100.0).abs() < 1e-9);
-        let norm = EffectiveThroughput.value(&j, 100.0, 100.0);
-        assert!((raw / norm - j.profile.max_rate()).abs() < 1e-6);
-    }
-
-    #[test]
     fn makespan_utility_decays_with_finish_time() {
         let j = job();
-        let u = MinMakespan::default();
+        let u = MinMakespan;
         assert!(u.value(&j, 10.0, 100.0) > u.value(&j, 10.0, 200.0));
         assert_eq!(u.value(&j, 10.0, 0.0), 0.0);
     }
@@ -248,7 +217,7 @@ mod tests {
         let c = Cluster::paper_simulation();
         let iso = isolated_finish_time(&j, &c, 4);
         let u = FtfUtility::new(c, 4);
-        // U = scale/(jct·iso): at fair share (ρ = 1) the bid is scale/iso².
+        // U = SCALE/(jct·iso): at fair share (ρ = 1) the bid is SCALE/iso².
         let at_fair = u.value(&j, iso, iso);
         assert!((at_fair - FtfUtility::SCALE / (iso * iso)).abs() < 1e-9 * at_fair);
         // Finishing in half the fair time doubles the bid...
@@ -282,7 +251,7 @@ mod tests {
         let c = Cluster::paper_simulation();
         let kinds: Vec<UtilityKind> = vec![
             UtilityKind::EffectiveThroughput,
-            UtilityKind::MinMakespan(MinMakespan::default()),
+            UtilityKind::MinMakespan,
             UtilityKind::Ftf(FtfUtility::new(c, 8)),
         ];
         for k in &kinds {

@@ -17,9 +17,9 @@
 //! here is the one the scheduler takes.
 
 use hadar_cluster::{Allocation, Cluster, JobId, Usage};
+use hadar_core::config::DP_MAX_QUEUE;
 use hadar_core::dp::{dp_allocation, greedy_allocation, Selection};
 use hadar_core::find_alloc::{find_candidates, AllocEnv};
-use hadar_core::profiler::ProfilerConfig;
 use hadar_core::{
     AllocMode, Features, HadarConfig, HadarScheduler, PooledUsage, PriceState, ThroughputEstimator,
     UtilityKind,
@@ -29,9 +29,6 @@ use hadar_sim::{
     Simulation, StragglerModel,
 };
 use hadar_workload::{generate_trace, ArrivalPattern, Job, TraceConfig};
-
-/// The DP threshold of [`AllocMode::default`].
-const DP_MAX_QUEUE: usize = 9;
 
 /// `HadarScheduler` with the incremental fast path off, plus the
 /// in-step check after every round.
@@ -44,9 +41,9 @@ struct OracleChecked {
 }
 
 impl OracleChecked {
-    fn new(profiler: ProfilerConfig) -> Self {
+    fn new(profiling_seed: u64) -> Self {
         Self {
-            estimator: ThroughputEstimator::new(profiler),
+            estimator: ThroughputEstimator::new(profiling_seed),
             utility: UtilityKind::default(),
             admissions: 0,
         }
@@ -102,11 +99,9 @@ impl Scheduler for OracleChecked {
         let prices = PriceState::compute(&states, ctx.cluster, &self.utility, ctx.time);
         let env = AllocEnv {
             cluster: ctx.cluster,
-            comm: ctx.comm,
             prices: &prices,
             utility: &self.utility,
             now: ctx.time,
-            realloc_stall: HadarConfig::default().expected_realloc_penalty,
             features: Features::default(),
             machine_factors: ctx.machine_factors,
         };
@@ -147,27 +142,18 @@ fn scenario(seed: u64, pattern: ArrivalPattern) -> (Cluster, Vec<Job>) {
     (cluster, jobs)
 }
 
-fn profiler(seed: u64) -> ProfilerConfig {
-    ProfilerConfig {
-        seed,
-        ..ProfilerConfig::default()
-    }
-}
-
 /// Run the oracle-checked mirror and the real scheduler on one scenario;
 /// returns both outcomes and the mirror's checked admissions.
 fn run_both(seed: u64, pattern: ArrivalPattern, sim: SimConfig) -> (SimOutcome, SimOutcome, usize) {
     let (cluster, jobs) = scenario(seed, pattern);
-    let mut checked = OracleChecked::new(profiler(seed));
+    let mut checked = OracleChecked::new(seed);
     let mirrored = Simulation::new(cluster.clone(), jobs.clone(), sim)
         .run(&mut checked)
         .expect("valid scenario");
     let config = HadarConfig {
-        alloc_mode: AllocMode::Auto {
-            dp_max_queue: DP_MAX_QUEUE,
-        },
+        alloc_mode: AllocMode::Auto,
         incremental: false,
-        profiler: Some(profiler(seed)),
+        profiling_seed: Some(seed),
         ..HadarConfig::default()
     };
     let real = Simulation::new(cluster, jobs, sim)

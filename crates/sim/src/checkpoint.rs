@@ -7,66 +7,41 @@
 //! (Table IV). This module ships both that flat model and the calibrated
 //! cost model behind Table IV:
 //!
-//! * save time = `checkpoint_mib / effective_bandwidth`,
+//! * save time = `checkpoint_mib / EFFECTIVE_BANDWIDTH_MIB_S`,
 //! * reallocation overhead = save + load + worker re-initialization,
 //! * steady-state overhead (no move) = the periodic checkpoint save alone.
 
 use hadar_workload::DlTask;
 
-/// Calibrated checkpoint-cost model.
-///
-/// The prototype's gp2 SSD sustains 1000 MiB/s raw, but serialization,
-/// small-file overhead, and framework stalls reduce the *effective*
-/// checkpoint bandwidth; 250 MiB/s reproduces the Table IV percentages with
-/// the model footprints in [`DlTask::checkpoint_mib`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CheckpointModel {
-    /// Effective read/write bandwidth in MiB/s.
-    pub effective_bandwidth_mib_s: f64,
+/// Effective checkpoint read/write bandwidth in MiB/s. The prototype's gp2
+/// SSD sustains 1000 MiB/s raw, but serialization, small-file overhead, and
+/// framework stalls reduce the *effective* bandwidth; 250 MiB/s reproduces
+/// the Table IV percentages with the model footprints in
+/// [`DlTask::checkpoint_mib`].
+pub const EFFECTIVE_BANDWIDTH_MIB_S: f64 = 250.0;
+
+/// Seconds to save (or, at the same bandwidth, load) one checkpoint of
+/// `model`.
+pub fn save_seconds(model: DlTask) -> f64 {
+    model.checkpoint_mib() / EFFECTIVE_BANDWIDTH_MIB_S
 }
 
-impl Default for CheckpointModel {
-    fn default() -> Self {
-        Self {
-            effective_bandwidth_mib_s: 250.0,
-        }
-    }
+/// Total stall when the job is moved to a different allocation:
+/// save + load + worker re-initialization.
+pub fn reallocation_seconds(model: DlTask) -> f64 {
+    save_seconds(model) + save_seconds(model) + model.reinit_seconds()
 }
 
-impl CheckpointModel {
-    /// Seconds to save one checkpoint of `model`.
-    pub fn save_seconds(&self, model: DlTask) -> f64 {
-        model.checkpoint_mib() / self.effective_bandwidth_mib_s
-    }
-
-    /// Seconds to load one checkpoint of `model`.
-    pub fn load_seconds(&self, model: DlTask) -> f64 {
-        // Reads and writes run at the same effective bandwidth on gp2.
-        self.save_seconds(model)
-    }
-
-    /// Total stall when the job is moved to a different allocation:
-    /// save + load + worker re-initialization.
-    pub fn reallocation_seconds(&self, model: DlTask) -> f64 {
-        self.save_seconds(model) + self.load_seconds(model) + model.reinit_seconds()
-    }
-
-    /// Stall per round when the allocation is unchanged: the periodic
-    /// checkpoint save only.
-    pub fn steady_seconds(&self, model: DlTask) -> f64 {
-        self.save_seconds(model)
-    }
-
-    /// Table IV entry: overhead as a percentage of a round of
-    /// `round_seconds`, with (`true`) or without (`false`) reallocation.
-    pub fn overhead_percent(&self, model: DlTask, round_seconds: f64, realloc: bool) -> f64 {
-        let stall = if realloc {
-            self.reallocation_seconds(model)
-        } else {
-            self.steady_seconds(model)
-        };
-        stall / round_seconds * 100.0
-    }
+/// Table IV entry: overhead as a percentage of a round of `round_seconds`,
+/// with (`true`) or without (`false`, the periodic checkpoint save alone)
+/// reallocation.
+pub fn overhead_percent(model: DlTask, round_seconds: f64, realloc: bool) -> f64 {
+    let stall = if realloc {
+        reallocation_seconds(model)
+    } else {
+        save_seconds(model)
+    };
+    stall / round_seconds * 100.0
 }
 
 /// The penalty the simulator charges a job whose allocation changed this
@@ -75,12 +50,11 @@ impl CheckpointModel {
 pub enum PreemptionPenalty {
     /// Flat delay in seconds per reallocation — the paper's simulation
     /// setting ("a 10-second delay for each job that has received a new
-    /// allocation").
+    /// allocation"); `Fixed(0.0)` is the idealized no-overhead ablation.
     Fixed(f64),
-    /// Per-model delay from the calibrated [`CheckpointModel`].
-    Modeled(CheckpointModel),
-    /// No overhead (idealized ablations).
-    None,
+    /// Per-model delay from the calibrated cost model,
+    /// [`reallocation_seconds`].
+    Modeled,
 }
 
 impl Default for PreemptionPenalty {
@@ -94,8 +68,7 @@ impl PreemptionPenalty {
     pub fn seconds(&self, model: DlTask) -> f64 {
         match *self {
             PreemptionPenalty::Fixed(s) => s,
-            PreemptionPenalty::Modeled(m) => m.reallocation_seconds(model),
-            PreemptionPenalty::None => 0.0,
+            PreemptionPenalty::Modeled => reallocation_seconds(model),
         }
     }
 }
@@ -107,7 +80,6 @@ mod tests {
     #[test]
     fn table4_without_reallocation() {
         // Paper Table IV, "w/o reallocation" column.
-        let m = CheckpointModel::default();
         let expect = [
             (DlTask::ResNet50, 0.33),
             (DlTask::ResNet18, 0.21),
@@ -116,7 +88,7 @@ mod tests {
             (DlTask::Transformer, 0.17),
         ];
         for (task, pct) in expect {
-            let got = m.overhead_percent(task, 360.0, false);
+            let got = overhead_percent(task, 360.0, false);
             assert!((got - pct).abs() < 0.03, "{task}: {got:.2}% vs {pct}%");
         }
     }
@@ -124,7 +96,6 @@ mod tests {
     #[test]
     fn table4_with_reallocation() {
         // Paper Table IV, "w/ reallocation" column.
-        let m = CheckpointModel::default();
         let expect = [
             (DlTask::ResNet50, 2.1),
             (DlTask::ResNet18, 1.29),
@@ -133,24 +104,23 @@ mod tests {
             (DlTask::Transformer, 0.71),
         ];
         for (task, pct) in expect {
-            let got = m.overhead_percent(task, 360.0, true);
+            let got = overhead_percent(task, 360.0, true);
             assert!((got - pct).abs() < 0.05, "{task}: {got:.2}% vs {pct}%");
         }
     }
 
     #[test]
     fn reallocation_costs_more_than_steady() {
-        let m = CheckpointModel::default();
         for t in DlTask::ALL {
-            assert!(m.reallocation_seconds(t) > m.steady_seconds(t));
+            assert!(reallocation_seconds(t) > save_seconds(t));
         }
     }
 
     #[test]
     fn penalty_variants() {
         assert_eq!(PreemptionPenalty::default().seconds(DlTask::Lstm), 10.0);
-        assert_eq!(PreemptionPenalty::None.seconds(DlTask::Lstm), 0.0);
-        let modeled = PreemptionPenalty::Modeled(CheckpointModel::default());
+        assert_eq!(PreemptionPenalty::Fixed(0.0).seconds(DlTask::Lstm), 0.0);
+        let modeled = PreemptionPenalty::Modeled;
         assert!(modeled.seconds(DlTask::ResNet50) > 7.0);
         assert!(modeled.seconds(DlTask::ResNet50) < 9.0);
     }

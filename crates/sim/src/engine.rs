@@ -3,7 +3,8 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use hadar_cluster::{Cluster, CommCostModel, JobId, JobPlacement, MachineId};
+use hadar_cluster::comm::placement_factor;
+use hadar_cluster::{Cluster, JobId, JobPlacement, MachineId};
 use hadar_workload::Job;
 
 use crate::checkpoint::PreemptionPenalty;
@@ -22,8 +23,6 @@ pub struct SimConfig {
     pub round_length: f64,
     /// Penalty charged to a job whose allocation changed.
     pub penalty: PreemptionPenalty,
-    /// Cross-server communication model.
-    pub comm: CommCostModel,
     /// Hard cap on simulated rounds (safety net against livelock; a run
     /// hitting the cap is reported with `timed_out = true`).
     pub max_rounds: u64,
@@ -39,7 +38,6 @@ impl Default for SimConfig {
         Self {
             round_length: 360.0,
             penalty: PreemptionPenalty::default(),
-            comm: CommCostModel::default(),
             max_rounds: 1_000_000,
             straggler: None,
             failure: None,
@@ -57,22 +55,12 @@ impl SimConfig {
                 self.round_length
             )));
         }
-        match self.penalty {
-            PreemptionPenalty::Fixed(secs) if !secs.is_finite() || secs < 0.0 => {
+        if let PreemptionPenalty::Fixed(secs) = self.penalty {
+            if !secs.is_finite() || secs < 0.0 {
                 return Err(SimError::InvalidConfig(format!(
                     "preemption penalty must be finite and non-negative (got {secs})"
                 )));
             }
-            PreemptionPenalty::Modeled(m)
-                if !m.effective_bandwidth_mib_s.is_finite()
-                    || m.effective_bandwidth_mib_s <= 0.0 =>
-            {
-                return Err(SimError::InvalidConfig(format!(
-                    "checkpoint bandwidth must be finite and positive (got {})",
-                    m.effective_bandwidth_mib_s
-                )));
-            }
-            _ => {}
         }
         if let Some(s) = &self.straggler {
             s.validate()
@@ -282,7 +270,6 @@ impl Simulation {
                 round_length: round,
                 cluster: &cluster,
                 jobs: &active,
-                comm: &config.comm,
                 machine_factors: &machine_factors,
                 availability,
                 telemetry: &telemetry,
@@ -397,7 +384,7 @@ impl Simulation {
                 held_gpu_seconds += workers * round;
 
                 let (rate, bottleneck) =
-                    rate_and_bottleneck(&state.job, &new_placement, &config.comm, &machine_factors)
+                    rate_and_bottleneck(&state.job, &new_placement, &machine_factors)
                         .unwrap_or_default();
                 if rate > 0.0 && eff > 0.0 {
                     let capacity_iters = rate * eff;
@@ -486,29 +473,23 @@ impl Simulation {
 /// machine's straggler factor (machines beyond `factors` count as healthy,
 /// 1.0), × gang size × the communication degradation for
 /// non-consolidated placements. 0.0 for an empty placement.
-pub fn job_rate(job: &Job, placement: &JobPlacement, comm: &CommCostModel, factors: &[f64]) -> f64 {
-    rate_and_bottleneck(job, placement, comm, factors).map_or(0.0, |(rate, _)| rate)
+pub fn job_rate(job: &Job, placement: &JobPlacement, factors: &[f64]) -> f64 {
+    rate_and_bottleneck(job, placement, factors).map_or(0.0, |(rate, _)| rate)
 }
 
 /// [`job_rate`] together with the bottleneck per-task throughput it is
 /// built from; `None` for an empty placement.
-fn rate_and_bottleneck(
-    job: &Job,
-    placement: &JobPlacement,
-    comm: &CommCostModel,
-    factors: &[f64],
-) -> Option<(f64, f64)> {
+fn rate_and_bottleneck(job: &Job, placement: &JobPlacement, factors: &[f64]) -> Option<(f64, f64)> {
     let bottleneck = placement.bottleneck_rate_per_slice(|h, r| {
         job.profile.rate(r) * factors.get(h.index()).copied().unwrap_or(1.0)
     })?;
-    let rate = bottleneck * placement.total_workers() as f64 * comm.placement_factor(placement);
+    let rate = bottleneck * placement.total_workers() as f64 * placement_factor(placement);
     Some((rate, bottleneck))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointModel;
     use hadar_cluster::{Allocation, GpuTypeId};
     use hadar_workload::DlTask;
 
@@ -554,8 +535,7 @@ mod tests {
 
     fn no_penalty_config() -> SimConfig {
         SimConfig {
-            penalty: PreemptionPenalty::None,
-            comm: CommCostModel::free(),
+            penalty: PreemptionPenalty::Fixed(0.0),
             ..SimConfig::default()
         }
     }
@@ -579,7 +559,6 @@ mod tests {
         let jobs = vec![small_job(0, 0.0, 2, 100)];
         let cfg = SimConfig {
             penalty: PreemptionPenalty::Fixed(10.0),
-            comm: CommCostModel::free(),
             ..SimConfig::default()
         };
         let out = Simulation::new(cluster(), jobs, cfg).run(FifoV100).unwrap();
@@ -862,18 +841,6 @@ mod tests {
             PreemptionPenalty::Fixed(-1000.0),
             PreemptionPenalty::Fixed(f64::NAN),
             PreemptionPenalty::Fixed(f64::INFINITY),
-            PreemptionPenalty::Modeled(CheckpointModel {
-                effective_bandwidth_mib_s: 0.0,
-            }),
-            PreemptionPenalty::Modeled(CheckpointModel {
-                effective_bandwidth_mib_s: -250.0,
-            }),
-            PreemptionPenalty::Modeled(CheckpointModel {
-                effective_bandwidth_mib_s: f64::NAN,
-            }),
-            PreemptionPenalty::Modeled(CheckpointModel {
-                effective_bandwidth_mib_s: f64::INFINITY,
-            }),
         ];
         for penalty in bad_penalties {
             let jobs = vec![small_job(0, 0.0, 1, 1)];
@@ -889,11 +856,7 @@ mod tests {
                 "{penalty:?}: {err:?}"
             );
         }
-        for penalty in [
-            PreemptionPenalty::Fixed(0.0),
-            PreemptionPenalty::None,
-            PreemptionPenalty::Modeled(CheckpointModel::default()),
-        ] {
+        for penalty in [PreemptionPenalty::Fixed(0.0), PreemptionPenalty::Modeled] {
             let cfg = SimConfig {
                 penalty,
                 ..SimConfig::default()
@@ -925,8 +888,7 @@ mod tests {
 
     fn failure_config(mtbf: f64, mttr: f64, seed: u64) -> SimConfig {
         SimConfig {
-            penalty: PreemptionPenalty::None,
-            comm: CommCostModel::free(),
+            penalty: PreemptionPenalty::Fixed(0.0),
             failure: Some(FailureModel {
                 mtbf_rounds: mtbf,
                 mttr_rounds: mttr,
@@ -1063,15 +1025,12 @@ mod tests {
                 count: 1,
             },
         ]);
-        let comm = CommCostModel {
-            throughput_penalty_per_hop: 0.1,
-            price_surcharge_per_hop: 0.0,
-        };
-        let r = job_rate(&job, &spread, &comm, &[]);
-        assert!((r - 2.0 * 120.0 * 0.9).abs() < 1e-9);
+        let keep = 1.0 - hadar_cluster::comm::THROUGHPUT_PENALTY_PER_HOP;
+        let r = job_rate(&job, &spread, &[]);
+        assert!((r - 2.0 * 120.0 * keep).abs() < 1e-9);
         // A straggling machine slows the whole gang to its pace.
-        let r = job_rate(&job, &spread, &comm, &[1.0, 0.5]);
-        assert!((r - 2.0 * 60.0 * 0.9).abs() < 1e-9);
-        assert_eq!(job_rate(&job, &JobPlacement::empty(), &comm, &[]), 0.0);
+        let r = job_rate(&job, &spread, &[1.0, 0.5]);
+        assert!((r - 2.0 * 60.0 * keep).abs() < 1e-9);
+        assert_eq!(job_rate(&job, &JobPlacement::empty(), &[]), 0.0);
     }
 }

@@ -17,7 +17,7 @@
 //!    constraints,
 //! 4. charges a checkpoint/restore penalty to every job whose allocation
 //!    changed (the paper's 10-second default, or the calibrated
-//!    [`CheckpointModel`]),
+//!    [`checkpoint`] cost model),
 //! 5. advances each running job by its bottleneck throughput
 //!    `x_j(t) · W_j · (L − penalty)` iterations (Eq. 1a/1b), degraded by the
 //!    cross-server communication factor for non-consolidated placements, and
@@ -74,7 +74,7 @@ pub mod stats;
 pub mod straggler;
 pub mod telemetry;
 
-pub use checkpoint::{CheckpointModel, PreemptionPenalty};
+pub use checkpoint::PreemptionPenalty;
 pub use engine::{job_rate, SimConfig, Simulation};
 pub use error::{SimError, SimResult};
 pub use event::{check_lifecycle, SimEvent};

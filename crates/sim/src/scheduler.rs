@@ -1,7 +1,7 @@
 //! The scheduler interface every policy implements (Hadar, Gavel, Tiresias,
 //! YARN-CS, and any user-defined policy).
 
-use hadar_cluster::{Allocation, Availability, Cluster, CommCostModel, JobPlacement};
+use hadar_cluster::{Allocation, Availability, Cluster, JobPlacement};
 use hadar_workload::Job;
 
 use crate::telemetry::Telemetry;
@@ -61,8 +61,6 @@ pub struct SchedulerContext<'a> {
     pub cluster: &'a Cluster,
     /// All admitted, unfinished jobs in arrival order.
     pub jobs: &'a [JobState],
-    /// The communication cost model in effect.
-    pub comm: &'a CommCostModel,
     /// Per-machine throughput factors this round (1.0 = healthy; < 1.0 =
     /// straggling, see [`crate::StragglerModel`]; 0.0 = down, see
     /// [`crate::FailureModel`]). May be empty when injection is disabled.

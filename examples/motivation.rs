@@ -45,7 +45,7 @@ fn run(name: &str, make: impl FnOnce() -> Box<dyn hadar::sim::Scheduler>) -> f64
     let cluster = Cluster::motivation_toy();
     let jobs = toy_jobs(cluster.catalog());
     let config = SimConfig {
-        penalty: PreemptionPenalty::None,
+        penalty: PreemptionPenalty::Fixed(0.0),
         ..SimConfig::default()
     };
     let outcome = Simulation::new(cluster, jobs, config)

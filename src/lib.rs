@@ -41,8 +41,8 @@ pub use hadar_workload as workload;
 pub mod prelude {
     pub use hadar_baselines::{GavelScheduler, TiresiasScheduler, YarnCsScheduler};
     pub use hadar_cluster::{
-        Allocation, Cluster, ClusterBuilder, CommCostModel, GpuCatalog, GpuTypeId, JobId,
-        JobPlacement, MachineId, Usage,
+        Allocation, Cluster, ClusterBuilder, GpuCatalog, GpuTypeId, JobId, JobPlacement, MachineId,
+        Usage,
     };
     pub use hadar_core::{HadarConfig, HadarScheduler};
     pub use hadar_metrics::SummaryStats;

@@ -2,7 +2,7 @@
 //! the same optimization framework actually steers the cluster toward that
 //! objective.
 
-use hadar::core::{FtfUtility, MinMakespan, UtilityKind};
+use hadar::core::{FtfUtility, UtilityKind};
 use hadar::prelude::*;
 
 fn run_with_utility(utility: UtilityKind, n: usize, seed: u64) -> SimOutcome {
@@ -23,7 +23,7 @@ fn run_with_utility(utility: UtilityKind, n: usize, seed: u64) -> SimOutcome {
 #[test]
 fn makespan_objective_completes_and_stays_competitive() {
     let default = run_with_utility(UtilityKind::EffectiveThroughput, 40, 42);
-    let makespan = run_with_utility(UtilityKind::MinMakespan(MinMakespan::default()), 40, 42);
+    let makespan = run_with_utility(UtilityKind::MinMakespan, 40, 42);
     assert_eq!(makespan.completed_jobs(), 40);
     // The makespan-objective schedule must not *worsen* makespan
     // meaningfully relative to the JCT-objective one.
@@ -55,7 +55,7 @@ fn all_shipped_utilities_are_schedulable() {
     let cluster = Cluster::paper_simulation();
     let utilities = vec![
         UtilityKind::EffectiveThroughput,
-        UtilityKind::MinMakespan(MinMakespan::default()),
+        UtilityKind::MinMakespan,
         UtilityKind::Ftf(FtfUtility::new(cluster, 12)),
     ];
     for u in utilities {
