@@ -33,7 +33,7 @@ impl SrtfScheduler {
             // Sticky shortcut: if the current placement is exactly this
             // type, still free, and on live machines, keep it.
             if !s.placement.is_empty()
-                && s.placement.gpu_types() == [r]
+                && s.placement.slices().iter().all(|sl| sl.gpu == r)
                 && placer.fits(&s.placement)
             {
                 return Some(s.placement.clone());
@@ -49,32 +49,28 @@ impl Scheduler for SrtfScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Allocation {
-        let mut order: Vec<usize> = (0..ctx.jobs.len()).collect();
-        let remaining_time = |s: &JobState| -> f64 {
-            let best = s.job.best_rate();
-            if best > 0.0 {
-                s.remaining_iters / best
-            } else {
-                f64::INFINITY
-            }
-        };
-        order.sort_by(|&a, &b| {
-            remaining_time(&ctx.jobs[a])
-                .partial_cmp(&remaining_time(&ctx.jobs[b]))
-                .expect("finite remaining times")
-                .then(ctx.jobs[a].job.id.cmp(&ctx.jobs[b].job.id))
-        });
+        // Shortest remaining best-case runtime first, lower id on ties; a job
+        // with no usable type (best rate 0) divides to +∞ and goes last.
+        let mut order: Vec<(f64, &JobState)> = ctx
+            .jobs
+            .iter()
+            .map(|s| (s.remaining_iters / s.job.best_rate(), s))
+            .collect();
+        order.sort_unstable_by(|(ta, a), (tb, b)| ta.total_cmp(tb).then(a.job.id.cmp(&b.job.id)));
 
         let mut usage = Usage::empty(ctx.cluster);
         let mut alloc = Allocation::empty();
-        for idx in order {
-            let s = &ctx.jobs[idx];
+        for (_, s) in order {
+            // With no GPU free, no later job fits or keeps its placement.
+            if usage.is_cluster_full(ctx.cluster) {
+                break;
+            }
             if let Some(p) = Self::place(ctx, &usage, s) {
                 if ctx.telemetry.is_enabled() {
                     // Did the gang land on the job's fastest type, or did
                     // contention push it down the preference list?
                     let preferred = s.job.profile.types_by_preference().first().copied();
-                    if preferred.is_some_and(|r| p.gpu_types() == [r]) {
+                    if preferred.is_some_and(|r| p.slices().iter().all(|sl| sl.gpu == r)) {
                         ctx.telemetry.incr("srtf.placed_preferred", 1.0);
                     } else {
                         ctx.telemetry.incr("srtf.placed_fallback", 1.0);

@@ -58,21 +58,6 @@ impl Scheduler for TiresiasScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Allocation {
-        // Priority order: queue 0 before queue 1, FIFO (arrival, then id)
-        // within each queue.
-        let mut order: Vec<usize> = (0..ctx.jobs.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (sa, sb) = (&ctx.jobs[a], &ctx.jobs[b]);
-            Self::queue_of(sa)
-                .cmp(&Self::queue_of(sb))
-                .then(
-                    sa.job
-                        .arrival
-                        .partial_cmp(&sb.job.arrival)
-                        .expect("finite arrivals"),
-                )
-                .then(sa.job.id.cmp(&sb.job.id))
-        });
         if ctx.telemetry.is_enabled() {
             let high = ctx.jobs.iter().filter(|s| Self::queue_of(s) == 0).count();
             ctx.telemetry.gauge("tiresias.queue_high", high as f64);
@@ -80,10 +65,16 @@ impl Scheduler for TiresiasScheduler {
                 .gauge("tiresias.queue_low", (ctx.jobs.len() - high) as f64);
         }
 
+        // Priority order: queue 0 before queue 1, FIFO within each queue —
+        // a stable partition of `ctx.jobs`, which is in arrival order. Once
+        // no GPU is free, no later job fits or can keep its placement.
+        let in_queue = |q| ctx.jobs.iter().filter(move |s| Self::queue_of(s) == q);
         let mut usage = Usage::empty(ctx.cluster);
         let mut alloc = Allocation::empty();
-        for idx in order {
-            let s = &ctx.jobs[idx];
+        for s in in_queue(0).chain(in_queue(1)) {
+            if usage.is_cluster_full(ctx.cluster) {
+                break;
+            }
             if let Some(p) = Self::place(ctx, &usage, s) {
                 for sl in p.slices() {
                     usage.add(sl.machine, sl.gpu, sl.count);

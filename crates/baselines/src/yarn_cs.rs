@@ -10,22 +10,18 @@
 //! Hadar. The scheduler is heterogeneity-oblivious: it hands out whatever
 //! free GPUs exist in machine order.
 
-use std::collections::HashMap;
+use hadar_cluster::{Allocation, Placer, Usage};
+use hadar_sim::{Scheduler, SchedulerContext};
 
-use hadar_cluster::{Allocation, JobId, JobPlacement, Placer, Usage};
-use hadar_sim::{JobState, Scheduler, SchedulerContext};
-
-/// The YARN-CS baseline scheduler.
+/// The YARN-CS baseline scheduler. It keeps no state of its own: a job is
+/// running exactly when it holds a placement ([`hadar_sim::JobState::placement`]).
 #[derive(Debug, Default)]
-pub struct YarnCsScheduler {
-    /// Placements of running jobs — immutable until the job completes.
-    running: HashMap<JobId, JobPlacement>,
-}
+pub struct YarnCsScheduler;
 
 impl YarnCsScheduler {
     /// Build the scheduler.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -38,79 +34,49 @@ impl Scheduler for YarnCsScheduler {
         let mut usage = Usage::empty(ctx.cluster);
         let mut alloc = Allocation::empty();
 
-        // Machine failures are the one event that takes containers away
-        // from a non-preemptive scheduler: the engine evicts a job whose
-        // machine died (its placement comes back empty), and it must
-        // re-queue FIFO rather than keep phantom containers on the corpse.
-        if ctx.availability.any_down() {
-            for s in ctx.jobs {
-                if s.placement.is_empty() {
-                    self.running.remove(&s.job.id);
-                }
+        // Running jobs keep their exact containers (non-preemptive). Machine
+        // failures are the one event that takes containers away: the engine
+        // evicts a job whose machine died by clearing its placement, so it
+        // re-queues FIFO below instead of keeping phantom containers.
+        let mut held = 0usize;
+        for s in ctx.jobs.iter().filter(|s| s.is_running()) {
+            for sl in s.placement.slices() {
+                usage.add(sl.machine, sl.gpu, sl.count);
             }
+            alloc.set(s.job.id, s.placement.clone());
+            held += 1;
         }
 
-        // Running jobs keep their exact containers (non-preemptive).
-        for s in ctx.jobs {
-            if let Some(p) = self.running.get(&s.job.id) {
-                for sl in p.slices() {
-                    usage.add(sl.machine, sl.gpu, sl.count);
-                }
-                alloc.set(s.job.id, p.clone());
-            }
-        }
-
-        // Admit waiting jobs in strict FIFO order; the first job whose gang
-        // does not fit blocks everything behind it (single-queue capacity
-        // scheduler head-of-line behaviour, no backfill).
-        let mut waiting: Vec<&JobState> = ctx
-            .jobs
-            .iter()
-            .filter(|s| !self.running.contains_key(&s.job.id))
-            .collect();
-        waiting.sort_by(|a, b| {
-            a.job
-                .arrival
-                .partial_cmp(&b.job.arrival)
-                .expect("finite arrivals")
-                .then(a.job.id.cmp(&b.job.id))
-        });
-        let queue_len = waiting.len();
-        let mut admitted = 0usize;
-        for s in waiting {
+        // Admit waiting jobs in strict FIFO order (`ctx.jobs` is in arrival
+        // order); the first job whose gang does not fit blocks everything
+        // behind it (single-queue capacity scheduler head-of-line behaviour,
+        // no backfill).
+        for s in ctx.jobs.iter().filter(|s| !s.is_running()) {
             // Heterogeneity-oblivious, consolidation-preferring container
             // placement: the machines with the most free GPUs first (YARN's
             // node-locality preference), any GPU type, never consulting
             // throughput.
             let placer = Placer::new(ctx.cluster, &usage, move |h| ctx.is_up(h));
-            match placer.any_type(s.job.gang, |r| s.job.profile.rate(r) > 0.0) {
-                Some(p) => {
-                    for sl in p.slices() {
-                        usage.add(sl.machine, sl.gpu, sl.count);
-                    }
-                    self.running.insert(s.job.id, p.clone());
-                    alloc.set(s.job.id, p);
-                    admitted += 1;
-                }
-                None => break,
+            let Some(p) = placer.any_type(s.job.gang, |r| s.job.profile.rate(r) > 0.0) else {
+                break;
+            };
+            for sl in p.slices() {
+                usage.add(sl.machine, sl.gpu, sl.count);
             }
+            alloc.set(s.job.id, p);
+            held += 1;
         }
-        ctx.telemetry
-            .gauge("yarn.running", self.running.len() as f64);
-        ctx.telemetry
-            .gauge("yarn.hol_blocked", (queue_len - admitted) as f64);
+        ctx.telemetry.gauge("yarn.running", held as f64);
+        let blocked = ctx.jobs.len() - held;
+        ctx.telemetry.gauge("yarn.hol_blocked", blocked as f64);
         alloc
-    }
-
-    fn on_completion(&mut self, job: JobId) {
-        self.running.remove(&job);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hadar_cluster::Cluster;
+    use hadar_cluster::{Cluster, JobId};
     use hadar_sim::{SimConfig, Simulation};
     use hadar_workload::{generate_trace, ArrivalPattern, DlTask, Job, TraceConfig};
 

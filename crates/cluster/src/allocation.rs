@@ -124,11 +124,6 @@ impl Allocation {
         }
     }
 
-    /// Remove a job's placement.
-    pub fn remove(&mut self, job: JobId) -> Option<JobPlacement> {
-        self.placements.remove(&job)
-    }
-
     /// The placement of `job`, if scheduled this round.
     pub fn get(&self, job: JobId) -> Option<&JobPlacement> {
         self.placements.get(&job)
@@ -144,54 +139,55 @@ impl Allocation {
         self.placements.is_empty()
     }
 
-    /// Aggregate into per-machine/type occupied counts `γ_h^r`.
-    pub fn usage(&self, cluster: &Cluster) -> Usage {
-        let mut u = Usage::empty(cluster);
-        for p in self.placements.values() {
-            for s in p.slices() {
-                u.add(s.machine, s.gpu, s.count);
-            }
-        }
-        u
-    }
-
     /// Validate against the cluster: capacity (constraint 1d) and, for each
     /// job, the gang-size requirement `Σ w ∈ {0, W_j}` (constraint 1e) using
     /// `gang_of`.
     ///
-    /// Returns the first violation found, or `Ok(())`.
+    /// Returns the first violation found, or `Ok(())`: the over-capacity
+    /// `(machine, type)` pair that comes first in that order, else the
+    /// lowest job id with the wrong worker count.
     pub fn validate(
         &self,
         cluster: &Cluster,
         mut gang_of: impl FnMut(JobId) -> u32,
     ) -> Result<(), AllocationError> {
-        let usage = self.usage(cluster);
-        for h in cluster.machine_ids() {
-            for r in cluster.catalog().ids() {
-                let used = usage.get(h, r);
-                let cap = cluster.capacity(h, r);
-                if used > cap {
-                    return Err(AllocationError::OverCapacity {
-                        machine: h,
-                        gpu: r,
-                        used,
-                        capacity: cap,
-                    });
+        let mut usage = Usage::empty(cluster);
+        let mut over: Option<(MachineId, GpuTypeId)> = None;
+        let mut gang_error = None;
+        for (&j, p) in &self.placements {
+            for s in p.slices() {
+                usage.add(s.machine, s.gpu, s.count);
+                let pair = (s.machine, s.gpu);
+                if usage.get(s.machine, s.gpu) > cluster.capacity(s.machine, s.gpu)
+                    && over.is_none_or(|first| pair < first)
+                {
+                    over = Some(pair);
                 }
             }
-        }
-        for (&j, p) in &self.placements {
-            let w = p.total_workers();
-            let gang = gang_of(j);
-            if w != gang {
-                return Err(AllocationError::GangViolation {
-                    job: j,
-                    got: w,
-                    want: gang,
-                });
+            let (got, want) = (p.total_workers(), gang_of(j));
+            if got != want && gang_error.is_none() {
+                gang_error = Some(AllocationError::GangViolation { job: j, got, want });
             }
         }
-        Ok(())
+        if let Some((machine, gpu)) = over {
+            return Err(AllocationError::OverCapacity {
+                machine,
+                gpu,
+                used: usage.get(machine, gpu),
+                capacity: cluster.capacity(machine, gpu),
+            });
+        }
+        gang_error.map_or(Ok(()), Err)
+    }
+}
+
+/// Consumes into `(job, placement)` pairs in job-id order.
+impl IntoIterator for Allocation {
+    type Item = (JobId, JobPlacement);
+    type IntoIter = std::collections::btree_map::IntoIter<JobId, JobPlacement>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.placements.into_iter()
     }
 }
 
@@ -322,7 +318,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_over_capacity() {
-        let (cl, a, _) = toy();
+        let (cl, a, c) = toy();
         let mut alloc = Allocation::empty();
         alloc.set(JobId(0), JobPlacement::single(MachineId(0), a, 3));
         let err = alloc.validate(&cl, |_| 3).unwrap_err();
@@ -334,6 +330,35 @@ mod tests {
                 ..
             }
         ));
+        // Usage adds up across jobs: two 1-GPU jobs on machine 1's one A.
+        let mut alloc = Allocation::empty();
+        alloc.set(JobId(0), JobPlacement::single(MachineId(1), a, 1));
+        alloc.set(JobId(1), JobPlacement::single(MachineId(1), a, 1));
+        assert_eq!(
+            alloc.validate(&cl, |_| 1),
+            Err(AllocationError::OverCapacity {
+                machine: MachineId(1),
+                gpu: a,
+                used: 2,
+                capacity: 1
+            })
+        );
+        // Two pairs over capacity: the first in (machine, type) order is
+        // reported, whichever job holds it.
+        let mut alloc = Allocation::empty();
+        alloc.set(JobId(0), JobPlacement::single(MachineId(1), c, 3));
+        alloc.set(JobId(1), JobPlacement::single(MachineId(1), a, 2));
+        alloc.set(JobId(2), JobPlacement::single(MachineId(0), a, 3));
+        let err = alloc.validate(&cl, |_| 3).unwrap_err();
+        assert_eq!(
+            err,
+            AllocationError::OverCapacity {
+                machine: MachineId(0),
+                gpu: a,
+                used: 3,
+                capacity: 2
+            }
+        );
     }
 
     #[test]
@@ -351,17 +376,5 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("gang size is 4"));
-    }
-
-    #[test]
-    fn usage_aggregates_across_jobs() {
-        let (cl, a, c) = toy();
-        let mut alloc = Allocation::empty();
-        alloc.set(JobId(0), JobPlacement::single(MachineId(1), a, 1));
-        alloc.set(JobId(1), JobPlacement::single(MachineId(1), c, 2));
-        let u = alloc.usage(&cl);
-        assert_eq!(u.get(MachineId(1), a), 1);
-        assert_eq!(u.get(MachineId(1), c), 2);
-        assert_eq!(u.get(MachineId(0), a), 0);
     }
 }

@@ -1,6 +1,5 @@
 //! The round-based simulation engine.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use hadar_cluster::comm::placement_factor;
@@ -103,10 +102,11 @@ impl Simulation {
 
     /// Run to completion (or the round cap) under `scheduler`.
     ///
-    /// Returns a [`SimError`] instead of panicking when the configuration or
-    /// the job ids are invalid or the scheduler violates the allocation
-    /// constraints, so one bad cell in a parallel sweep degrades into an
-    /// error row rather than aborting every worker.
+    /// Returns a [`SimError`] instead of panicking when the configuration,
+    /// the job ids or a gang the cluster cannot hold are invalid, or the
+    /// scheduler violates the allocation constraints, so one bad cell in a
+    /// parallel sweep degrades into an error row rather than aborting every
+    /// worker.
     pub fn run<S: Scheduler>(self, scheduler: S) -> SimResult {
         self.run_with_telemetry(scheduler, Telemetry::disabled())
     }
@@ -140,6 +140,21 @@ impl Simulation {
                 j.id
             )));
         }
+        // A gang larger than all the GPUs of the types it can run on could
+        // never be placed; every policy would spin to the round cap.
+        for job in &jobs {
+            let types = cluster.catalog().ids();
+            let usable: u32 = types
+                .filter(|&r| job.profile.rate(r) > 0.0)
+                .map(|r| cluster.total_of_type(r))
+                .sum();
+            if job.gang > usable {
+                return Err(SimError::InvalidConfig(format!(
+                    "job {} has gang {} but the cluster has only {usable} GPUs of the types it can run on",
+                    job.id, job.gang
+                )));
+            }
+        }
         let mut records: Vec<JobRecord> = jobs
             .into_iter()
             .map(|job| JobRecord {
@@ -161,16 +176,25 @@ impl Simulation {
         });
         let mut pending = order.into_iter().peekable();
         let mut active: Vec<JobState> = Vec::new();
+        // Per job id: its index in `active` while admitted and unfinished.
+        let mut slot: Vec<Option<usize>> = vec![None; num_jobs];
+        // Jobs holding GPUs after the previous round, in `active` order: with
+        // the jobs it places, all a round visits (an idle job changes nothing).
+        let mut running: Vec<JobId> = Vec::new();
+        let mut visit: Vec<(usize, JobPlacement)> = Vec::new();
+        // Σ gang over `active`.
+        let mut demand_gpus = 0u32;
+        let mut finished: Vec<JobId> = Vec::new();
+        let mut completions: Vec<SimEvent> = Vec::new();
         let mut rounds: Vec<RoundRecord> = Vec::new();
         let mut time = 0.0f64;
-        let mut completed = 0usize;
         let mut timed_out = false;
         let mut round_no = 0u64;
         let mut stragglers = StragglerState::new(config.straggler, cluster.num_machines());
         let mut failures = FailureState::new(config.failure, cluster.num_machines());
         let mut events: Vec<SimEvent> = Vec::new();
 
-        while completed < num_jobs {
+        while pending.len() > 0 || !active.is_empty() {
             if round_no >= config.max_rounds {
                 timed_out = true;
                 break;
@@ -217,6 +241,8 @@ impl Simulation {
                         job: job.id,
                     },
                 );
+                slot[i] = Some(active.len());
+                demand_gpus += job.gang;
                 active.push(JobState::new(job.clone()));
                 arrivals_this_round += 1;
             }
@@ -243,7 +269,8 @@ impl Simulation {
                 // machine: the work since the last round-boundary
                 // checkpoint (i.e. the failed round's progress) is lost,
                 // and any re-placement pays the restore penalty below.
-                for state in active.iter_mut() {
+                for &id in &running {
+                    let state = &mut active[slot[id.index()].expect("running jobs are active")];
                     let dead = state
                         .placement
                         .slices()
@@ -275,24 +302,22 @@ impl Simulation {
                 telemetry: &telemetry,
             };
             let t0 = Instant::now();
-            let mut allocation = scheduler.schedule(&ctx);
-            let decision_seconds = t0.elapsed().as_secs_f64();
-            let phases = scheduler.last_decision_phases();
+            let allocation = scheduler.schedule(&ctx);
             let bk0 = Instant::now();
+            let decision_seconds = (bk0 - t0).as_secs_f64();
+            let phases = scheduler.last_decision_phases();
 
             // Validate: capacity, gang sizes, and that only queued jobs are
             // scheduled. A violation is a policy bug — fail the run.
-            let gang: HashMap<JobId, u32> = active.iter().map(|s| (s.job.id, s.job.gang)).collect();
-            for (id, _) in allocation.iter() {
-                if !gang.contains_key(&id) {
-                    return Err(SimError::UnknownJobAllocated {
-                        scheduler: scheduler.name().to_owned(),
-                        job: id,
-                        round: round_no,
-                    });
-                }
+            let queued = |id: JobId| slot.get(id.index()).is_some_and(Option::is_some);
+            if let Some((id, _)) = allocation.iter().find(|&(id, _)| !queued(id)) {
+                return Err(SimError::UnknownJobAllocated {
+                    scheduler: scheduler.name().to_owned(),
+                    job: id,
+                    round: round_no,
+                });
             }
-            if let Err(e) = allocation.validate(&cluster, |id| gang[&id]) {
+            if let Err(e) = allocation.validate(&cluster, |id| records[id.index()].job.gang) {
                 return Err(SimError::InvalidAllocation {
                     scheduler: scheduler.name().to_owned(),
                     round: round_no,
@@ -300,8 +325,18 @@ impl Simulation {
                 });
             }
 
-            // Advance every active job.
-            let demand_gpus: u32 = active.iter().map(|s| s.job.gang).sum();
+            // Advance the jobs that held GPUs or receive them, in `active`
+            // order so events and float sums keep their order. A job in both
+            // sets is visited once, with its new placement.
+            let position = |id: JobId| slot[id.index()].expect("queued");
+            visit.extend(allocation.into_iter().map(|(id, p)| (position(id), p)));
+            visit.extend(
+                running
+                    .drain(..)
+                    .map(|id| (position(id), JobPlacement::empty())),
+            );
+            visit.sort_unstable_by_key(|(k, p)| (*k, p.is_empty()));
+            visit.dedup_by_key(|(k, _)| *k);
             let mut busy_gpu_seconds = 0.0;
             let mut held_gpu_seconds = 0.0;
             let mut reallocations = 0u32;
@@ -310,13 +345,9 @@ impl Simulation {
             let mut preempted_this_round = 0u32;
             let queue_depth = active.len() as u32;
             let mut util_by_type = vec![0u32; cluster.num_types()];
-            let mut finished: Vec<JobId> = Vec::new();
-            let mut completions: Vec<SimEvent> = Vec::new();
 
-            for state in active.iter_mut() {
-                let mut new_placement = allocation
-                    .remove(state.job.id)
-                    .unwrap_or_else(JobPlacement::empty);
+            for (k, mut new_placement) in visit.drain(..) {
+                let state = &mut active[k];
                 // A placement touching a down machine cannot run: strip it,
                 // so the job simply loses the round (zero-rate masking for
                 // policies that ignore the availability mask).
@@ -418,16 +449,26 @@ impl Simulation {
                         busy_gpu_seconds += sl.count as f64 * work_time * weight;
                     }
                 }
+                if state.remaining_iters > 0.0 {
+                    running.push(state.job.id);
+                }
                 state.placement = new_placement;
             }
 
             completions.sort_by(|a, b| a.time().total_cmp(&b.time()));
-            events.extend(completions);
-            for id in &finished {
-                scheduler.on_completion(*id);
+            events.append(&mut completions);
+            let round_demand = demand_gpus;
+            for &id in &finished {
+                scheduler.on_completion(id);
+                slot[id.index()] = None;
+                demand_gpus -= records[id.index()].job.gang;
             }
-            completed += finished.len();
-            active.retain(|s| s.remaining_iters > 0.0);
+            if !finished.is_empty() {
+                active.retain(|s| s.remaining_iters > 0.0);
+                for (k, s) in active.iter().enumerate() {
+                    slot[s.job.id.index()] = Some(k);
+                }
+            }
             time += round;
 
             rounds.push(RoundRecord {
@@ -440,7 +481,7 @@ impl Simulation {
                 completed: finished.len() as u32,
                 arrivals: arrivals_this_round,
                 reallocations,
-                demand_gpus,
+                demand_gpus: round_demand,
                 busy_gpu_seconds,
                 held_gpu_seconds,
                 machines_down: availability.num_down() as u32,
@@ -450,6 +491,7 @@ impl Simulation {
                 policy: telemetry.drain_round(),
                 bookkeeping_seconds: bk0.elapsed().as_secs_f64(),
             });
+            finished.clear();
         }
 
         let mut outcome = SimOutcome::new(
@@ -781,7 +823,7 @@ mod tests {
 
     #[test]
     fn invalid_allocation_is_an_error_not_a_panic() {
-        let jobs = vec![small_job(0, 0.0, 99, 1)];
+        let jobs = vec![small_job(0, 0.0, 2, 1)];
         let err = Simulation::new(cluster(), jobs, SimConfig::default())
             .run(OverAllocator)
             .unwrap_err();

@@ -14,8 +14,9 @@ use hadar_cluster::JobId;
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The [`crate::SimConfig`] is unusable (non-positive round length,
-    /// invalid straggler or failure model parameters, …) or the trace's job
-    /// ids are not dense `0..n`.
+    /// invalid straggler or failure model parameters, …), the trace's job
+    /// ids are not dense `0..n`, or a job's gang exceeds the cluster's GPUs
+    /// of the types it can run on.
     InvalidConfig(String),
     /// The scheduler allocated GPUs to a job that is not in the active set
     /// (unknown, finished, or not yet admitted).

@@ -283,7 +283,7 @@ mod tests {
             hadar_workload::DlTask::ResNet18,
             cluster.catalog(),
             0.0,
-            99,
+            2,
             10,
         )];
         Simulation::new(cluster, jobs, SimConfig::default()).run(OverAllocator)

@@ -59,7 +59,10 @@ pub struct SchedulerContext<'a> {
     pub round_length: f64,
     /// The cluster topology.
     pub cluster: &'a Cluster,
-    /// All admitted, unfinished jobs in arrival order.
+    /// All admitted, unfinished jobs, sorted by `(arrival, id)`: ascending
+    /// [`f64::total_cmp`] of `job.arrival`, then ascending `job.id`.
+    /// [`hadar_workload::Job::new`] stores a −0.0 arrival as +0.0, so jobs
+    /// arriving at time zero order by id. FIFO policies rely on this order.
     pub jobs: &'a [JobState],
     /// Per-machine throughput factors this round (1.0 = healthy; < 1.0 =
     /// straggling, see [`crate::StragglerModel`]; 0.0 = down, see

@@ -45,7 +45,9 @@ impl Job {
         Self {
             id,
             model,
-            arrival,
+            // −0.0 equals +0.0 but sorts first under `total_cmp`, which the
+            // engine admits by; store +0.0 so equal arrivals admit by id.
+            arrival: arrival.abs(),
             gang,
             epochs,
             iters_per_epoch,
@@ -130,6 +132,12 @@ mod tests {
         assert!((j.min_runtime() - 39_000.0 / 240.0).abs() < 1e-9);
         // 2 GPUs * 162.5 s = 0.09 GPU-hours => Small.
         assert_eq!(j.size_class(), SizeClass::Small);
+    }
+
+    #[test]
+    fn negative_zero_arrival_is_stored_as_zero() {
+        let j = Job::for_model(JobId(0), DlTask::ResNet18, &catalog(), -0.0, 1, 1);
+        assert!(j.arrival.is_sign_positive());
     }
 
     #[test]

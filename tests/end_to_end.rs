@@ -204,3 +204,66 @@ fn outcome_reallocation_stat_is_bounded() {
     // Hadar's sticky candidates keep churn modest (§IV-A-5 reports ~30%).
     assert!(rate < 0.5, "reallocation rate {rate} suspiciously high");
 }
+
+/// All five policies, by name.
+fn five_policies() -> Vec<Box<dyn Scheduler>> {
+    let mut all = all_schedulers();
+    all.push(Box::new(hadar::baselines::SrtfScheduler::new()));
+    all
+}
+
+#[test]
+fn a_gang_the_cluster_can_never_hold_is_a_config_error() {
+    // The toy cluster: 2 V100, 3 P100, 1 K80. Each case is
+    // (gang, per-type rates): more GPUs than the cluster has, and more than
+    // the five of the two types a K80-less job can run on.
+    let cluster = Cluster::motivation_toy();
+    let cases: [(u32, [f64; 3]); 2] = [(1000, [3.0, 2.0, 1.0]), (6, [3.0, 2.0, 0.0])];
+    for (gang, rates) in cases {
+        for s in five_policies() {
+            let name = s.name().to_owned();
+            let profile = ThroughputProfile::from_rates(rates.to_vec());
+            let fits = Job::for_model(JobId(0), DlTask::ResNet18, cluster.catalog(), 0.0, 1, 5);
+            let big = Job::new(JobId(1), DlTask::ResNet18, 0.0, gang, 1, 100, profile);
+            let err = Simulation::new(cluster.clone(), vec![fits, big], SimConfig::default())
+                .run(s)
+                .unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig(m) if m.contains("job J1 has gang")),
+                "{name}, gang {gang}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn jobs_arriving_at_zero_and_negative_zero_start_in_id_order() {
+    // Two 2-GPU jobs on a 2-GPU machine, the higher id arriving at −0.0:
+    // the FIFO policies must still start the lower id first.
+    let mut b = ClusterBuilder::new();
+    let v100 = b.gpu_type("V100");
+    b.machine(&[(v100, 2)]);
+    let cluster = b.build();
+    let job = |id, arrival| {
+        Job::for_model(
+            JobId(id),
+            DlTask::ResNet18,
+            cluster.catalog(),
+            arrival,
+            2,
+            30,
+        )
+    };
+    for s in [
+        Box::new(YarnCsScheduler::new()) as Box<dyn Scheduler>,
+        Box::new(TiresiasScheduler::paper_default()),
+    ] {
+        let name = s.name().to_owned();
+        let out = run_with(cluster.clone(), vec![job(1, -0.0), job(0, 0.0)], s);
+        let (s0, s1) = (
+            out.records[0].first_scheduled.unwrap(),
+            out.records[1].first_scheduled.unwrap(),
+        );
+        assert!(s0 < s1, "{name}: job 0 started at {s0}, job 1 at {s1}");
+    }
+}
