@@ -230,7 +230,7 @@ mod tests {
             fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Allocation {
                 let a = self.inner.schedule(ctx);
                 for (_, p) in a.iter() {
-                    if p.gpu_types().len() > 1 {
+                    if p.slices().iter().any(|s| s.gpu != p.slices()[0].gpu) {
                         self.violations += 1;
                     }
                 }

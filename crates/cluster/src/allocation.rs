@@ -73,17 +73,9 @@ impl JobPlacement {
 
     /// Number of distinct machines spanned (1 ⇒ consolidated).
     pub fn num_machines(&self) -> usize {
-        let mut ms: Vec<MachineId> = self.slices.iter().map(|s| s.machine).collect();
-        ms.dedup(); // slices are sorted by (machine, type)
-        ms.len()
-    }
-
-    /// Distinct GPU types used, in ascending id order.
-    pub fn gpu_types(&self) -> Vec<GpuTypeId> {
-        let mut ts: Vec<GpuTypeId> = self.slices.iter().map(|s| s.gpu).collect();
-        ts.sort_unstable();
-        ts.dedup();
-        ts
+        // Slices are sorted by (machine, type): count the machine changes.
+        let changes = self.slices.windows(2);
+        usize::from(!self.is_empty()) + changes.filter(|w| w[0].machine != w[1].machine).count()
     }
 
     /// The bottleneck throughput `x_j(t) = min{X_j^r | w_{jh}^r > 0}`
@@ -284,6 +276,18 @@ mod tests {
         assert_eq!(p.slices()[0].machine, MachineId(0));
         assert_eq!(p.slices()[1].count, 2);
         assert_eq!(p.num_machines(), 2);
+
+        // Two types on one machine count it once; a second machine adds one.
+        let slice = |machine, gpu| PlacementSlice {
+            machine: MachineId(machine),
+            gpu: GpuTypeId(gpu),
+            count: 1,
+        };
+        let mixed = JobPlacement::from_slices([slice(3, 1), slice(3, 0)]);
+        assert_eq!(mixed.num_machines(), 1);
+        let spread = JobPlacement::from_slices([slice(3, 1), slice(5, 0), slice(3, 0)]);
+        assert_eq!(spread.num_machines(), 2);
+        assert_eq!(JobPlacement::empty().num_machines(), 0);
     }
 
     #[test]

@@ -235,7 +235,7 @@ mod tests {
                 assert_eq!(got.is_some(), gang <= free, "up {up:?}, {r:?}, gang {gang}");
                 if let Some(p) = got {
                     assert_eq!(p.total_workers(), gang);
-                    assert_eq!(p.gpu_types(), vec![r]);
+                    assert!(p.slices().iter().all(|s| s.gpu == r));
                     assert!(placer.fits(&p));
                 }
             }
@@ -299,7 +299,7 @@ mod tests {
                 );
                 if let Some(p) = got {
                     assert_eq!(p.total_workers(), gang);
-                    assert!(p.gpu_types().iter().all(|r| usable.contains(r)));
+                    assert!(p.slices().iter().all(|s| usable.contains(&s.gpu)));
                     assert!(placer.fits(&p));
                 }
             }

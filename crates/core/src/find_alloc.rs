@@ -440,6 +440,7 @@ mod tests {
     use crate::utility::EffectiveThroughput;
     use hadar_cluster::JobId;
     use hadar_workload::{DlTask, Job};
+    use std::collections::BTreeSet;
 
     fn setup(gang: u32) -> (Cluster, JobState) {
         let cluster = Cluster::motivation_toy(); // 2 V100 | 3 P100 | 1 K80
@@ -481,7 +482,7 @@ mod tests {
         let c = find_alloc(&state, &e, &usage).expect("positive payoff expected");
         // Both V100s on machine 0: consolidated, fastest.
         assert_eq!(c.placement.num_machines(), 1);
-        assert_eq!(c.placement.gpu_types(), vec![GpuTypeId(0)]);
+        assert!(c.placement.slices().iter().all(|s| s.gpu == GpuTypeId(0)));
         assert_eq!(c.placement.total_workers(), 2);
         assert!(c.payoff > 0.0);
         assert!(c.comm_cost == 0.0);
@@ -497,7 +498,8 @@ mod tests {
         let usage = Usage::empty(&cluster);
         let c = find_alloc(&state, &e, &usage).expect("only mixed placement fits");
         assert_eq!(c.placement.total_workers(), 6);
-        assert_eq!(c.placement.gpu_types().len(), 3);
+        let types: BTreeSet<_> = c.placement.slices().iter().map(|s| s.gpu).collect();
+        assert_eq!(types.len(), 3);
         // Rate = bottleneck (K80 = 20 it/s) × 6 × comm factor (3 machines).
         let expect = 20.0 * 6.0 * comm::throughput_factor(3);
         assert!((c.rate - expect).abs() < 1e-9, "rate={}", c.rate);
@@ -513,7 +515,7 @@ mod tests {
         // Occupy both V100s: the job must fall back to P100s.
         usage.add(MachineId(0), GpuTypeId(0), 2);
         let c = find_alloc(&state, &e, &usage).expect("P100s are free");
-        assert_eq!(c.placement.gpu_types(), vec![GpuTypeId(1)]);
+        assert!(c.placement.slices().iter().all(|s| s.gpu == GpuTypeId(1)));
     }
 
     #[test]
@@ -558,7 +560,7 @@ mod tests {
         state.placement = JobPlacement::single(MachineId(2), GpuTypeId(2), 1);
         let c = find_alloc(&state, &e, &usage).unwrap();
         assert!(c.changed);
-        assert_eq!(c.placement.gpu_types(), vec![GpuTypeId(0)]);
+        assert!(c.placement.slices().iter().all(|s| s.gpu == GpuTypeId(0)));
     }
 
     #[test]

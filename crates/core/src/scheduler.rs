@@ -25,15 +25,13 @@ pub struct HadarScheduler {
     config: HadarConfig,
     estimator: Option<ThroughputEstimator>,
     last_bound: Option<CompetitiveBound>,
-    /// Fingerprint of the job set the cached allocation was computed for
+    /// Whether every queued job was placed by the last full optimization
     /// (incremental mode, §IV-A-5).
-    cached_set: Option<u64>,
-    /// Whether every queued job was placed by the cached allocation.
     cached_all_placed: bool,
     /// Set on every arrival/completion notification, cleared after a full
-    /// re-optimization. Belt-and-braces companion to the job-set
-    /// fingerprint: the incremental fast path must never fire between an
-    /// event notification and the round that absorbs it.
+    /// re-optimization. Arrivals and completions are the only events that
+    /// change the job set, so while this is clear the queue is the one the
+    /// last full optimization saw.
     dirty: bool,
     /// Phase breakdown of the most recent decision (for the engine's
     /// round record).
@@ -48,7 +46,6 @@ impl HadarScheduler {
             config,
             estimator,
             last_bound: None,
-            cached_set: None,
             cached_all_placed: false,
             dirty: true,
             last_phases: None,
@@ -80,15 +77,6 @@ fn run_subroutine(
     }
 }
 
-fn job_set_fingerprint(jobs: &[JobState]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for s in jobs {
-        h ^= u64::from(s.job.id.0) + 1;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 impl Scheduler for HadarScheduler {
     fn name(&self) -> &str {
         "Hadar"
@@ -105,7 +93,6 @@ impl Scheduler for HadarScheduler {
         if self.config.incremental
             && !self.dirty
             && self.cached_all_placed
-            && self.cached_set == Some(job_set_fingerprint(ctx.jobs))
             && ctx.machine_factors.iter().all(|&f| f >= 1.0)
             && ctx.jobs.iter().all(|s| s.is_running())
         {
@@ -191,7 +178,6 @@ impl Scheduler for HadarScheduler {
         for (idx, cand) in selection.decisions {
             alloc.set(queue[idx].job.id, cand.placement);
         }
-        self.cached_set = Some(job_set_fingerprint(ctx.jobs));
         self.cached_all_placed = ctx
             .jobs
             .iter()

@@ -11,9 +11,10 @@
 //! checks both JSON well-formedness (via a small hand-rolled parser — see
 //! DESIGN.md §8 for why serde is not used) and the schema (required record
 //! types, required round keys, strictly increasing round numbers), and
-//! extracts a [`TelemetryReport`] of headline aggregates. CI runs it against
-//! `simulate --telemetry-out` output; the bench harness uses the report to
-//! tag sweep rows.
+//! extracts a [`TelemetryReport`] of headline aggregates. The tier-1 tests
+//! (`telemetry_schema`, `telemetry_failures` and the CLI's `simulate` and
+//! `compare` tests) run it on every policy's stream, and perfbench checks
+//! the streams of each benchmark run's telemetry pass with it.
 
 /// The schema identifier written to every `meta` record and accepted by
 /// the validator. `hadar-sim` re-exports it, so producer and consumer share

@@ -9,10 +9,9 @@ use hadar_workload::Job;
 use crate::checkpoint::PreemptionPenalty;
 use crate::error::{SimError, SimResult};
 use crate::event::SimEvent;
-use crate::failure::{FailureModel, FailureState};
+use crate::faults::{FailureModel, MachineFaults, StragglerModel};
 use crate::scheduler::{JobState, Scheduler, SchedulerContext};
 use crate::stats::{JobRecord, RoundRecord, SimOutcome};
-use crate::straggler::{StragglerModel, StragglerState};
 use crate::telemetry::{render_jsonl, Telemetry};
 
 /// Simulation parameters.
@@ -190,8 +189,8 @@ impl Simulation {
         let mut time = 0.0f64;
         let mut timed_out = false;
         let mut round_no = 0u64;
-        let mut stragglers = StragglerState::new(config.straggler, cluster.num_machines());
-        let mut failures = FailureState::new(config.failure, cluster.num_machines());
+        let mut faults =
+            MachineFaults::new(config.straggler, config.failure, cluster.num_machines());
         let mut events: Vec<SimEvent> = Vec::new();
 
         while pending.len() > 0 || !active.is_empty() {
@@ -247,24 +246,19 @@ impl Simulation {
                 arrivals_this_round += 1;
             }
 
-            // Advance the fault processes: straggler throughput factors,
-            // then whole-machine failures. Down machines run at factor 0.0.
-            let mut machine_factors = stragglers.step().to_vec();
-            let transitions = failures.step();
-            let availability = failures.availability();
-            let any_down = availability.any_down();
-            for &h in &transitions.failed {
+            // Advance the fault processes: stragglers, then whole-machine
+            // failures. Down machines run at factor 0.0.
+            let (failed, recovered) = faults.step();
+            for &h in failed {
                 events.push(SimEvent::MachineFailed { time, machine: h });
             }
-            for &h in &transitions.recovered {
+            for &h in recovered {
                 events.push(SimEvent::MachineRecovered { time, machine: h });
             }
+            let machine_factors = faults.factors();
+            let availability = faults.availability();
+            let any_down = availability.any_down();
             if any_down {
-                for (i, f) in machine_factors.iter_mut().enumerate() {
-                    if !availability.is_up(MachineId(i as u32)) {
-                        *f = 0.0;
-                    }
-                }
                 // Forcibly evict jobs whose placement touches a down
                 // machine: the work since the last round-boundary
                 // checkpoint (i.e. the failed round's progress) is lost,
@@ -297,14 +291,13 @@ impl Simulation {
                 round_length: round,
                 cluster: &cluster,
                 jobs: &active,
-                machine_factors: &machine_factors,
+                machine_factors,
                 availability,
                 telemetry: &telemetry,
             };
             let t0 = Instant::now();
             let allocation = scheduler.schedule(&ctx);
-            let bk0 = Instant::now();
-            let decision_seconds = (bk0 - t0).as_secs_f64();
+            let decision_seconds = t0.elapsed().as_secs_f64();
             let phases = scheduler.last_decision_phases();
 
             // Validate: capacity, gang sizes, and that only queued jobs are
@@ -415,7 +408,7 @@ impl Simulation {
                 held_gpu_seconds += workers * round;
 
                 let (rate, bottleneck) =
-                    rate_and_bottleneck(&state.job, &new_placement, &machine_factors)
+                    rate_and_bottleneck(&state.job, &new_placement, machine_factors)
                         .unwrap_or_default();
                 if rate > 0.0 && eff > 0.0 {
                     let capacity_iters = rate * eff;
@@ -489,7 +482,6 @@ impl Simulation {
                 util_by_type,
                 phases,
                 policy: telemetry.drain_round(),
-                bookkeeping_seconds: bk0.elapsed().as_secs_f64(),
             });
             finished.clear();
         }
@@ -1036,7 +1028,7 @@ mod tests {
     #[test]
     fn rounds_report_bookkeeping_and_no_phases_for_plain_policies() {
         // FifoV100 does not override last_decision_phases: every round must
-        // carry None phases and a finite bookkeeping time.
+        // carry None phases.
         let jobs = vec![small_job(0, 0.0, 2, 100)];
         let out = Simulation::new(cluster(), jobs, no_penalty_config())
             .run(FifoV100)
@@ -1044,7 +1036,6 @@ mod tests {
         assert!(!out.rounds.is_empty());
         for r in &out.rounds {
             assert!(r.phases.is_none());
-            assert!(r.bookkeeping_seconds >= 0.0);
         }
         assert_eq!(out.dp_budget_exhausted_rounds(), 0);
         assert_eq!(out.reused_rounds(), 0);

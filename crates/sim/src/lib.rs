@@ -67,21 +67,19 @@ pub mod checkpoint;
 pub mod engine;
 pub mod error;
 pub mod event;
-pub mod failure;
+mod faults;
 pub mod runner;
 pub mod scheduler;
 pub mod stats;
-pub mod straggler;
 pub mod telemetry;
 
 pub use checkpoint::PreemptionPenalty;
 pub use engine::{job_rate, SimConfig, Simulation};
 pub use error::{SimError, SimResult};
 pub use event::{check_lifecycle, SimEvent};
-pub use failure::{FailureModel, FailureState, FailureTransitions};
+pub use faults::{FailureModel, StragglerModel};
 pub use hadar_metrics::telemetry::TELEMETRY_SCHEMA;
 pub use runner::{CellResult, SweepRunner};
 pub use scheduler::{DecisionPhases, JobState, Scheduler, SchedulerContext};
 pub use stats::{JobRecord, RoundRecord, SimOutcome};
-pub use straggler::{StragglerModel, StragglerState};
 pub use telemetry::{Telemetry, TelemetrySummary};

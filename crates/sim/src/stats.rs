@@ -86,10 +86,6 @@ pub struct RoundRecord {
     /// The policy's own counters for this round (see
     /// [`crate::Telemetry::incr`]); empty when the sink was disabled.
     pub policy: BTreeMap<String, f64>,
-    /// Wall-clock seconds the engine spent on round bookkeeping *outside*
-    /// the scheduler call: allocation validation, penalty charging, progress
-    /// advancement, and event recording.
-    pub bookkeeping_seconds: f64,
 }
 
 /// Complete result of one simulation run.

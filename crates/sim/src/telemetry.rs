@@ -294,7 +294,6 @@ mod tests {
                     reused: false,
                 }),
                 policy: BTreeMap::from([("p.depth".to_owned(), 5.0), ("p.n".to_owned(), 3.0)]),
-                bookkeeping_seconds: 0.0,
             },
             RoundRecord {
                 time: 360.0,

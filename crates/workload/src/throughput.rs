@@ -68,9 +68,8 @@ impl ThroughputProfile {
             .iter()
             .copied()
             .filter(|&x| x > 0.0)
-            .fold(f64::INFINITY, f64::min)
-            .min(f64::INFINITY)
-            .pipe_finite()
+            .reduce(f64::min)
+            .unwrap_or(0.0)
     }
 
     /// GPU types sorted by descending rate (ties by id), zero-rate types
@@ -101,20 +100,6 @@ impl ThroughputProfile {
     pub fn scaled(&self, factor: f64) -> Self {
         assert!(factor.is_finite() && factor >= 0.0);
         Self::from_rates(self.rates.iter().map(|x| x * factor).collect())
-    }
-}
-
-trait PipeFinite {
-    fn pipe_finite(self) -> f64;
-}
-impl PipeFinite for f64 {
-    /// Map the "no usable type" sentinel (+inf) to 0.0.
-    fn pipe_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Golden digests of what the engine and the baselines decide: the event
 //! log, every non-timing field of every round record (policy counters
 //! included) and the JCTs, for the five policies on one small Poisson trace
-//! under three engine configurations. A change to the engine's bookkeeping
+//! under four engine configurations. A change to the engine's bookkeeping
 //! or to a policy's data structures must leave every digest unchanged; a
 //! change that moves decisions on purpose re-records them.
 
@@ -63,9 +63,10 @@ fn policy(name: &str) -> Box<dyn Scheduler> {
     }
 }
 
-/// The three engine configurations: plain; stragglers, which scale each
+/// The four engine configurations: plain; stragglers, which scale each
 /// machine's rates every round; failures, which evict jobs off dead
-/// machines and mask them from the policies.
+/// machines and mask them from the policies; and both at once, where a
+/// straggling machine can also go down.
 fn config(name: &str) -> SimConfig {
     match name {
         "plain" => SimConfig::default(),
@@ -85,27 +86,37 @@ fn config(name: &str) -> SimConfig {
             }),
             ..SimConfig::default()
         },
+        "straggler+failure" => SimConfig {
+            straggler: config("straggler").straggler,
+            failure: config("failure").failure,
+            ..SimConfig::default()
+        },
         other => panic!("unknown config {other}"),
     }
 }
 
 /// `(policy, config, digest)` for every cell.
-const GOLDEN: [(&str, &str, u64); 15] = [
+const GOLDEN: [(&str, &str, u64); 20] = [
     ("Hadar", "plain", 0x31b94e98cd813032),
     ("Hadar", "straggler", 0x414d448b3da00a9b),
     ("Hadar", "failure", 0xc238a8f3b0449661),
+    ("Hadar", "straggler+failure", 0xd9e63b3d237f2762),
     ("Gavel", "plain", 0xf6a75cb0a03cf4d6),
     ("Gavel", "straggler", 0xe48a26685ef2bfb2),
     ("Gavel", "failure", 0x3ccbe6ef62c731fd),
+    ("Gavel", "straggler+failure", 0x6484d76d533df385),
     ("Tiresias", "plain", 0xe7c1d5e3653646a4),
     ("Tiresias", "straggler", 0xa69090b035b81aa5),
     ("Tiresias", "failure", 0x5f17a26985d8b8f0),
+    ("Tiresias", "straggler+failure", 0x3c88fe33abfcd269),
     ("YARN-CS", "plain", 0x4fec4ccdc2569f5e),
     ("YARN-CS", "straggler", 0x79b54c61053596f9),
     ("YARN-CS", "failure", 0x803e7fc899616f9e),
+    ("YARN-CS", "straggler+failure", 0xc80354f750585414),
     ("SRTF", "plain", 0xfaef32a4126c7b21),
     ("SRTF", "straggler", 0xaa118e6877fe4284),
     ("SRTF", "failure", 0x2384c797f8511607),
+    ("SRTF", "straggler+failure", 0x1bc7e02c237181b6),
 ];
 
 #[test]
