@@ -83,3 +83,11 @@ pub use runner::{CellResult, SweepRunner};
 pub use scheduler::{DecisionPhases, JobState, Scheduler, SchedulerContext};
 pub use stats::{JobRecord, RoundRecord, SimOutcome};
 pub use telemetry::{Telemetry, TelemetrySummary};
+
+// The per-model unit tests of `faults`, one module per model.
+#[cfg(test)]
+#[path = "faults/failure_tests.rs"]
+mod failure;
+#[cfg(test)]
+#[path = "faults/straggler_tests.rs"]
+mod straggler;
