@@ -23,9 +23,10 @@
 
 use std::collections::HashMap;
 
-use hadar_cluster::{Allocation, GpuTypeId, JobId, Placer, Usage};
+use hadar_cluster::{Allocation, Availability, GpuTypeId, JobId, Placer, Usage};
 use hadar_sim::{Scheduler, SchedulerContext};
 use hadar_solver::{max_total_throughput_allocation, GavelLpError, GavelLpInput};
+use hadar_workload::Job;
 
 /// The Gavel baseline scheduler.
 pub struct GavelScheduler {
@@ -33,8 +34,11 @@ pub struct GavelScheduler {
     y: HashMap<JobId, Vec<f64>>,
     /// Rounds in which job `j` ran on type `r`.
     rounds_received: HashMap<JobId, Vec<f64>>,
-    /// Job-set fingerprint of the cached LP solution.
-    cached_set: u64,
+    /// Set on every arrival and completion, cleared by a re-solve: while
+    /// clear, the queue is the one the cached `y` was solved for.
+    dirty: bool,
+    /// The availability mask the cached `y` was solved against.
+    solved_for: Option<Availability>,
     /// Most recent LP failure, if any (the round it occurred in scheduled
     /// nothing; the sweep continues).
     last_lp_error: Option<GavelLpError>,
@@ -47,7 +51,8 @@ impl GavelScheduler {
         Self {
             y: HashMap::new(),
             rounds_received: HashMap::new(),
-            cached_set: 0,
+            dirty: true,
+            solved_for: None,
             last_lp_error: None,
         }
     }
@@ -56,17 +61,6 @@ impl GavelScheduler {
     /// input; never happens for simulator-constructed problems).
     pub fn last_lp_error(&self) -> Option<&GavelLpError> {
         self.last_lp_error.as_ref()
-    }
-
-    fn job_set_fingerprint(ctx: &SchedulerContext<'_>) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for s in ctx.jobs {
-            h ^= u64::from(s.job.id.0) + 1;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        // Fold in the availability mask so a machine failure or recovery
-        // re-solves the LP against the shrunken (or restored) capacity.
-        h ^ ctx.availability.fingerprint()
     }
 
     fn solve(&mut self, ctx: &SchedulerContext<'_>) {
@@ -119,10 +113,12 @@ impl Scheduler for GavelScheduler {
         }
         ctx.telemetry
             .gauge("gavel.active_jobs", ctx.jobs.len() as f64);
-        let fp = Self::job_set_fingerprint(ctx);
-        if fp != self.cached_set || self.y.is_empty() {
+        // A machine failure or recovery re-solves against the shrunken (or
+        // restored) capacity; an empty `y` retries a failed solve.
+        if self.dirty || self.solved_for.as_ref() != Some(ctx.availability) || self.y.is_empty() {
             self.solve(ctx);
-            self.cached_set = fp;
+            self.dirty = false;
+            self.solved_for = Some(ctx.availability.clone());
         }
 
         let num_types = ctx.cluster.num_types();
@@ -151,7 +147,7 @@ impl Scheduler for GavelScheduler {
                 .then(a.2.cmp(&b.2))
         });
 
-        let mut usage = Usage::empty(ctx.cluster);
+        let mut placer = Placer::new(ctx.cluster, Usage::empty(ctx.cluster), |h| ctx.is_up(h));
         let mut alloc = Allocation::empty();
         let mut placed: Vec<bool> = vec![false; ctx.jobs.len()];
         for (_, idx, r) in ranked {
@@ -161,11 +157,8 @@ impl Scheduler for GavelScheduler {
             let s = &ctx.jobs[idx];
             let r = GpuTypeId(r as u16);
             // Job-level granularity: the whole gang on this single type.
-            let placer = Placer::new(ctx.cluster, &usage, move |h| ctx.is_up(h));
             if let Some(p) = placer.single_type(r, s.job.gang) {
-                for sl in p.slices() {
-                    usage.add(sl.machine, sl.gpu, sl.count);
-                }
+                placer.add(&p);
                 alloc.set(s.job.id, p);
                 placed[idx] = true;
                 if let Some(recv) = self.rounds_received.get_mut(&s.job.id) {
@@ -176,7 +169,12 @@ impl Scheduler for GavelScheduler {
         alloc
     }
 
+    fn on_arrival(&mut self, _job: &Job) {
+        self.dirty = true;
+    }
+
     fn on_completion(&mut self, job: JobId) {
+        self.dirty = true;
         self.y.remove(&job);
         self.rounds_received.remove(&job);
     }

@@ -23,10 +23,11 @@
 //! * [`SrtfScheduler`] — heterogeneity-aware shortest-remaining-time-first,
 //!   isolating the SRPT-ordering ingredient of Hadar's advantage.
 //!
-//! None of them carries its own fill loop: every gang is placed by
-//! [`hadar_cluster::Placer`], the most-free-first rule Hadar's own
-//! `FIND_ALLOC` pools share — `single_type` for Gavel and SRTF, `any_type`
-//! for Tiresias and YARN-CS.
+//! None of them carries its own fill or occupy loop: each builds one
+//! [`hadar_cluster::Placer`] per round, the most-free-first placer Hadar's
+//! `FIND_ALLOC` reads too, places every gang with it (`single_type` for
+//! Gavel and SRTF, `any_type` for Tiresias and YARN-CS, `fits` for a sticky
+//! placement) and occupies what it admits with `Placer::add`.
 
 //!
 //! ```

@@ -27,8 +27,7 @@ impl SrtfScheduler {
     /// Place the gang on the fastest single type with enough free GPUs
     /// (most-free machines first), keeping the current placement when still
     /// free and still on the job's fastest feasible type.
-    fn place(ctx: &SchedulerContext<'_>, usage: &Usage, s: &JobState) -> Option<JobPlacement> {
-        let placer = Placer::new(ctx.cluster, usage, move |h| ctx.is_up(h));
+    fn place(placer: &Placer<'_>, s: &JobState) -> Option<JobPlacement> {
         s.job.profile.types_by_preference().iter().find_map(|&r| {
             // Sticky shortcut: if the current placement is exactly this
             // type, still free, and on live machines, keep it.
@@ -58,14 +57,14 @@ impl Scheduler for SrtfScheduler {
             .collect();
         order.sort_unstable_by(|(ta, a), (tb, b)| ta.total_cmp(tb).then(a.job.id.cmp(&b.job.id)));
 
-        let mut usage = Usage::empty(ctx.cluster);
+        let mut placer = Placer::new(ctx.cluster, Usage::empty(ctx.cluster), |h| ctx.is_up(h));
         let mut alloc = Allocation::empty();
         for (_, s) in order {
             // With no GPU free, no later job fits or keeps its placement.
-            if usage.is_cluster_full(ctx.cluster) {
+            if placer.usage().is_cluster_full(ctx.cluster) {
                 break;
             }
-            if let Some(p) = Self::place(ctx, &usage, s) {
+            if let Some(p) = Self::place(&placer, s) {
                 if ctx.telemetry.is_enabled() {
                     // Did the gang land on the job's fastest type, or did
                     // contention push it down the preference list?
@@ -76,9 +75,7 @@ impl Scheduler for SrtfScheduler {
                         ctx.telemetry.incr("srtf.placed_fallback", 1.0);
                     }
                 }
-                for sl in p.slices() {
-                    usage.add(sl.machine, sl.gpu, sl.count);
-                }
+                placer.add(&p);
                 alloc.set(s.job.id, p);
             }
         }

@@ -42,8 +42,7 @@ impl TiresiasScheduler {
     /// when they are still free on live machines, otherwise fill any usable
     /// type, most-free machines first (Tiresias ships a consolidating
     /// placement component); per-type throughput is never consulted.
-    fn place(ctx: &SchedulerContext<'_>, usage: &Usage, s: &JobState) -> Option<JobPlacement> {
-        let placer = Placer::new(ctx.cluster, usage, move |h| ctx.is_up(h));
+    fn place(placer: &Placer<'_>, s: &JobState) -> Option<JobPlacement> {
         if !s.placement.is_empty() && placer.fits(&s.placement) {
             return Some(s.placement.clone());
         }
@@ -69,16 +68,14 @@ impl Scheduler for TiresiasScheduler {
         // a stable partition of `ctx.jobs`, which is in arrival order. Once
         // no GPU is free, no later job fits or can keep its placement.
         let in_queue = |q| ctx.jobs.iter().filter(move |s| Self::queue_of(s) == q);
-        let mut usage = Usage::empty(ctx.cluster);
+        let mut placer = Placer::new(ctx.cluster, Usage::empty(ctx.cluster), |h| ctx.is_up(h));
         let mut alloc = Allocation::empty();
         for s in in_queue(0).chain(in_queue(1)) {
-            if usage.is_cluster_full(ctx.cluster) {
+            if placer.usage().is_cluster_full(ctx.cluster) {
                 break;
             }
-            if let Some(p) = Self::place(ctx, &usage, s) {
-                for sl in p.slices() {
-                    usage.add(sl.machine, sl.gpu, sl.count);
-                }
+            if let Some(p) = Self::place(&placer, s) {
+                placer.add(&p);
                 alloc.set(s.job.id, p);
             }
         }

@@ -31,7 +31,7 @@ impl Scheduler for YarnCsScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Allocation {
-        let mut usage = Usage::empty(ctx.cluster);
+        let mut placer = Placer::new(ctx.cluster, Usage::empty(ctx.cluster), |h| ctx.is_up(h));
         let mut alloc = Allocation::empty();
 
         // Running jobs keep their exact containers (non-preemptive). Machine
@@ -40,9 +40,7 @@ impl Scheduler for YarnCsScheduler {
         // re-queues FIFO below instead of keeping phantom containers.
         let mut held = 0usize;
         for s in ctx.jobs.iter().filter(|s| s.is_running()) {
-            for sl in s.placement.slices() {
-                usage.add(sl.machine, sl.gpu, sl.count);
-            }
+            placer.add(&s.placement);
             alloc.set(s.job.id, s.placement.clone());
             held += 1;
         }
@@ -56,13 +54,10 @@ impl Scheduler for YarnCsScheduler {
             // placement: the machines with the most free GPUs first (YARN's
             // node-locality preference), any GPU type, never consulting
             // throughput.
-            let placer = Placer::new(ctx.cluster, &usage, move |h| ctx.is_up(h));
             let Some(p) = placer.any_type(s.job.gang, |r| s.job.profile.rate(r) > 0.0) else {
                 break;
             };
-            for sl in p.slices() {
-                usage.add(sl.machine, sl.gpu, sl.count);
-            }
+            placer.add(&p);
             alloc.set(s.job.id, p);
             held += 1;
         }

@@ -73,9 +73,9 @@ impl Availability {
             .sum()
     }
 
-    /// A 64-bit digest of the mask (FNV-1a over the up bits). Schedulers
-    /// that cache decisions keyed on the job set (e.g. Gavel's LP solution)
-    /// fold this in so a failure or recovery invalidates the cache.
+    /// A 64-bit digest of the mask (FNV-1a over the up bits), for keys that
+    /// must change when a machine fails or recovers (the benchmark keys its
+    /// replayed LP solves on the job set and this digest).
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &u in &self.up {

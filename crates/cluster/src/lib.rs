@@ -17,7 +17,9 @@
 //!   `w_{jh}^r(t)`, i.e. how many type-`r` GPUs on machine `h` each job gets,
 //! * [`Usage`] — the occupied-counts view `γ_h^r(t)` used by the
 //!   price function of the primal–dual framework,
-//! * [`Placer`] — the most-free-first gang fill every policy places with,
+//! * [`Placer`] — the most-free-first gang fill every policy places and
+//!   occupies through, over the round's usage and machine pools kept in
+//!   step with it,
 //! * [`comm`] — the cross-server communication penalty applied to
 //!   non-consolidated placements in Algorithm 2's `FIND_ALLOC`.
 //!

@@ -3,10 +3,17 @@
 //! Every scheduler in the workspace places a gang by the same rule: take
 //! up machines that have free GPUs, most free first (lower machine id on
 //! ties), and fill until the gang is complete. [`Placer`] is that rule,
-//! written once, over a [`Usage`] and an "is this machine up" predicate.
+//! written once. It owns the round's [`Usage`] and keeps the machines in
+//! that order in pools updated in step with it: one pool per GPU type, and
+//! one of machines by their free GPUs of every type. A pool is sorted once,
+//! when a query first needs it; [`Placer::add`] then moves just the
+//! machines an admission touches, so no later query scans or sorts the
+//! whole cluster.
 
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::ops::ControlFlow;
+use std::rc::Rc;
 
 use crate::allocation::{JobPlacement, PlacementSlice};
 use crate::catalog::GpuTypeId;
@@ -14,39 +21,119 @@ use crate::cluster::Cluster;
 use crate::machine::MachineId;
 use crate::usage::Usage;
 
-/// Most-free-first placement against `usage`, on machines `up` admits.
-pub struct Placer<'a, U> {
+/// Machines as `(free, machine)`, most free first, lower id on ties.
+type Pool = Vec<(u32, MachineId)>;
+
+/// The round's usage and its machine pools, kept in step. A pool holds the
+/// up machines with free GPUs. Cloning it is how a search branches (Hadar's
+/// DP does so at each branch).
+///
+/// Each kind of pool is built on first use: a policy that never asks for
+/// it never pays for keeping it in step. Hadar, Gavel and SRTF read only
+/// the per-type pools, Tiresias and YARN-CS only the machine pool; every
+/// admission of theirs would otherwise move machines in a pool no query
+/// reads.
+#[derive(Debug, Clone)]
+pub struct Placer<'a> {
     cluster: &'a Cluster,
-    usage: &'a Usage,
-    up: U,
+    usage: Usage,
+    /// Indexed by machine: whether it may host tasks. Shared by clones.
+    up: Rc<[bool]>,
+    /// Indexed by GPU type: free GPUs of that type.
+    pools: OnceCell<Vec<Pool>>,
+    /// Free GPUs of every type, the order [`Placer::any_type`] walks.
+    machines: OnceCell<Pool>,
 }
 
-impl<'a, U: Fn(MachineId) -> bool> Placer<'a, U> {
-    /// A placer over `usage`; `up(h)` says whether machine `h` may host
-    /// tasks at all. `usage` must hold no more than a machine's capacity of
-    /// any type, which holds whenever it is built only from placements this
-    /// placer produced or [`Placer::fits`] admitted.
-    pub fn new(cluster: &'a Cluster, usage: &'a Usage, up: U) -> Self {
-        Self { cluster, usage, up }
+impl<'a> Placer<'a> {
+    /// A placer at `usage` over the machines `up` admits. `usage` must
+    /// hold no more than a machine's capacity of any type, which holds
+    /// whenever it grows only by placements this placer produced or
+    /// [`Placer::fits`] admitted.
+    pub fn new(cluster: &'a Cluster, usage: Usage, up: impl Fn(MachineId) -> bool) -> Self {
+        Self {
+            cluster,
+            usage,
+            up: cluster.machine_ids().map(up).collect(),
+            pools: OnceCell::new(),
+            machines: OnceCell::new(),
+        }
+    }
+
+    /// The usage the pools are in step with.
+    #[inline]
+    pub fn usage(&self) -> &Usage {
+        &self.usage
+    }
+
+    /// The up machines with free type-`r` GPUs as `(free, machine)`, most
+    /// free first, lower id on ties.
+    #[inline]
+    pub fn pool(&self, r: GpuTypeId) -> &[(u32, MachineId)] {
+        &self.pools.get_or_init(|| self.type_pools())[r.index()]
+    }
+
+    /// Every type's pool, sorted at the current usage.
+    fn type_pools(&self) -> Vec<Pool> {
+        let (cluster, usage) = (self.cluster, &self.usage);
+        cluster
+            .catalog()
+            .ids()
+            .map(|r| self.sorted_pool(|h| usage.free(cluster, h, r)))
+            .collect()
+    }
+
+    /// The up machines with free GPUs of any type as `(free, machine)`, in
+    /// the same order.
+    fn machines(&self) -> &[(u32, MachineId)] {
+        self.machines
+            .get_or_init(|| self.sorted_pool(|h| self.usage.free_on_machine(self.cluster, h)))
+    }
+
+    /// The up machines with `free(h) > 0` as `(free, machine)`, sorted by
+    /// [`most_free_key`].
+    fn sorted_pool(&self, free: impl Fn(MachineId) -> u32) -> Pool {
+        let mut pool: Pool = self
+            .cluster
+            .machine_ids()
+            .filter(|h| self.up[h.index()])
+            .filter_map(|h| {
+                let f = free(h);
+                (f > 0).then_some((f, h))
+            })
+            .collect();
+        pool.sort_unstable_by_key(most_free_key);
+        pool
+    }
+
+    /// Occupy `placement`'s GPUs: each slice's machine moves down every
+    /// built pool to its new free count, or leaves it when none is left.
+    /// Every slice must come from this placer's answers at its current
+    /// usage or pass [`Placer::fits`], so its machine is in the pools with
+    /// at least `count` free.
+    pub fn add(&mut self, placement: &JobPlacement) {
+        for s in placement.slices() {
+            let (h, r) = (s.machine, s.gpu);
+            if let Some(pools) = self.pools.get_mut() {
+                let free = self.usage.free(self.cluster, h, r);
+                take(&mut pools[r.index()], h, free, s.count);
+            }
+            if let Some(machines) = self.machines.get_mut() {
+                let total = self.usage.free_on_machine(self.cluster, h);
+                take(machines, h, total, s.count);
+            }
+            self.usage.add(h, r, s.count);
+        }
     }
 
     /// Free GPUs anywhere in the cluster, in O(1). With usage within
     /// capacity this is the exact cluster-wide free count, so it bounds
     /// what any placement can take: on a full cluster a gang fails here
-    /// without scanning the machines.
+    /// without walking a pool.
     fn free_anywhere(&self) -> u32 {
         self.cluster
             .total_gpus()
             .saturating_sub(self.usage.total_used())
-    }
-
-    /// Up machines with free type-`r` GPUs as `(free, machine)`, most free
-    /// first, lower machine id on ties.
-    pub fn machines_by_free(&self, r: GpuTypeId) -> Vec<(u32, MachineId)> {
-        let (cluster, usage) = (self.cluster, self.usage);
-        let mut machines = collect(cluster, &self.up, |h| usage.free(cluster, h, r));
-        most_free_first(&mut machines);
-        machines
     }
 
     /// All `gang` workers on type `r`, most-free machines first; `None`
@@ -55,35 +142,22 @@ impl<'a, U: Fn(MachineId) -> bool> Placer<'a, U> {
         if self.free_anywhere() < gang {
             return None;
         }
-        let (cluster, usage) = (self.cluster, self.usage);
-        let mut machines = collect(cluster, &self.up, |h| usage.free(cluster, h, r));
-        if total_free(&machines) < gang {
-            return None;
-        }
-        most_free_first(&mut machines);
-        let entries = machines.into_iter().map(|(f, h)| (h, r, f));
+        let entries = self.pool(r).iter().map(|&(f, h)| (h, r, f));
         fill(entries, gang).map(JobPlacement::from_slices)
     }
 
     /// All `gang` workers on any types `usable` admits: machines ordered by
     /// their free GPUs of every type, most free first, and each machine's
     /// types taken in catalog order. `None` when the up machines hold fewer
-    /// than `gang` free GPUs of usable types; it returns before sorting when
-    /// they hold fewer than `gang` free GPUs of any type.
+    /// than `gang` free GPUs of usable types.
     pub fn any_type(&self, gang: u32, usable: impl Fn(GpuTypeId) -> bool) -> Option<JobPlacement> {
         if self.free_anywhere() < gang {
             return None;
         }
-        let (cluster, usage) = (self.cluster, self.usage);
-        let mut machines = collect(cluster, &self.up, |h| usage.free_on_machine(cluster, h));
-        if total_free(&machines) < gang {
-            return None;
-        }
-        most_free_first(&mut machines);
-        let usable = &usable;
-        let catalog = cluster.catalog();
-        let entries = machines.into_iter().flat_map(move |(_, h)| {
-            catalog
+        let (cluster, usage, usable) = (self.cluster, &self.usage, &usable);
+        let entries = self.machines().iter().flat_map(move |&(_, h)| {
+            cluster
+                .catalog()
                 .ids()
                 .filter(move |&r| usable(r))
                 .map(move |r| (h, r, usage.free(cluster, h, r)))
@@ -95,50 +169,37 @@ impl<'a, U: Fn(MachineId) -> bool> Placer<'a, U> {
     /// least its count free — the "keep the sticky placement" check.
     pub fn fits(&self, placement: &JobPlacement) -> bool {
         placement.slices().iter().all(|s| {
-            (self.up)(s.machine) && self.usage.free(self.cluster, s.machine, s.gpu) >= s.count
+            self.up[s.machine.index()] && self.usage.free(self.cluster, s.machine, s.gpu) >= s.count
         })
     }
 }
 
-/// Up machines with free GPUs by `free(h)` as `(free, machine)`, in id
-/// order. A free function over plain arguments, not a method reading
-/// `self`: the scan measured faster that way.
-#[inline]
-fn collect(
-    cluster: &Cluster,
-    up: impl Fn(MachineId) -> bool,
-    free: impl Fn(MachineId) -> u32,
-) -> Vec<(u32, MachineId)> {
-    cluster
-        .machine_ids()
-        .filter(|&h| up(h))
-        .filter_map(|h| {
-            let f = free(h);
-            (f > 0).then_some((f, h))
-        })
-        .collect()
-}
-
-/// Free GPUs over collected `(free, machine)` pairs. Summing the few
-/// machines that have any is cheaper than summing inside the collecting
-/// scan, which slows the scan over every machine.
-#[inline]
-fn total_free(machines: &[(u32, MachineId)]) -> u32 {
-    machines.iter().map(|&(f, _)| f).sum()
-}
-
 /// The placement order as a sort key on `(free, machine)` pairs: most free
-/// first, lower machine id on ties. Pools kept sorted by this key can find
-/// and reinsert a machine by binary search.
+/// first, lower machine id on ties. Pools kept sorted by this key find and
+/// reinsert a machine by binary search.
 #[inline]
-pub fn most_free_key(&(free, h): &(u32, MachineId)) -> (Reverse<u32>, MachineId) {
+fn most_free_key(&(free, h): &(u32, MachineId)) -> (Reverse<u32>, MachineId) {
     (Reverse(free), h)
 }
 
-/// Sort `(free, machine)` pairs by [`most_free_key`].
-#[inline]
-fn most_free_first(machines: &mut [(u32, MachineId)]) {
-    machines.sort_by_key(most_free_key);
+/// Move machine `h`, in `pool` at `free`, to `free − count`, or out of the
+/// pool when that is 0.
+fn take(pool: &mut Pool, h: MachineId, free: u32, count: u32) {
+    let key = most_free_key(&(free, h));
+    let at = pool.partition_point(|e| most_free_key(e) < key);
+    debug_assert!(
+        count <= free && pool.get(at) == Some(&(free, h)),
+        "machine {h:?} does not hold {count} free GPUs in its pool"
+    );
+    let left = free - count;
+    if left == 0 {
+        pool.remove(at);
+    } else {
+        let key = most_free_key(&(left, h));
+        let to = at + pool[at..].partition_point(|e| most_free_key(e) < key);
+        pool[at..to].rotate_left(1);
+        pool[to - 1] = (left, h);
+    }
 }
 
 /// Take from `(machine, type, free)` entries in order until `w` workers
@@ -192,6 +253,14 @@ mod tests {
         v.iter().map(|&(f, h)| (f, h.0)).collect()
     }
 
+    fn slice(h: u32, r: GpuTypeId, count: u32) -> PlacementSlice {
+        PlacementSlice {
+            machine: MachineId(h),
+            gpu: r,
+            count,
+        }
+    }
+
     #[test]
     fn machine_order_is_most_free_first_then_lower_id() {
         let (cl, a, c) = cl();
@@ -208,12 +277,8 @@ mod tests {
             (&[1, 3], &busy, c, &[]),
         ];
         for (up, usage, r, want) in cases {
-            let placer = Placer::new(&cl, usage, |h: MachineId| up.contains(&h.0));
-            assert_eq!(
-                ids(&placer.machines_by_free(r)),
-                want,
-                "up {up:?}, type {r:?}"
-            );
+            let placer = Placer::new(&cl, usage.clone(), |h: MachineId| up.contains(&h.0));
+            assert_eq!(ids(placer.pool(r)), want, "up {up:?}, type {r:?}");
         }
     }
 
@@ -229,7 +294,7 @@ mod tests {
             (&[1, 3], c, 0),
         ];
         for (up, r, free) in cases {
-            let placer = Placer::new(&cl, &usage, |h: MachineId| up.contains(&h.0));
+            let placer = Placer::new(&cl, usage.clone(), |h: MachineId| up.contains(&h.0));
             for gang in 1..=free + 2 {
                 let got = placer.single_type(r, gang);
                 assert_eq!(got.is_some(), gang <= free, "up {up:?}, {r:?}, gang {gang}");
@@ -242,7 +307,7 @@ mod tests {
         }
         // The fill takes whole machines in the shared order (4, 3, then 1
         // of machine 0's 2, which wins the tie with machine 2 on id).
-        let placer = Placer::new(&cl, &usage, |_| true);
+        let placer = Placer::new(&cl, usage, |_| true);
         let p = placer.single_type(a, 8).unwrap();
         let got: Vec<(u32, u32)> = p.slices().iter().map(|s| (s.machine.0, s.count)).collect();
         assert_eq!(got, vec![(0, 1), (1, 4), (3, 3)]);
@@ -263,7 +328,7 @@ mod tests {
         }
         // (usage, free type-A GPUs, free type-B GPUs, free GPUs of any type)
         for (usage, free_a, free_c, free_any) in [(&used, 6, 1, 7), (&full, 0, 0, 0)] {
-            let placer = Placer::new(&cl, usage, |_| true);
+            let placer = Placer::new(&cl, usage.clone(), |_| true);
             for gang in 0..=free_any + 2 {
                 let single = |r, free| (placer.single_type(r, gang).is_some(), gang <= free);
                 let (got, want) = single(a, free_a);
@@ -289,7 +354,7 @@ mod tests {
             (&[1, 3], &[c], 0),
         ];
         for (up, usable, free) in cases {
-            let placer = Placer::new(&cl, &usage, |h: MachineId| up.contains(&h.0));
+            let placer = Placer::new(&cl, usage.clone(), |h: MachineId| up.contains(&h.0));
             for gang in 1..=free + 2 {
                 let got = placer.any_type(gang, |r| usable.contains(&r));
                 assert_eq!(
@@ -308,7 +373,7 @@ mod tests {
         // 0 and 3 hold 3; ties to the lower id), each machine's types in
         // catalog order, type B skipped when unusable. Slices list by
         // machine; the last machine filled gives only what is still needed.
-        let placer = Placer::new(&cl, &usage, |_| true);
+        let placer = Placer::new(&cl, usage, |_| true);
         let slices = |p: JobPlacement| -> Vec<(u32, u16, u32)> {
             p.slices()
                 .iter()
@@ -326,26 +391,252 @@ mod tests {
         let (cl, a, c) = cl();
         let mut usage = Usage::empty(&cl);
         usage.add(MachineId(0), a, 1);
-        let slice = |h: u32, r: GpuTypeId, count: u32| {
-            JobPlacement::from_slices([PlacementSlice {
-                machine: MachineId(h),
-                gpu: r,
-                count,
-            }])
-        };
+        let one = |h, r, count| JobPlacement::from_slices([slice(h, r, count)]);
         // (placement, machine 1 up, fits)
         let cases = [
-            (slice(0, a, 1), true, true),
-            (slice(0, a, 2), true, false),
-            (slice(1, a, 4), true, true),
-            (slice(1, a, 4), false, false),
-            (slice(1, c, 1), true, false),
+            (one(0, a, 1), true, true),
+            (one(0, a, 2), true, false),
+            (one(1, a, 4), true, true),
+            (one(1, a, 4), false, false),
+            (one(1, c, 1), true, false),
             (JobPlacement::empty(), false, true),
         ];
         for (p, up1, want) in cases {
-            let placer = Placer::new(&cl, &usage, |h: MachineId| up1 || h.0 != 1);
+            let placer = Placer::new(&cl, usage.clone(), |h: MachineId| up1 || h.0 != 1);
             assert_eq!(placer.fits(&p), want, "{p:?}, machine 1 up: {up1}");
         }
+    }
+
+    #[test]
+    fn add_moves_machines_to_their_new_free_count() {
+        let (cl, a, c) = cl();
+        // (slices added in one placement, expected type-A pool, type-B
+        // pool, machine pool)
+        type Case = (
+            &'static [(u32, u16, u32)],
+            &'static [(u32, u32)],
+            &'static [(u32, u32)],
+            &'static [(u32, u32)],
+        );
+        let cases: [Case; 8] = [
+            (
+                &[],
+                &[(4, 1), (3, 3), (2, 0), (2, 2)],
+                &[(2, 2), (1, 0)],
+                &[(4, 1), (4, 2), (3, 0), (3, 3)],
+            ),
+            // Reinsertion onto a tie goes before the higher id…
+            (
+                &[(1, 0, 1)],
+                &[(3, 1), (3, 3), (2, 0), (2, 2)],
+                &[(2, 2), (1, 0)],
+                &[(4, 2), (3, 0), (3, 1), (3, 3)],
+            ),
+            // …and after the lower ones.
+            (
+                &[(1, 0, 2)],
+                &[(3, 3), (2, 0), (2, 1), (2, 2)],
+                &[(2, 2), (1, 0)],
+                &[(4, 2), (3, 0), (3, 3), (2, 1)],
+            ),
+            (
+                &[(3, 0, 1)],
+                &[(4, 1), (2, 0), (2, 2), (2, 3)],
+                &[(2, 2), (1, 0)],
+                &[(4, 1), (4, 2), (3, 0), (2, 3)],
+            ),
+            (
+                &[(0, 0, 1)],
+                &[(4, 1), (3, 3), (2, 2), (1, 0)],
+                &[(2, 2), (1, 0)],
+                &[(4, 1), (4, 2), (3, 3), (2, 0)],
+            ),
+            // A machine with no free GPUs left drops out of the pool.
+            (
+                &[(1, 0, 4)],
+                &[(3, 3), (2, 0), (2, 2)],
+                &[(2, 2), (1, 0)],
+                &[(4, 2), (3, 0), (3, 3)],
+            ),
+            (
+                &[(0, 1, 1), (2, 1, 1)],
+                &[(4, 1), (3, 3), (2, 0), (2, 2)],
+                &[(1, 2)],
+                &[(4, 1), (3, 2), (3, 3), (2, 0)],
+            ),
+            // Slices of several types and machines in one placement.
+            (
+                &[(1, 0, 3), (2, 0, 2), (2, 1, 2)],
+                &[(3, 3), (2, 0), (1, 1)],
+                &[(1, 0)],
+                &[(3, 0), (3, 3), (1, 1)],
+            ),
+        ];
+        // Pools built before the admission move in step; pools built
+        // after it are sorted at the new usage. Both read the same.
+        for (slices, want_a, want_b, want_machines) in cases {
+            for built_first in [true, false] {
+                let mut placer = Placer::new(&cl, Usage::empty(&cl), |_| true);
+                if built_first {
+                    placer.pool(a);
+                    placer.machines();
+                }
+                let placement = JobPlacement::from_slices(
+                    slices.iter().map(|&(h, r, n)| slice(h, GpuTypeId(r), n)),
+                );
+                placer.add(&placement);
+                let what = format!("add {slices:?}, built first: {built_first}");
+                assert_eq!(ids(placer.pool(a)), want_a, "{what}");
+                assert_eq!(ids(placer.pool(c)), want_b, "{what}");
+                assert_eq!(ids(placer.machines()), want_machines, "{what}");
+                let want_used: u32 = slices.iter().map(|&(_, _, n)| n).sum();
+                assert_eq!(placer.usage().total_used(), want_used);
+            }
+        }
+    }
+
+    /// Every pool `placer` has built equals the one a fresh build at its
+    /// usage makes; returns how many kinds of pool it compared.
+    fn assert_in_step(placer: &Placer<'_>, up: impl Fn(MachineId) -> bool, what: &str) -> usize {
+        let fresh = Placer::new(placer.cluster, placer.usage.clone(), up);
+        let mut compared = 0;
+        if let Some(pools) = placer.pools.get() {
+            for r in placer.cluster.catalog().ids() {
+                assert_eq!(pools[r.index()], fresh.pool(r), "{what}: type {r:?}");
+            }
+            compared += 1;
+        }
+        if let Some(machines) = placer.machines.get() {
+            assert_eq!(machines, fresh.machines(), "{what}: machine pool");
+            compared += 1;
+        }
+        compared
+    }
+
+    /// The placement order by its definition: every up machine with
+    /// `free(h) > 0`, scanned in id order and sorted by [`most_free_key`].
+    fn scan_and_sort(
+        cluster: &Cluster,
+        up: &[bool],
+        free: impl Fn(MachineId) -> u32,
+    ) -> Vec<(u32, MachineId)> {
+        let mut machines: Vec<(u32, MachineId)> = cluster
+            .machine_ids()
+            .filter(|h| up[h.index()])
+            .map(|h| (free(h), h))
+            .filter(|&(f, _)| f > 0)
+            .collect();
+        machines.sort_by_key(most_free_key);
+        machines
+    }
+
+    #[test]
+    fn pools_stay_in_step_and_answer_as_a_scan_would() {
+        use hadar_rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x91AC);
+        let (mut admitted, mut compared) = (0, 0);
+        for case in 0..300 {
+            let mut b = ClusterBuilder::new();
+            let types: Vec<GpuTypeId> = ["A", "B", "C"][..rng.gen_range_usize(1..4)]
+                .iter()
+                .map(|n| b.gpu_type(n))
+                .collect();
+            for _ in 0..rng.gen_range_usize(1..9) {
+                let caps: Vec<(GpuTypeId, u32)> = types
+                    .iter()
+                    .map(|&r| (r, rng.gen_range_usize(0..5) as u32))
+                    .collect();
+                b.machine(&caps);
+            }
+            let cl = b.build();
+            let up: Vec<bool> = cl
+                .machine_ids()
+                .map(|_| rng.gen_range_usize(0..4) > 0)
+                .collect();
+            let is_up = |h: MachineId| up[h.index()];
+            // Half the cases build both pools before any admission; the
+            // others build each on the first query that needs it.
+            let built_first = rng.gen_range_usize(0..2) == 0;
+            let new_placer = |usage| {
+                let placer = Placer::new(&cl, usage, is_up);
+                if built_first {
+                    placer.pool(types[0]);
+                    placer.machines();
+                }
+                placer
+            };
+            let mut placer = new_placer(Usage::empty(&cl));
+            let mut held: Vec<JobPlacement> = Vec::new();
+            for step in 0..12 {
+                let usage = placer.usage().clone();
+                let what = format!("case {case}, step {step}");
+                let gang = rng.gen_range_usize(1..9) as u32;
+                let answer = match rng.gen_range_usize(0..3) {
+                    0 => {
+                        let r = types[rng.gen_range_usize(0..types.len())];
+                        let pool = scan_and_sort(&cl, &up, |h| usage.free(&cl, h, r));
+                        let want = fill(pool.iter().map(|&(f, h)| (h, r, f)), gang);
+                        let got = placer.single_type(r, gang);
+                        assert_eq!(got, want.map(JobPlacement::from_slices), "{what}");
+                        got
+                    }
+                    1 => {
+                        let mask = rng.gen_range_usize(0..1 << types.len());
+                        let usable = |r: GpuTypeId| mask & (1 << r.index()) != 0;
+                        let pool = scan_and_sort(&cl, &up, |h| usage.free_on_machine(&cl, h));
+                        let (cl, usage) = (&cl, &usage);
+                        let entries = pool.iter().flat_map(|&(_, h)| {
+                            types
+                                .iter()
+                                .filter(|&&r| usable(r))
+                                .map(move |&r| (h, r, usage.free(cl, h, r)))
+                        });
+                        let want = fill(entries, gang);
+                        let got = placer.any_type(gang, usable);
+                        assert_eq!(got, want.map(JobPlacement::from_slices), "{what}");
+                        got
+                    }
+                    // A sticky placement: one held earlier in the case
+                    // (released by a fresh build, as a new round would),
+                    // or made-up slices.
+                    _ => {
+                        let sticky = if !held.is_empty() && rng.gen_range_usize(0..2) == 0 {
+                            let p = held.swap_remove(rng.gen_range_usize(0..held.len()));
+                            let mut released = Usage::empty(&cl);
+                            for q in &held {
+                                for s in q.slices() {
+                                    released.add(s.machine, s.gpu, s.count);
+                                }
+                            }
+                            placer = new_placer(released);
+                            p
+                        } else {
+                            JobPlacement::from_slices((0..rng.gen_range_usize(1..3)).map(|_| {
+                                PlacementSlice {
+                                    machine: MachineId(rng.gen_range_usize(0..up.len()) as u32),
+                                    gpu: types[rng.gen_range_usize(0..types.len())],
+                                    count: rng.gen_range_usize(1..4) as u32,
+                                }
+                            }))
+                        };
+                        let usage = placer.usage();
+                        let want = sticky.slices().iter().all(|s| {
+                            up[s.machine.index()] && usage.free(&cl, s.machine, s.gpu) >= s.count
+                        });
+                        assert_eq!(placer.fits(&sticky), want, "{what}: fits {sticky:?}");
+                        want.then_some(sticky)
+                    }
+                };
+                if let Some(p) = answer {
+                    placer.add(&p);
+                    held.push(p);
+                    admitted += 1;
+                    compared += assert_in_step(&placer, is_up, &what);
+                }
+            }
+        }
+        assert!(admitted > 1000, "only {admitted} admissions checked");
+        assert!(compared > 1000, "only {compared} pools compared");
     }
 
     #[test]

@@ -7,9 +7,6 @@ use crate::utility::UtilityKind;
 /// ships both "a greedy algorithm and a dynamic programming approach").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllocMode {
-    /// Always use the memoized dynamic program (exact subset selection;
-    /// exponential worst case — use only for small queues).
-    Dp,
     /// Always use the single-pass greedy in utility-density order
     /// (`O(|Q| · H · R)` per round).
     Greedy,

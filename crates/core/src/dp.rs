@@ -18,10 +18,10 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use hadar_cluster::Usage;
+use hadar_cluster::{Placer, Usage};
 use hadar_sim::JobState;
 
-use crate::find_alloc::{find_candidates, AllocEnv, Candidate, PooledUsage};
+use crate::find_alloc::{find_candidates, AllocEnv, Candidate};
 
 /// The chosen schedule for one round: per selected job (by index into the
 /// queue order given to the algorithm), its placement candidate.
@@ -37,7 +37,7 @@ pub struct Selection {
     /// Surfaced so silently degraded rounds are visible in outcome stats;
     /// always `false` for pure greedy selections.
     pub budget_exhausted: bool,
-    /// Wall-clock seconds spent building the round's machine pools and
+    /// Wall-clock seconds spent building the round's [`Placer`] and
     /// generating candidates ([`find_candidates`]), over every search that
     /// produced this selection (the DP and its greedy floor alike).
     pub candidates_seconds: f64,
@@ -72,14 +72,14 @@ pub fn dp_allocation(queue: &[&JobState], env: &AllocEnv<'_>, usage: &Usage) -> 
     let mut memo: HashMap<(usize, u64), DpEntry> = HashMap::new();
     let mut nodes = 0usize;
     let mut candidates_seconds = 0.0;
-    let pooled = timed(&mut candidates_seconds, || {
-        PooledUsage::new(env, usage.clone())
+    let placer = timed(&mut candidates_seconds, || {
+        Placer::new(env.cluster, usage.clone(), |h| env.machine_usable(h))
     });
     let (total_payoff, mut decisions) = dp_rec(
         0,
         queue,
         env,
-        &pooled,
+        &placer,
         &mut memo,
         &mut nodes,
         &mut candidates_seconds,
@@ -106,12 +106,12 @@ fn dp_rec(
     idx: usize,
     queue: &[&JobState],
     env: &AllocEnv<'_>,
-    pooled: &PooledUsage<'_>,
+    placer: &Placer<'_>,
     memo: &mut HashMap<(usize, u64), DpEntry>,
     nodes: &mut usize,
     candidates_seconds: &mut f64,
 ) -> DpEntry {
-    let usage = pooled.usage();
+    let usage = placer.usage();
     if idx >= queue.len() || usage.is_cluster_full(env.cluster) {
         return (0.0, Vec::new());
     }
@@ -125,21 +125,21 @@ fn dp_rec(
     }
 
     // Branch 1: skip this job.
-    let mut best = dp_rec(idx + 1, queue, env, pooled, memo, nodes, candidates_seconds);
+    let mut best = dp_rec(idx + 1, queue, env, placer, memo, nodes, candidates_seconds);
 
     // Branches 2..: schedule it at one of its top placements.
     let mut cands = timed(candidates_seconds, || {
-        find_candidates(queue[idx], env, pooled)
+        find_candidates(queue[idx], env, placer)
     });
     cands.truncate(DP_BRANCH_WIDTH);
     for cand in cands {
         // Probe the memo with the child's predicted fingerprint first: on a
-        // hit this skips cloning the usage and its pools.
+        // hit this skips cloning the placer.
         let child_key = (idx + 1, usage.fingerprint_after(cand.placement.slices()));
         let (sub_payoff, mut sub_dec) = if let Some(hit) = memo.get(&child_key) {
             hit.clone()
         } else {
-            let mut taken = pooled.clone();
+            let mut taken = placer.clone();
             taken.add(&cand.placement);
             dp_rec(idx + 1, queue, env, &taken, memo, nodes, candidates_seconds)
         };
@@ -188,21 +188,21 @@ pub fn greedy_allocation(queue: &[&JobState], env: &AllocEnv<'_>, usage: &Usage)
     let density: Vec<f64> = keys.into_iter().map(|(d, _)| d).collect();
 
     let mut selection = Selection::default();
-    let mut pooled = timed(&mut selection.candidates_seconds, || {
-        PooledUsage::new(env, usage.clone())
+    let mut placer = timed(&mut selection.candidates_seconds, || {
+        Placer::new(env.cluster, usage.clone(), |h| env.machine_usable(h))
     });
     for &i in &order {
         if density[i] == f64::NEG_INFINITY {
             continue;
         }
-        if pooled.usage().is_cluster_full(env.cluster) {
+        if placer.usage().is_cluster_full(env.cluster) {
             break;
         }
         let cands = timed(&mut selection.candidates_seconds, || {
-            find_candidates(queue[i], env, &pooled)
+            find_candidates(queue[i], env, &placer)
         });
         if let Some(cand) = cands.into_iter().next() {
-            pooled.add(&cand.placement);
+            placer.add(&cand.placement);
             selection.total_payoff += cand.payoff;
             selection.decisions.push((i, cand));
         }

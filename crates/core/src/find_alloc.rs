@@ -17,7 +17,7 @@
 //! the underlying dual objective `argmax_s φ_j(s)` (Eq. 4) directly; for
 //! candidates with equal estimated finish times the two rules coincide.
 
-use hadar_cluster::placer::{fill, most_free_key};
+use hadar_cluster::placer::fill;
 use hadar_cluster::{
     comm, Cluster, GpuTypeId, JobPlacement, MachineId, PlacementSlice, Placer, Usage,
 };
@@ -81,84 +81,10 @@ impl AllocEnv<'_> {
         self.machine_factors.get(h.index()).copied().unwrap_or(1.0)
     }
 
-    /// Whether machine `h` can run tasks at all this round.
-    fn machine_usable(&self, h: MachineId) -> bool {
+    /// Whether machine `h` can run tasks at all this round: the "up"
+    /// predicate Hadar builds its [`Placer`] with.
+    pub fn machine_usable(&self, h: MachineId) -> bool {
         self.machine_factor(h) > 0.0
-    }
-
-    /// The shared gang placer over `usage`, restricted to usable machines.
-    fn placer<'u>(&'u self, usage: &'u Usage) -> Placer<'u, impl Fn(MachineId) -> bool + 'u> {
-        Placer::new(self.cluster, usage, |h| self.machine_usable(h))
-    }
-}
-
-/// The round's usage together with one machine pool per GPU type, kept in
-/// step: pool `r` holds the usable machines with free type-`r` GPUs as
-/// `(free, machine)`, in the shared placement order (most free first, lower
-/// id on ties). Built once per round with [`Placer::machines_by_free`];
-/// [`PooledUsage::add`] then moves only the machines an admission touches,
-/// so no generator sorts or scans the whole cluster per query. The DP
-/// clones it at each branch.
-#[derive(Debug, Clone)]
-pub struct PooledUsage<'a> {
-    cluster: &'a Cluster,
-    usage: Usage,
-    /// Indexed by GPU type.
-    pools: Vec<Vec<(u32, MachineId)>>,
-}
-
-impl<'a> PooledUsage<'a> {
-    /// Pools for every GPU type at `usage`, over the machines `env` can use.
-    pub fn new(env: &AllocEnv<'a>, usage: Usage) -> Self {
-        let pools = env
-            .cluster
-            .catalog()
-            .ids()
-            .map(|r| env.placer(&usage).machines_by_free(r))
-            .collect();
-        Self {
-            cluster: env.cluster,
-            usage,
-            pools,
-        }
-    }
-
-    /// The usage the pools are in step with.
-    pub fn usage(&self) -> &Usage {
-        &self.usage
-    }
-
-    /// The usable machines with free type-`r` GPUs, most free first.
-    pub fn pool(&self, r: GpuTypeId) -> &[(u32, MachineId)] {
-        &self.pools[r.index()]
-    }
-
-    /// Occupy `placement`'s GPUs: each slice's machine moves down its pool
-    /// to its new free count, or leaves the pool when none is left. Every
-    /// slice must come from these pools or pass [`Placer::fits`] against
-    /// [`PooledUsage::usage`], so its machine is in the pool with at least
-    /// `count` free.
-    pub fn add(&mut self, placement: &JobPlacement) {
-        for s in placement.slices() {
-            let free = self.usage.free(self.cluster, s.machine, s.gpu);
-            self.usage.add(s.machine, s.gpu, s.count);
-            let pool = &mut self.pools[s.gpu.index()];
-            let key = most_free_key(&(free, s.machine));
-            let at = pool.partition_point(|e| most_free_key(e) < key);
-            debug_assert!(
-                s.count <= free && pool.get(at) == Some(&(free, s.machine)),
-                "slice {s:?} is not in its pool"
-            );
-            let left = free - s.count;
-            if left == 0 {
-                pool.remove(at);
-            } else {
-                let key = most_free_key(&(left, s.machine));
-                let to = at + pool[at..].partition_point(|e| most_free_key(e) < key);
-                pool[at..to].rotate_left(1);
-                pool[to - 1] = (left, s.machine);
-            }
-        }
     }
 }
 
@@ -185,10 +111,10 @@ pub struct Candidate {
 
 /// Find the best positive-payoff placement for `state`, or `None` if every
 /// candidate has non-positive payoff (the job should wait this round).
-/// Builds the round's pools from `usage` for this one query.
+/// Builds the round's placer at `usage` for this one query.
 pub fn find_alloc(state: &JobState, env: &AllocEnv<'_>, usage: &Usage) -> Option<Candidate> {
-    let pooled = PooledUsage::new(env, usage.clone());
-    find_candidates(state, env, &pooled).into_iter().next()
+    let placer = Placer::new(env.cluster, usage.clone(), |h| env.machine_usable(h));
+    find_candidates(state, env, &placer).into_iter().next()
 }
 
 /// All distinct positive-payoff candidate placements for `state`, best
@@ -201,20 +127,20 @@ pub fn find_alloc(state: &JobState, env: &AllocEnv<'_>, usage: &Usage) -> Option
 pub fn find_candidates(
     state: &JobState,
     env: &AllocEnv<'_>,
-    pooled: &PooledUsage<'_>,
+    placer: &Placer<'_>,
 ) -> Vec<Candidate> {
     let prefs: &[GpuTypeId] = state.job.profile.types_by_preference();
     let w = state.job.gang;
     let mut geoms: Vec<Vec<PlacementSlice>> = Vec::new();
     for &r in prefs {
-        geoms.extend(consolidated_homogeneous(env, pooled, r, w));
-        geoms.extend(spread_homogeneous(pooled.pool(r), r, w));
+        geoms.extend(consolidated_homogeneous(env, placer, r, w));
+        geoms.extend(spread_homogeneous(placer.pool(r), r, w));
     }
     if env.features.mixed_types {
-        geoms.extend(mixed_spread(pooled, prefs, w));
-        geoms.extend(mixed_best_single_machine(state, env, pooled, prefs, w));
+        geoms.extend(mixed_spread(placer, prefs, w));
+        geoms.extend(mixed_best_single_machine(state, env, placer, prefs, w));
     }
-    assemble(state, env, pooled.usage(), geoms)
+    assemble(state, env, placer, geoms)
 }
 
 /// Price, deduplicate, filter, and rank a geometry slate for one job: the
@@ -225,15 +151,14 @@ pub fn find_candidates(
 fn assemble(
     state: &JobState,
     env: &AllocEnv<'_>,
-    usage: &Usage,
+    placer: &Placer<'_>,
     geoms: Vec<Vec<PlacementSlice>>,
 ) -> Vec<Candidate> {
     // Sticky candidate: keep the current placement if it still fits (no
     // checkpoint stall, no movement).
-    let sticky = (env.features.sticky
-        && !state.placement.is_empty()
-        && env.placer(usage).fits(&state.placement))
-    .then(|| state.placement.clone());
+    let sticky =
+        (env.features.sticky && !state.placement.is_empty() && placer.fits(&state.placement))
+            .then(|| state.placement.clone());
     let mut cands: Vec<Candidate> = Vec::new();
     let mut rejected: Vec<JobPlacement> = Vec::new();
     for placement in sticky
@@ -243,7 +168,7 @@ fn assemble(
         if cands.iter().any(|c| c.placement == placement) || rejected.contains(&placement) {
             continue;
         }
-        match evaluate(state, env, usage, placement) {
+        match evaluate(state, env, placer.usage(), placement) {
             Ok(c) => cands.push(c),
             Err(placement) => rejected.push(placement),
         }
@@ -322,7 +247,7 @@ pub fn price_of(env: &AllocEnv<'_>, usage: &Usage, placement: &JobPlacement) -> 
 /// machines in id order exactly.
 fn consolidated_homogeneous(
     env: &AllocEnv<'_>,
-    pooled: &PooledUsage<'_>,
+    placer: &Placer<'_>,
     r: GpuTypeId,
     w: u32,
 ) -> Option<Vec<PlacementSlice>> {
@@ -334,7 +259,7 @@ fn consolidated_homogeneous(
     // free ≥ w; ties break on machine id explicitly because the pool is not
     // in id order.
     let mut best: Option<(u8, u64, u64, MachineId)> = None;
-    for &(free, h) in pooled.pool(r) {
+    for &(free, h) in placer.pool(r) {
         if free < w {
             break;
         }
@@ -346,7 +271,7 @@ fn consolidated_homogeneous(
         } else {
             (
                 1,
-                u64::from(pooled.usage().get(h, r).min(cap)),
+                u64::from(placer.usage().get(h, r).min(cap)),
                 u64::from(cap),
             )
         };
@@ -384,15 +309,11 @@ fn spread_homogeneous(
 
 /// All `w` workers filled from the fastest types first, spreading over
 /// machines as needed — the fully flexible task-level placement.
-fn mixed_spread(
-    pooled: &PooledUsage<'_>,
-    prefs: &[GpuTypeId],
-    w: u32,
-) -> Option<Vec<PlacementSlice>> {
+fn mixed_spread(placer: &Placer<'_>, prefs: &[GpuTypeId], w: u32) -> Option<Vec<PlacementSlice>> {
     fill(
         prefs
             .iter()
-            .flat_map(|&r| pooled.pool(r).iter().map(move |&(f, h)| (h, r, f))),
+            .flat_map(|&r| placer.pool(r).iter().map(move |&(f, h)| (h, r, f))),
         w,
     )
 }
@@ -411,15 +332,15 @@ fn mixed_spread(
 fn mixed_best_single_machine(
     state: &JobState,
     env: &AllocEnv<'_>,
-    pooled: &PooledUsage<'_>,
+    placer: &Placer<'_>,
     prefs: &[GpuTypeId],
     w: u32,
 ) -> Option<Vec<PlacementSlice>> {
-    let free = |h, r| pooled.usage().free(env.cluster, h, r);
+    let free = |h, r| placer.usage().free(env.cluster, h, r);
     let mut best: Option<(f64, MachineId)> = None;
     for (k, &r) in prefs.iter().enumerate() {
         let rate = state.job.profile.rate(r);
-        for &(f, h) in pooled.pool(r) {
+        for &(f, h) in placer.pool(r) {
             let below: u32 = prefs[..k].iter().map(|&q| free(h, q)).sum();
             if below >= w || below + f < w {
                 continue;
@@ -461,6 +382,14 @@ mod tests {
             features: Features::default(),
             machine_factors: &[],
         }
+    }
+
+    /// The placer Hadar builds for `e` at `usage`, its type pools built
+    /// as the subroutine's first candidate query builds them.
+    fn placer<'a>(e: &AllocEnv<'a>, usage: Usage) -> Placer<'a> {
+        let p = Placer::new(e.cluster, usage, |h| e.machine_usable(h));
+        p.pool(GpuTypeId(0));
+        p
     }
 
     fn prices_for(cluster: &Cluster, state: &JobState) -> PriceState {
@@ -648,7 +577,7 @@ mod tests {
             machine_factors: &factors,
         };
         let usage = Usage::empty(&cluster);
-        let cands = find_candidates(&state, &e, &PooledUsage::new(&e, usage.clone()));
+        let cands = find_candidates(&state, &e, &placer(&e, usage.clone()));
         assert!(!cands.is_empty());
         for c in &cands {
             assert!(
@@ -702,85 +631,15 @@ mod tests {
         (cluster, state, prices)
     }
 
-    fn slice(h: u32, r: u16, count: u32) -> PlacementSlice {
-        PlacementSlice {
-            machine: MachineId(h),
-            gpu: GpuTypeId(r),
-            count,
-        }
-    }
-
     fn ids(pool: &[(u32, MachineId)]) -> Vec<(u32, u32)> {
         pool.iter().map(|&(f, h)| (f, h.0)).collect()
     }
 
-    /// The pools of `pooled` equal the ones a fresh build at its usage has.
-    fn assert_in_step(e: &AllocEnv<'_>, pooled: &PooledUsage<'_>) {
-        let fresh = PooledUsage::new(e, pooled.usage().clone());
+    /// `placer`'s pools equal the ones a fresh build at its usage has.
+    fn assert_in_step(e: &AllocEnv<'_>, p: &Placer<'_>) {
+        let fresh = placer(e, p.usage().clone());
         for r in e.cluster.catalog().ids() {
-            assert_eq!(pooled.pool(r), fresh.pool(r), "type {r:?}");
-        }
-    }
-
-    #[test]
-    fn add_moves_machines_to_their_new_free_count() {
-        let (cluster, _, prices) = pool_cluster();
-        let u = EffectiveThroughput;
-        let e = env(&cluster, &prices, &u);
-        // (slices added in one placement, expected type-A pool, type-B pool)
-        type Case = (
-            &'static [(u32, u16, u32)],
-            &'static [(u32, u32)],
-            &'static [(u32, u32)],
-        );
-        let cases: [Case; 8] = [
-            (&[], &[(4, 1), (3, 3), (2, 0), (2, 2)], &[(2, 2), (1, 0)]),
-            // Reinsertion onto a tie goes before the higher id…
-            (
-                &[(1, 0, 1)],
-                &[(3, 1), (3, 3), (2, 0), (2, 2)],
-                &[(2, 2), (1, 0)],
-            ),
-            // …and after the lower ones.
-            (
-                &[(1, 0, 2)],
-                &[(3, 3), (2, 0), (2, 1), (2, 2)],
-                &[(2, 2), (1, 0)],
-            ),
-            (
-                &[(3, 0, 1)],
-                &[(4, 1), (2, 0), (2, 2), (2, 3)],
-                &[(2, 2), (1, 0)],
-            ),
-            (
-                &[(0, 0, 1)],
-                &[(4, 1), (3, 3), (2, 2), (1, 0)],
-                &[(2, 2), (1, 0)],
-            ),
-            // A machine with no free GPUs left drops out of the pool.
-            (&[(1, 0, 4)], &[(3, 3), (2, 0), (2, 2)], &[(2, 2), (1, 0)]),
-            (
-                &[(0, 1, 1), (2, 1, 1)],
-                &[(4, 1), (3, 3), (2, 0), (2, 2)],
-                &[(1, 2)],
-            ),
-            // Slices of several types and machines in one placement.
-            (
-                &[(1, 0, 3), (2, 0, 2), (2, 1, 2)],
-                &[(3, 3), (2, 0), (1, 1)],
-                &[(1, 0)],
-            ),
-        ];
-        for (slices, want_a, want_b) in cases {
-            let mut pooled = PooledUsage::new(&e, Usage::empty(&cluster));
-            let placement =
-                JobPlacement::from_slices(slices.iter().map(|&(h, r, n)| slice(h, r, n)));
-            pooled.add(&placement);
-            assert_eq!(ids(pooled.pool(GpuTypeId(0))), want_a, "add {slices:?}");
-            assert_eq!(ids(pooled.pool(GpuTypeId(1))), want_b, "add {slices:?}");
-            assert_in_step(&e, &pooled);
-            let want_used: u32 = slices.iter().map(|&(_, _, n)| n).sum();
-            assert_eq!(pooled.usage().total_used(), want_used);
+            assert_eq!(p.pool(r), fresh.pool(r), "type {r:?}");
         }
     }
 
@@ -791,7 +650,7 @@ mod tests {
         let (cluster, _, prices) = pool_cluster();
         let u = EffectiveThroughput;
         let e = env(&cluster, &prices, &u);
-        let mut parent = PooledUsage::new(&e, Usage::empty(&cluster));
+        let mut parent = placer(&e, Usage::empty(&cluster));
         parent.add(&JobPlacement::single(MachineId(3), GpuTypeId(0), 1));
         let before = parent.clone();
         let mut child = parent.clone();
@@ -818,11 +677,11 @@ mod tests {
             machine_factors: &factors,
             ..env(&cluster, &prices, &u)
         };
-        let mut pooled = PooledUsage::new(&e, Usage::empty(&cluster));
-        assert_eq!(ids(pooled.pool(GpuTypeId(0))), [(3, 3), (2, 0), (2, 2)]);
-        pooled.add(&JobPlacement::single(MachineId(3), GpuTypeId(0), 2));
-        assert_eq!(ids(pooled.pool(GpuTypeId(0))), [(2, 0), (2, 2), (1, 3)]);
-        assert_in_step(&e, &pooled);
+        let mut pl = placer(&e, Usage::empty(&cluster));
+        assert_eq!(ids(pl.pool(GpuTypeId(0))), [(3, 3), (2, 0), (2, 2)]);
+        pl.add(&JobPlacement::single(MachineId(3), GpuTypeId(0), 2));
+        assert_eq!(ids(pl.pool(GpuTypeId(0))), [(2, 0), (2, 2), (1, 3)]);
+        assert_in_step(&e, &pl);
     }
 
     /// [`consolidated_homogeneous`] by its definition: every usable
@@ -937,14 +796,14 @@ mod tests {
                 ..env(&cluster, &prices, &u)
             };
             let prefs = state.job.profile.types_by_preference();
-            let pooled = PooledUsage::new(&e, usage.clone());
+            let pl = placer(&e, usage.clone());
             let want = best_single_machine_by_full_scan(&state, &e, &usage, prefs, gang);
-            let got = mixed_best_single_machine(&state, &e, &pooled, prefs, gang);
+            let got = mixed_best_single_machine(&state, &e, &pl, prefs, gang);
             assert_eq!(got, want, "case {case}: best single machine");
             scored += usize::from(want.is_some());
             for &r in prefs {
                 let want = cheapest_machine_by_full_scan(&e, &usage, r, gang);
-                let got = consolidated_homogeneous(&e, &pooled, r, gang);
+                let got = consolidated_homogeneous(&e, &pl, r, gang);
                 assert_eq!(got, want, "case {case}: consolidated on {r:?}");
             }
         }

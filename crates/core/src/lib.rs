@@ -66,7 +66,7 @@ pub mod theory;
 pub mod utility;
 
 pub use config::{AllocMode, HadarConfig};
-pub use find_alloc::{Features, PooledUsage};
+pub use find_alloc::Features;
 pub use price::{CompetitiveBound, PriceShape, PriceState};
 pub use profiler::ThroughputEstimator;
 pub use scheduler::HadarScheduler;

@@ -17,7 +17,10 @@ use crate::utility::Utility;
 /// current queue, plus the horizon and scale factor they depend on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PriceState {
-    u_min: Vec<f64>,
+    /// `U_min`, one value for every type of the catalog (Eq. 7 takes its
+    /// minimum over jobs, not types).
+    u_min: f64,
+    /// `U_max^r`, indexed by type.
     u_max: Vec<f64>,
     /// The scaling factor η of Eq. 7 (chosen so `D_0 ≤ ½·OPT`, see proof of
     /// Theorem 2).
@@ -86,7 +89,7 @@ impl PriceState {
 
         if runnable.is_empty() || total_capacity == 0.0 {
             return Self {
-                u_min: vec![0.0; num_types],
+                u_min: 0.0,
                 u_max: vec![0.0; num_types],
                 eta: 1.0,
                 horizon: now,
@@ -119,7 +122,7 @@ impl PriceState {
         // saturate at higher prices, pushing heterogeneity-insensitive jobs
         // toward slower (cheaper) accelerators as contention grows.
         let mut u_max = vec![0.0f64; num_types];
-        let mut u_min_all = f64::INFINITY;
+        let mut u_min = f64::INFINITY;
         for s in &runnable {
             let w = s.job.gang as f64;
             let t_max = s.remaining_iters / s.job.worst_rate();
@@ -136,21 +139,21 @@ impl PriceState {
             // Worst case (Eq. 7 numerator): finish at the horizon.
             let worst = utility.value(&s.job, horizon - s.job.arrival, horizon) / (t_max * w);
             if worst.is_finite() {
-                u_min_all = u_min_all.min(worst);
+                u_min = u_min.min(worst);
             }
         }
-        let u_min_all = if u_min_all.is_finite() {
-            (u_min_all / (4.0 * eta)).max(f64::MIN_POSITIVE)
+        let u_min = if u_min.is_finite() {
+            (u_min / (4.0 * eta)).max(f64::MIN_POSITIVE)
         } else {
             f64::MIN_POSITIVE
         };
         // Keep U_min strictly below every type's U_max so the exponential
         // price is well-defined even on degenerate single-job queues.
         let global_max = u_max.iter().copied().fold(0.0, f64::max);
-        let u_min_all = u_min_all.min(global_max / 2.0).max(0.0);
+        let u_min = u_min.min(global_max / 2.0).max(0.0);
 
         Self {
-            u_min: vec![u_min_all; num_types],
+            u_min,
             u_max,
             eta,
             horizon,
@@ -162,9 +165,14 @@ impl PriceState {
         self.u_max.get(r.index()).copied().unwrap_or(0.0)
     }
 
-    /// `U_min^r`.
+    /// `U_min^r`: the same for every catalog type, 0.0 outside the
+    /// catalog.
     pub fn u_min(&self, r: GpuTypeId) -> f64 {
-        self.u_min.get(r.index()).copied().unwrap_or(0.0)
+        if r.index() < self.u_max.len() {
+            self.u_min
+        } else {
+            0.0
+        }
     }
 
     /// The price `k_h^r(γ)` of Eq. 5 for a server slot holding `gamma` of
@@ -201,8 +209,9 @@ impl PriceState {
     /// The Theorem 2 bound for these prices.
     pub fn bound(&self) -> CompetitiveBound {
         let mut alpha = 1.0f64;
-        for (lo, hi) in self.u_min.iter().zip(&self.u_max) {
-            if *lo > 0.0 && *hi > *lo {
+        let lo = self.u_min;
+        for &hi in &self.u_max {
+            if lo > 0.0 && hi > lo {
                 alpha = alpha.max((hi / lo).ln());
             }
         }
@@ -308,7 +317,7 @@ mod tests {
         assert_eq!(empty.shape(GpuTypeId(0)), PriceShape::Zero);
         // Degenerate bounds (U_max ≤ U_min > 0) ⇒ constant price U_max.
         let degenerate = PriceState {
-            u_min: vec![2.0],
+            u_min: 2.0,
             u_max: vec![2.0],
             eta: 1.0,
             horizon: 0.0,

@@ -65,12 +65,7 @@ fn run_subroutine(
     env: &AllocEnv<'_>,
     usage: &Usage,
 ) -> Selection {
-    let use_dp = match alloc_mode {
-        AllocMode::Dp => true,
-        AllocMode::Greedy => false,
-        AllocMode::Auto => queue.len() <= DP_MAX_QUEUE,
-    };
-    if use_dp {
+    if alloc_mode == AllocMode::Auto && queue.len() <= DP_MAX_QUEUE {
         dp_allocation(queue, env, usage)
     } else {
         greedy_allocation(queue, env, usage)
@@ -205,6 +200,7 @@ impl Scheduler for HadarScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::find_alloc::Features;
     use crate::utility::UtilityKind;
     use hadar_cluster::Cluster;
     use hadar_sim::{PreemptionPenalty, SimConfig, Simulation};
@@ -244,22 +240,28 @@ mod tests {
 
     #[test]
     fn forced_dp_on_wide_queue_exhausts_node_budget() {
-        // AllocMode::Dp on a 24-job queue: 2^24 subsets dwarf the 20k-node
-        // budget, so the DP must report exhaustion (and fall back to its
-        // greedy floor) in at least the opening rounds.
+        // The DP on the 24-job first-round queue: 2^24 subsets dwarf the
+        // 20k-node budget, so it must report exhaustion (and fall back to
+        // its greedy floor).
         let (cluster, jobs) = trace(24, 11);
-        let cfg = HadarConfig {
-            alloc_mode: AllocMode::Dp,
-            ..HadarConfig::default()
+        let states: Vec<JobState> = jobs.into_iter().map(JobState::new).collect();
+        let utility = UtilityKind::default();
+        let prices = PriceState::compute(&states, &cluster, &utility, 0.0);
+        let env = AllocEnv {
+            cluster: &cluster,
+            prices: &prices,
+            utility: &utility,
+            now: 0.0,
+            features: Features::default(),
+            machine_factors: &[],
         };
-        let out = Simulation::new(cluster, jobs, SimConfig::default())
-            .run(HadarScheduler::new(cfg))
-            .unwrap();
-        assert_eq!(out.completed_jobs(), 24);
+        let queue: Vec<&JobState> = states.iter().collect();
+        let selection = dp_allocation(&queue, &env, &Usage::empty(&cluster));
         assert!(
-            out.dp_budget_exhausted_rounds() > 0,
-            "24-job DP rounds should hit DP_NODE_BUDGET"
+            selection.budget_exhausted,
+            "a 24-job DP round should hit DP_NODE_BUDGET"
         );
+        assert!(!selection.decisions.is_empty());
     }
 
     #[test]
@@ -278,7 +280,7 @@ mod tests {
     #[test]
     fn dp_and_greedy_modes_both_finish() {
         let (cluster, jobs) = trace(8, 3);
-        for mode in [AllocMode::Dp, AllocMode::Greedy] {
+        for mode in [AllocMode::Auto, AllocMode::Greedy] {
             let cfg = HadarConfig {
                 alloc_mode: mode,
                 ..HadarConfig::default()

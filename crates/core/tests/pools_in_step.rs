@@ -1,6 +1,6 @@
 //! The round's machine pools stay in step with its usage: after every
-//! admission, the pools [`PooledUsage::add`] maintains must equal pools
-//! freshly built at the same usage, and every queued job's candidate list
+//! admission, the pools [`Placer::add`] maintains must equal pools freshly
+//! built at the same usage, and every queued job's candidate list
 //! read from them must equal [`find_candidates`] on the fresh build —
 //! including under machine failures (down machines leave the pools),
 //! stragglers, preemption penalties, and the noisy profiling estimator, all
@@ -16,13 +16,12 @@
 //! the mirror's decision trail to match it bit for bit, so the path checked
 //! here is the one the scheduler takes.
 
-use hadar_cluster::{Allocation, Cluster, JobId, Usage};
+use hadar_cluster::{Allocation, Cluster, GpuTypeId, JobId, Placer, Usage};
 use hadar_core::config::DP_MAX_QUEUE;
 use hadar_core::dp::{dp_allocation, greedy_allocation, Selection};
 use hadar_core::find_alloc::{find_candidates, AllocEnv};
 use hadar_core::{
-    AllocMode, Features, HadarConfig, HadarScheduler, PooledUsage, PriceState, ThroughputEstimator,
-    UtilityKind,
+    AllocMode, Features, HadarConfig, HadarScheduler, PriceState, ThroughputEstimator, UtilityKind,
 };
 use hadar_sim::{
     FailureModel, JobState, PreemptionPenalty, Scheduler, SchedulerContext, SimConfig, SimOutcome,
@@ -55,20 +54,24 @@ impl OracleChecked {
 /// the number of admissions checked.
 fn check(what: &str, selection: &Selection, queue: &[&JobState], env: &AllocEnv<'_>) -> usize {
     let t = env.now;
-    let mut pooled = PooledUsage::new(env, Usage::empty(env.cluster));
+    let build = |usage| Placer::new(env.cluster, usage, |h| env.machine_usable(h));
+    let mut placer = build(Usage::empty(env.cluster));
+    // Build the type pools before the first admission, as the subroutine's
+    // first candidate query does, so every `add` below moves them.
+    placer.pool(GpuTypeId(0));
     for (_, cand) in &selection.decisions {
-        pooled.add(&cand.placement);
-        let fresh = PooledUsage::new(env, pooled.usage().clone());
+        placer.add(&cand.placement);
+        let fresh = build(placer.usage().clone());
         for r in env.cluster.catalog().ids() {
             assert_eq!(
-                pooled.pool(r),
+                placer.pool(r),
                 fresh.pool(r),
                 "t={t}, {what}: type {r:?} pool out of step"
             );
         }
         for s in queue {
             assert_eq!(
-                find_candidates(s, env, &pooled),
+                find_candidates(s, env, &placer),
                 find_candidates(s, env, &fresh),
                 "t={t}, {what}: candidates of job {} differ from a fresh build",
                 s.job.id
