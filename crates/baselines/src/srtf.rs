@@ -60,8 +60,9 @@ impl Scheduler for SrtfScheduler {
         let mut placer = Placer::new(ctx.cluster, Usage::empty(ctx.cluster), |h| ctx.is_up(h));
         let mut alloc = Allocation::empty();
         for (_, s) in order {
-            // With no GPU free, no later job fits or keeps its placement.
-            if placer.usage().is_cluster_full(ctx.cluster) {
+            // With no GPU free on an up machine, no later job fits or keeps
+            // its placement.
+            if placer.up_free() == 0 {
                 break;
             }
             if let Some(p) = Self::place(&placer, s) {

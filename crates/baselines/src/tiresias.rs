@@ -66,12 +66,13 @@ impl Scheduler for TiresiasScheduler {
 
         // Priority order: queue 0 before queue 1, FIFO within each queue —
         // a stable partition of `ctx.jobs`, which is in arrival order. Once
-        // no GPU is free, no later job fits or can keep its placement.
+        // no GPU on an up machine is free, no later job fits or can keep its
+        // placement.
         let in_queue = |q| ctx.jobs.iter().filter(move |s| Self::queue_of(s) == q);
         let mut placer = Placer::new(ctx.cluster, Usage::empty(ctx.cluster), |h| ctx.is_up(h));
         let mut alloc = Allocation::empty();
         for s in in_queue(0).chain(in_queue(1)) {
-            if placer.usage().is_cluster_full(ctx.cluster) {
+            if placer.up_free() == 0 {
                 break;
             }
             if let Some(p) = Self::place(&placer, s) {

@@ -2,12 +2,14 @@
 //! Gavel") as the number of active jobs grows from 32 to 2048, with the
 //! cluster scaled alongside the workload.
 //!
-//! Each point measures the wall-clock time of a single scheduling round
-//! over a fully queued cluster: for Hadar, the dual subroutine; for Gavel,
-//! its policy LP solved as a transportation problem plus the round-based
-//! priority mechanism. A third column times a cold revised-simplex solve of
-//! the same first-round LP: what a general LP solver (the paper's
-//! cvxpy-based Gavel) pays for the policy alone.
+//! Each point is the median wall-clock time of [`REPEATS`] timed first
+//! scheduling rounds over a fully queued cluster: for Hadar, the dual
+//! subroutine; for Gavel, its policy LP solved as a transportation problem
+//! plus the round-based priority mechanism. A third column times a cold
+//! revised-simplex solve of the same first-round LP, also the median of
+//! [`REPEATS`]: what a general LP solver (the paper's cvxpy-based Gavel)
+//! pays for the policy alone. One timed round on a shared host is noisy
+//! enough to swap Hadar and Gavel at 2048 jobs; the median of five is not.
 //!
 //! This is the one simulation experiment that does *not* go through the
 //! [`hadar_sim::SweepRunner`]: its CSV values *are* wall-clock times, and
@@ -34,7 +36,10 @@ pub fn scaled_cluster(num_jobs: usize) -> Cluster {
     Cluster::scaled((num_jobs / 32).max(1))
 }
 
-/// One Fig. 7 point, in seconds.
+/// Timed repeats behind every Fig. 7 cell; the cell is their median.
+pub const REPEATS: usize = 5;
+
+/// One Fig. 7 point, in seconds, each the median of [`REPEATS`] timings.
 pub struct Decision {
     /// Hadar's first scheduling round.
     pub hadar: f64,
@@ -42,6 +47,13 @@ pub struct Decision {
     pub gavel: f64,
     /// A cold revised-simplex solve of Gavel's first-round policy LP.
     pub gavel_lp: f64,
+}
+
+/// The median of [`REPEATS`] calls of `time`.
+fn median_of(mut time: impl FnMut() -> f64) -> f64 {
+    let mut times: Vec<f64> = (0..REPEATS).map(|_| time()).collect();
+    times.sort_by(f64::total_cmp);
+    times[REPEATS / 2]
 }
 
 /// Measure one scheduling decision at `num_jobs`.
@@ -67,9 +79,9 @@ pub fn measure(num_jobs: usize, seed: u64) -> Decision {
             .decision_seconds
     };
     Decision {
-        hadar: first_round(Box::new(HadarScheduler::new(HadarConfig::default()))),
-        gavel: first_round(Box::new(GavelScheduler::paper_default())),
-        gavel_lp: general_lp_seconds(&cluster, &jobs),
+        hadar: median_of(|| first_round(Box::new(HadarScheduler::new(HadarConfig::default())))),
+        gavel: median_of(|| first_round(Box::new(GavelScheduler::paper_default()))),
+        gavel_lp: median_of(|| general_lp_seconds(&cluster, &jobs)),
     }
 }
 
@@ -140,6 +152,12 @@ mod tests {
         assert_eq!(scaled_cluster(32).total_gpus(), 12);
         assert_eq!(scaled_cluster(2048).total_gpus(), 768);
         assert_eq!(scaled_cluster(8).total_gpus(), 12); // floor at scale 1
+    }
+
+    #[test]
+    fn cells_are_the_median_of_the_repeats() {
+        let mut times = [3.0, 1.0, 5.0, 2.0, 4.0].into_iter();
+        assert_eq!(median_of(|| times.next().unwrap()), 3.0);
     }
 
     #[test]

@@ -35,15 +35,8 @@ impl JobPlacement {
     /// Build from slices; zero-count slices are dropped, and slices sharing
     /// `(machine, type)` are merged so equality is structural.
     pub fn from_slices(slices: impl IntoIterator<Item = PlacementSlice>) -> Self {
-        let mut slices: Vec<PlacementSlice> = slices.into_iter().filter(|s| s.count > 0).collect();
-        slices.sort_unstable_by_key(|s| (s.machine, s.gpu));
-        slices.dedup_by(|later, kept| {
-            let same = (later.machine, later.gpu) == (kept.machine, kept.gpu);
-            if same {
-                kept.count += later.count;
-            }
-            same
-        });
+        let mut slices: Vec<PlacementSlice> = slices.into_iter().collect();
+        canonicalize(&mut slices);
         Self { slices }
     }
 
@@ -73,25 +66,31 @@ impl JobPlacement {
 
     /// Number of distinct machines spanned (1 ⇒ consolidated).
     pub fn num_machines(&self) -> usize {
-        // Slices are sorted by (machine, type): count the machine changes.
-        let changes = self.slices.windows(2);
-        usize::from(!self.is_empty()) + changes.filter(|w| w[0].machine != w[1].machine).count()
+        machines_spanned(&self.slices)
     }
+}
 
-    /// The bottleneck throughput `x_j(t) = min{X_j^r | w_{jh}^r > 0}`
-    /// (Eq. 1b) with per-slice resolution: `rate_of(machine, type)` may
-    /// differ across machines hosting the same type (e.g. a straggling
-    /// server). The synchronization barrier paces the gang at the slowest
-    /// task. Returns `None` for an empty placement.
-    pub fn bottleneck_rate_per_slice(
-        &self,
-        mut rate_of: impl FnMut(MachineId, GpuTypeId) -> f64,
-    ) -> Option<f64> {
-        self.slices
-            .iter()
-            .map(|s| rate_of(s.machine, s.gpu))
-            .min_by(|a, b| a.partial_cmp(b).expect("throughput must not be NaN"))
-    }
+/// Put `slices` in the canonical form a [`JobPlacement`] holds, in place:
+/// zero-count slices dropped, the rest sorted by `(machine, type)`, and
+/// slices sharing a `(machine, type)` merged.
+pub fn canonicalize(slices: &mut Vec<PlacementSlice>) {
+    slices.retain(|s| s.count > 0);
+    slices.sort_unstable_by_key(|s| (s.machine, s.gpu));
+    slices.dedup_by(|later, kept| {
+        let same = (later.machine, later.gpu) == (kept.machine, kept.gpu);
+        if same {
+            kept.count += later.count;
+        }
+        same
+    });
+}
+
+/// Number of distinct machines a canonical slice list spans (1 ⇒
+/// consolidated, 0 ⇒ empty).
+pub fn machines_spanned(slices: &[PlacementSlice]) -> usize {
+    // Slices are sorted by (machine, type): count the machine changes.
+    let changes = slices.windows(2);
+    usize::from(!slices.is_empty()) + changes.filter(|w| w[0].machine != w[1].machine).count()
 }
 
 /// The full scheduling decision for one round: a placement per scheduled job.

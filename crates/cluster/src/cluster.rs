@@ -11,6 +11,11 @@ pub struct Cluster {
     machines: Vec<Machine>,
     /// `total_per_type[r]` = Σ_h c_h^r, cached at build time.
     total_per_type: Vec<u32>,
+    /// `capacities_per_type[r]`: the distinct positive `c_h^r`, ascending.
+    capacities_per_type: Vec<Vec<u32>>,
+    /// `other_per_type[r]`: max over machines holding type `r` of their
+    /// GPUs of every other type.
+    other_per_type: Vec<u32>,
 }
 
 impl Cluster {
@@ -22,6 +27,8 @@ impl Cluster {
     pub fn new(catalog: GpuCatalog, machines: Vec<Machine>) -> Self {
         let r = catalog.len();
         let mut total_per_type = vec![0u32; r];
+        let mut capacities_per_type: Vec<Vec<u32>> = vec![Vec::new(); r];
+        let mut other_per_type = vec![0u32; r];
         for m in &machines {
             assert!(
                 m.num_type_slots() <= r,
@@ -32,12 +39,22 @@ impl Cluster {
             );
             for (i, &c) in m.capacities().iter().enumerate() {
                 total_per_type[i] += c;
+                if c > 0 {
+                    capacities_per_type[i].push(c);
+                    other_per_type[i] = other_per_type[i].max(m.total_gpus() - c);
+                }
             }
+        }
+        for caps in &mut capacities_per_type {
+            caps.sort_unstable();
+            caps.dedup();
         }
         Self {
             catalog,
             machines,
             total_per_type,
+            capacities_per_type,
+            other_per_type,
         }
     }
 
@@ -81,6 +98,23 @@ impl Cluster {
     #[inline]
     pub fn total_of_type(&self, r: GpuTypeId) -> u32 {
         self.total_per_type.get(r.index()).copied().unwrap_or(0)
+    }
+
+    /// The distinct capacities `c_h^r > 0` that machines hold of type `r`,
+    /// ascending (empty when no machine holds it); the first is the
+    /// smallest.
+    #[inline]
+    pub fn capacities_of_type(&self, r: GpuTypeId) -> &[u32] {
+        self.capacities_per_type
+            .get(r.index())
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// The most GPUs of types other than `r` on any one machine that holds
+    /// type `r`; 0 when every such machine holds only type `r`.
+    #[inline]
+    pub fn max_other_gpus(&self, r: GpuTypeId) -> u32 {
+        self.other_per_type.get(r.index()).copied().unwrap_or(0)
     }
 
     /// Total number of GPUs in the cluster, all types.
@@ -252,6 +286,30 @@ mod tests {
         assert_eq!(c.total_of_type(v100), 2);
         assert_eq!(c.total_of_type(p100), 3);
         assert_eq!(c.total_of_type(k80), 1);
+    }
+
+    #[test]
+    fn per_type_capacities_and_other_gpus_are_cached() {
+        let mut b = ClusterBuilder::new();
+        let v = b.gpu_type("V100");
+        let k = b.gpu_type("K80");
+        let t = b.gpu_type("T4");
+        b.machine(&[(v, 4)]);
+        b.machine(&[(v, 2), (k, 3)]);
+        b.machine(&[(v, 4), (k, 1)]);
+        b.machine(&[(k, 8)]);
+        let c = b.build();
+        assert_eq!(c.capacities_of_type(v), [2, 4]);
+        assert_eq!(c.capacities_of_type(k), [1, 3, 8]);
+        assert_eq!(c.capacities_of_type(t), [] as [u32; 0]);
+        assert_eq!(c.max_other_gpus(v), 3);
+        assert_eq!(c.max_other_gpus(k), 4);
+        assert_eq!(c.max_other_gpus(t), 0);
+        let paper = Cluster::paper_simulation();
+        for r in paper.catalog().ids() {
+            assert_eq!(paper.capacities_of_type(r), [4]);
+            assert_eq!(paper.max_other_gpus(r), 0);
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!    of the placement (so it is expressed in the same units as the dual
 //!    prices `k_h^r`), with factor `PRICE_SURCHARGE_PER_HOP`.
 
-use crate::allocation::JobPlacement;
+use crate::allocation::{machines_spanned, PlacementSlice};
 
 /// Fractional throughput loss per extra server spanned: spanning a second
 /// server costs 8 % of throughput, consistent with parameter-server
@@ -34,9 +34,9 @@ pub fn throughput_factor(machines: usize) -> f64 {
     (1.0 - THROUGHPUT_PENALTY_PER_HOP).powi(hops)
 }
 
-/// Throughput factor for a concrete placement.
-pub fn placement_factor(p: &JobPlacement) -> f64 {
-    throughput_factor(p.num_machines())
+/// Throughput factor for a placement's canonical slice list.
+pub fn placement_factor(slices: &[PlacementSlice]) -> f64 {
+    throughput_factor(machines_spanned(slices))
 }
 
 /// Additive communication cost (in price units) for a placement whose
@@ -54,7 +54,7 @@ pub fn comm_cost(machines: usize, price_sum: f64, workers: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocation::PlacementSlice;
+    use crate::allocation::JobPlacement;
     use crate::catalog::GpuTypeId;
     use crate::machine::MachineId;
 
@@ -82,7 +82,7 @@ mod tests {
                 count: 1,
             },
         ]);
-        assert_eq!(placement_factor(&p), throughput_factor(2));
+        assert_eq!(placement_factor(p.slices()), throughput_factor(2));
     }
 
     #[test]

@@ -43,6 +43,8 @@ pub struct Placer<'a> {
     pools: OnceCell<Vec<Pool>>,
     /// Free GPUs of every type, the order [`Placer::any_type`] walks.
     machines: OnceCell<Pool>,
+    /// Free GPUs on the up machines, all types.
+    up_free: u32,
 }
 
 impl<'a> Placer<'a> {
@@ -51,12 +53,19 @@ impl<'a> Placer<'a> {
     /// whenever it grows only by placements this placer produced or
     /// [`Placer::fits`] admitted.
     pub fn new(cluster: &'a Cluster, usage: Usage, up: impl Fn(MachineId) -> bool) -> Self {
+        let up: Rc<[bool]> = cluster.machine_ids().map(up).collect();
+        let up_free = cluster
+            .machine_ids()
+            .filter(|h| up[h.index()])
+            .map(|h| usage.free_on_machine(cluster, h))
+            .sum();
         Self {
             cluster,
             usage,
-            up: cluster.machine_ids().map(up).collect(),
+            up,
             pools: OnceCell::new(),
             machines: OnceCell::new(),
+            up_free,
         }
     }
 
@@ -114,8 +123,11 @@ impl<'a> Placer<'a> {
     pub fn add(&mut self, placement: &JobPlacement) {
         for s in placement.slices() {
             let (h, r) = (s.machine, s.gpu);
+            let free = self.usage.free(self.cluster, h, r);
+            if self.up[h.index()] {
+                self.up_free -= s.count.min(free);
+            }
             if let Some(pools) = self.pools.get_mut() {
-                let free = self.usage.free(self.cluster, h, r);
                 take(&mut pools[r.index()], h, free, s.count);
             }
             if let Some(machines) = self.machines.get_mut() {
@@ -126,24 +138,23 @@ impl<'a> Placer<'a> {
         }
     }
 
-    /// Free GPUs anywhere in the cluster, in O(1). With usage within
-    /// capacity this is the exact cluster-wide free count, so it bounds
-    /// what any placement can take: on a full cluster a gang fails here
-    /// without walking a pool.
-    fn free_anywhere(&self) -> u32 {
-        self.cluster
-            .total_gpus()
-            .saturating_sub(self.usage.total_used())
+    /// Free GPUs on the up machines, all types, in O(1): kept in step by
+    /// [`Placer::add`]. It bounds what any placement can take, so once it
+    /// is 0 nothing more can be placed or kept this round, and a gang
+    /// larger than it fails without walking a pool.
+    #[inline]
+    pub fn up_free(&self) -> u32 {
+        self.up_free
     }
 
     /// All `gang` workers on type `r`, most-free machines first; `None`
     /// when the up machines hold fewer than `gang` free type-`r` GPUs.
     pub fn single_type(&self, r: GpuTypeId, gang: u32) -> Option<JobPlacement> {
-        if self.free_anywhere() < gang {
+        if self.up_free < gang {
             return None;
         }
         let entries = self.pool(r).iter().map(|&(f, h)| (h, r, f));
-        fill(entries, gang).map(JobPlacement::from_slices)
+        placement(entries, gang)
     }
 
     /// All `gang` workers on any types `usable` admits: machines ordered by
@@ -151,7 +162,7 @@ impl<'a> Placer<'a> {
     /// types taken in catalog order. `None` when the up machines hold fewer
     /// than `gang` free GPUs of usable types.
     pub fn any_type(&self, gang: u32, usable: impl Fn(GpuTypeId) -> bool) -> Option<JobPlacement> {
-        if self.free_anywhere() < gang {
+        if self.up_free < gang {
             return None;
         }
         let (cluster, usage, usable) = (self.cluster, &self.usage, &usable);
@@ -162,7 +173,7 @@ impl<'a> Placer<'a> {
                 .filter(move |&r| usable(r))
                 .map(move |r| (h, r, usage.free(cluster, h, r)))
         });
-        fill(entries, gang).map(JobPlacement::from_slices)
+        placement(entries, gang)
     }
 
     /// Whether every slice of `placement` sits on an up machine with at
@@ -202,14 +213,25 @@ fn take(pool: &mut Pool, h: MachineId, free: u32, count: u32) {
     }
 }
 
+/// [`fill`] into a new placement; `None` if the entries run out first.
+fn placement(
+    entries: impl IntoIterator<Item = (MachineId, GpuTypeId, u32)>,
+    w: u32,
+) -> Option<JobPlacement> {
+    let mut slices = Vec::new();
+    fill(entries, w, &mut slices).then(|| JobPlacement::from_slices(slices))
+}
+
 /// Take from `(machine, type, free)` entries in order until `w` workers
-/// are placed; `None` if the entries run out first.
+/// are placed, replacing the contents of `slices` with what was taken;
+/// `false` if the entries run out first.
 pub fn fill(
     entries: impl IntoIterator<Item = (MachineId, GpuTypeId, u32)>,
     w: u32,
-) -> Option<Vec<PlacementSlice>> {
+    slices: &mut Vec<PlacementSlice>,
+) -> bool {
     let mut remaining = w;
-    let mut slices = Vec::new();
+    slices.clear();
     // `try_for_each` iterates nested entry sources (`flat_map`) internally,
     // which compiles to tighter loops than pulling them with `next`.
     let _ = entries.into_iter().try_for_each(|(machine, gpu, free)| {
@@ -228,7 +250,7 @@ pub fn fill(
             ControlFlow::Continue(())
         }
     });
-    (remaining == 0).then_some(slices)
+    remaining == 0
 }
 
 #[cfg(test)]
@@ -570,14 +592,20 @@ mod tests {
             for step in 0..12 {
                 let usage = placer.usage().clone();
                 let what = format!("case {case}, step {step}");
+                let up_free: u32 = cl
+                    .machine_ids()
+                    .filter(|&h| is_up(h))
+                    .map(|h| usage.free_on_machine(&cl, h))
+                    .sum();
+                assert_eq!(placer.up_free(), up_free, "{what}: up-machine free count");
                 let gang = rng.gen_range_usize(1..9) as u32;
                 let answer = match rng.gen_range_usize(0..3) {
                     0 => {
                         let r = types[rng.gen_range_usize(0..types.len())];
                         let pool = scan_and_sort(&cl, &up, |h| usage.free(&cl, h, r));
-                        let want = fill(pool.iter().map(|&(f, h)| (h, r, f)), gang);
+                        let want = placement(pool.iter().map(|&(f, h)| (h, r, f)), gang);
                         let got = placer.single_type(r, gang);
-                        assert_eq!(got, want.map(JobPlacement::from_slices), "{what}");
+                        assert_eq!(got, want, "{what}");
                         got
                     }
                     1 => {
@@ -591,9 +619,9 @@ mod tests {
                                 .filter(|&&r| usable(r))
                                 .map(move |&r| (h, r, usage.free(cl, h, r)))
                         });
-                        let want = fill(entries, gang);
+                        let want = placement(entries, gang);
                         let got = placer.any_type(gang, usable);
-                        assert_eq!(got, want.map(JobPlacement::from_slices), "{what}");
+                        assert_eq!(got, want, "{what}");
                         got
                     }
                     // A sticky placement: one held earlier in the case
@@ -643,10 +671,12 @@ mod tests {
     fn fill_stops_at_the_gang_and_fails_when_entries_run_out() {
         let (m0, m1, r) = (MachineId(0), MachineId(1), GpuTypeId(0));
         let entries = [(m0, r, 2), (m1, r, 0), (m1, r, 3)];
-        let got = fill(entries, 4).unwrap();
+        let mut got = vec![slice(9, r, 9)];
+        assert!(fill(entries, 4, &mut got));
         let counts: Vec<(u32, u32)> = got.iter().map(|s| (s.machine.0, s.count)).collect();
         assert_eq!(counts, vec![(0, 2), (1, 2)]);
-        assert_eq!(fill(entries, 6), None);
-        assert_eq!(fill(entries, 0), Some(Vec::new()));
+        assert!(!fill(entries, 6, &mut got));
+        assert!(fill(entries, 0, &mut got));
+        assert_eq!(got, []);
     }
 }

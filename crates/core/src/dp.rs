@@ -21,7 +21,7 @@ use std::time::Instant;
 use hadar_cluster::{Placer, Usage};
 use hadar_sim::JobState;
 
-use crate::find_alloc::{find_candidates, AllocEnv, Candidate};
+use crate::find_alloc::{find_candidates, AllocEnv, Candidate, Search};
 
 /// The chosen schedule for one round: per selected job (by index into the
 /// queue order given to the algorithm), its placement candidate.
@@ -160,48 +160,48 @@ fn dp_rec(
 /// the normalized effective-throughput utility this reduces to
 /// shortest-remaining-processing-time ordering, which minimizes average JCT;
 /// ordering by utility *level* instead would starve short jobs whose waiting
-/// time has already deflated their achievable utility. One `find_alloc` per
-/// job, prices updated after every admission.
+/// time has already deflated their achievable utility. Ties go to the
+/// shorter `t_j^min`, then to the lower queue index. One `find_alloc` per
+/// job, prices updated after every admission; once the up machines have no
+/// free GPU, nothing more can be placed or kept, and the pass ends.
 pub fn greedy_allocation(queue: &[&JobState], env: &AllocEnv<'_>, usage: &Usage) -> Selection {
-    let mut order: Vec<usize> = (0..queue.len()).collect();
-    let keys: Vec<(f64, f64)> = queue
+    // Sort keys as integers in `total_cmp` order: `(density descending,
+    // t_min ascending, queue index)`. They are distinct, so an unstable
+    // sort gives the one order.
+    let unrunnable = !total_order_bits(f64::NEG_INFINITY);
+    let mut order: Vec<(u64, u64, usize)> = queue
         .iter()
-        .map(|s| {
+        .enumerate()
+        .map(|(i, s)| {
             let best = s.job.best_rate();
             if best <= 0.0 || s.remaining_iters <= 0.0 {
-                return (f64::NEG_INFINITY, f64::INFINITY);
+                return (unrunnable, total_order_bits(f64::INFINITY), i);
             }
             let t_min = s.remaining_iters / best;
             let elapsed = (env.now - s.job.arrival).max(0.0);
             let density = env.utility.value(&s.job, elapsed + t_min, env.now + t_min)
                 / (s.job.gang as f64 * t_min);
-            (density, t_min)
+            (!total_order_bits(density), total_order_bits(t_min), i)
         })
         .collect();
-    order.sort_by(|&a, &b| {
-        keys[b]
-            .0
-            .total_cmp(&keys[a].0)
-            .then(keys[a].1.total_cmp(&keys[b].1))
-            .then(a.cmp(&b))
-    });
-    let density: Vec<f64> = keys.into_iter().map(|(d, _)| d).collect();
+    order.sort_unstable();
 
     let mut selection = Selection::default();
     let mut placer = timed(&mut selection.candidates_seconds, || {
         Placer::new(env.cluster, usage.clone(), |h| env.machine_usable(h))
     });
-    for &i in &order {
-        if density[i] == f64::NEG_INFINITY {
+    let mut search = Search::default();
+    for &(density, _, i) in &order {
+        if density == unrunnable {
             continue;
         }
-        if placer.usage().is_cluster_full(env.cluster) {
+        if placer.up_free() == 0 {
             break;
         }
-        let cands = timed(&mut selection.candidates_seconds, || {
-            find_candidates(queue[i], env, &placer)
+        let best = timed(&mut selection.candidates_seconds, || {
+            search.best(queue[i], env, &placer)
         });
-        if let Some(cand) = cands.into_iter().next() {
+        if let Some(cand) = best {
             placer.add(&cand.placement);
             selection.total_payoff += cand.payoff;
             selection.decisions.push((i, cand));
@@ -209,6 +209,16 @@ pub fn greedy_allocation(queue: &[&JobState], env: &AllocEnv<'_>, usage: &Usage)
     }
     selection.decisions.sort_by_key(|(i, _)| *i);
     selection
+}
+
+/// `x`'s bits, mapped so that unsigned order is [`f64::total_cmp`] order.
+fn total_order_bits(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
+    }
 }
 
 #[cfg(test)]
@@ -240,14 +250,14 @@ mod tests {
 
     fn run_both(cluster: &Cluster, states: &[JobState]) -> (Selection, Selection) {
         let prices = PriceState::compute(states, cluster, &EffectiveThroughput, 0.0);
-        let env = AllocEnv {
+        let env = AllocEnv::new(
             cluster,
-            prices: &prices,
-            utility: &EffectiveThroughput,
-            now: 0.0,
-            features: Default::default(),
-            machine_factors: &[],
-        };
+            &prices,
+            &EffectiveThroughput,
+            0.0,
+            Default::default(),
+            &[],
+        );
         let usage = Usage::empty(cluster);
         let queue: Vec<&JobState> = states.iter().collect();
         (
@@ -362,14 +372,7 @@ mod tests {
             (DlTask::CycleGan, 1, 6),
         ]);
         let prices = PriceState::compute(&states, &cluster, &NanUtility, 0.0);
-        let env = AllocEnv {
-            cluster: &cluster,
-            prices: &prices,
-            utility: &NanUtility,
-            now: 0.0,
-            features: Default::default(),
-            machine_factors: &[],
-        };
+        let env = AllocEnv::new(&cluster, &prices, &NanUtility, 0.0, Default::default(), &[]);
         let usage = Usage::empty(&cluster);
         let queue: Vec<&JobState> = states.iter().collect();
         for sel in [
@@ -381,6 +384,32 @@ mod tests {
                 "the NaN-payoff job must never be admitted"
             );
             assert!(sel.total_payoff.is_finite());
+        }
+    }
+
+    #[test]
+    fn total_order_bits_sort_as_total_cmp() {
+        let xs = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            1.5,
+            -1.5,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for a in xs {
+            for b in xs {
+                let bits = total_order_bits(a).cmp(&total_order_bits(b));
+                assert_eq!(bits, a.total_cmp(&b), "{a:?} vs {b:?}");
+            }
         }
     }
 
@@ -432,14 +461,14 @@ mod randomized_tests {
                 })
                 .collect();
             let prices = PriceState::compute(&states, &cluster, &EffectiveThroughput, 0.0);
-            let env = AllocEnv {
-                cluster: &cluster,
-                prices: &prices,
-                utility: &EffectiveThroughput,
-                now: 0.0,
-                features: Default::default(),
-                machine_factors: &[],
-            };
+            let env = AllocEnv::new(
+                &cluster,
+                &prices,
+                &EffectiveThroughput,
+                0.0,
+                Default::default(),
+                &[],
+            );
             let usage = Usage::empty(&cluster);
             let queue: Vec<&JobState> = states.iter().collect();
             let dp = dp_allocation(&queue, &env, &usage);

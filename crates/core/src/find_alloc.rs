@@ -17,11 +17,12 @@
 //! the underlying dual objective `argmax_s φ_j(s)` (Eq. 4) directly; for
 //! candidates with equal estimated finish times the two rules coincide.
 
+use hadar_cluster::allocation::{canonicalize, machines_spanned};
 use hadar_cluster::placer::fill;
 use hadar_cluster::{
     comm, Cluster, GpuTypeId, JobPlacement, MachineId, PlacementSlice, Placer, Usage,
 };
-use hadar_sim::{job_rate, JobState};
+use hadar_sim::{slices_rate, JobState};
 
 use crate::estimate::estimate_completion;
 use crate::price::{PriceShape, PriceState};
@@ -65,16 +66,47 @@ pub struct AllocEnv<'a> {
     pub now: f64,
     /// Candidate-generation ablation switches.
     pub features: Features,
-    /// Per-machine throughput factors (may be empty ⇒ all healthy). Hadar
-    /// is fault-aware: candidate rates are discounted by their hosts'
+    /// Per-machine throughput factors (see [`AllocEnv::new`]).
+    machine_factors: &'a [f64],
+    /// The largest factor any machine has: bounds every candidate's
+    /// per-task rate on a type by that type's rate times it.
+    max_factor: f64,
+}
+
+impl<'a> AllocEnv<'a> {
+    /// The round's environment. `machine_factors` holds per-machine
+    /// throughput factors (may be empty ⇒ all healthy). Hadar is
+    /// fault-aware: candidate rates are discounted by their hosts'
     /// factors, so placements avoid — and running jobs migrate off —
     /// straggling servers, and a factor of 0.0 (a *failed* machine, see the
     /// simulator's failure model) excludes the machine from candidate
-    /// generation entirely.
-    pub machine_factors: &'a [f64],
-}
+    /// generation entirely. Their maximum is taken here, once per round.
+    pub fn new(
+        cluster: &'a Cluster,
+        prices: &'a PriceState,
+        utility: &'a dyn Utility,
+        now: f64,
+        features: Features,
+        machine_factors: &'a [f64],
+    ) -> Self {
+        // Machines beyond `machine_factors` count as healthy, 1.0.
+        let unlisted = if machine_factors.len() < cluster.num_machines() {
+            1.0
+        } else {
+            0.0
+        };
+        let max_factor = machine_factors.iter().copied().fold(unlisted, f64::max);
+        Self {
+            cluster,
+            prices,
+            utility,
+            now,
+            features,
+            machine_factors,
+            max_factor,
+        }
+    }
 
-impl AllocEnv<'_> {
     /// The throughput factor of machine `h` (1.0 when not provided, 0.0
     /// while the machine is down).
     pub fn machine_factor(&self, h: MachineId) -> f64 {
@@ -110,249 +142,321 @@ pub struct Candidate {
 }
 
 /// Find the best positive-payoff placement for `state`, or `None` if every
-/// candidate has non-positive payoff (the job should wait this round).
-/// Builds the round's placer at `usage` for this one query.
+/// candidate has non-positive payoff (the job should wait this round):
+/// the first of [`find_candidates`]. Builds the round's placer at `usage`
+/// for this one query.
 pub fn find_alloc(state: &JobState, env: &AllocEnv<'_>, usage: &Usage) -> Option<Candidate> {
     let placer = Placer::new(env.cluster, usage.clone(), |h| env.machine_usable(h));
-    find_candidates(state, env, &placer).into_iter().next()
+    Search::default().best(state, env, &placer)
 }
 
 /// All distinct positive-payoff candidate placements for `state`, best
-/// first. The DP subroutine branches over these so it can deliberately give
-/// a job a slower (cheaper) type when that frees a fast type for a job that
-/// benefits more from it.
+/// first, ties in generation order. The DP subroutine branches over these
+/// so it can deliberately give a job a slower (cheaper) type when that
+/// frees a fast type for a job that benefits more from it.
 ///
-/// The geometry slate, in generation order: per preferred type a
-/// consolidated and a spread placement, then the mixed-type variants.
+/// Generation order: the job's current placement if it still fits (the
+/// stall-free sticky candidate), per preferred type a consolidated and a
+/// spread placement, then the mixed spread and the best single machine.
 pub fn find_candidates(
     state: &JobState,
     env: &AllocEnv<'_>,
     placer: &Placer<'_>,
 ) -> Vec<Candidate> {
-    let prefs: &[GpuTypeId] = state.job.profile.types_by_preference();
-    let w = state.job.gang;
-    let mut geoms: Vec<Vec<PlacementSlice>> = Vec::new();
-    for &r in prefs {
-        geoms.extend(consolidated_homogeneous(env, placer, r, w));
-        geoms.extend(spread_homogeneous(placer.pool(r), r, w));
-    }
-    if env.features.mixed_types {
-        geoms.extend(mixed_spread(placer, prefs, w));
-        geoms.extend(mixed_best_single_machine(state, env, placer, prefs, w));
-    }
-    assemble(state, env, placer, geoms)
-}
-
-/// Price, deduplicate, filter, and rank a geometry slate for one job: the
-/// sticky candidate (if it still fits) followed by the generated geometries,
-/// keeping the first occurrence of each distinct placement with positive
-/// payoff, best payoff first. Equal placements price identically, so a
-/// placement seen before is skipped before it is priced.
-fn assemble(
-    state: &JobState,
-    env: &AllocEnv<'_>,
-    placer: &Placer<'_>,
-    geoms: Vec<Vec<PlacementSlice>>,
-) -> Vec<Candidate> {
-    // Sticky candidate: keep the current placement if it still fits (no
-    // checkpoint stall, no movement).
-    let sticky =
-        (env.features.sticky && !state.placement.is_empty() && placer.fits(&state.placement))
-            .then(|| state.placement.clone());
     let mut cands: Vec<Candidate> = Vec::new();
-    let mut rejected: Vec<JobPlacement> = Vec::new();
-    for placement in sticky
-        .into_iter()
-        .chain(geoms.into_iter().map(JobPlacement::from_slices))
-    {
-        if cands.iter().any(|c| c.placement == placement) || rejected.contains(&placement) {
-            continue;
+    each_geometry(state, env, placer, &mut Vec::new(), |slices| {
+        // Equal placements score identically: keep the first.
+        if cands.iter().any(|c| c.placement.slices() == slices) {
+            return;
         }
-        match evaluate(state, env, placer.usage(), placement) {
-            Ok(c) => cands.push(c),
-            Err(placement) => rejected.push(placement),
+        if let Some(s) = score(state, env, placer.usage(), slices) {
+            cands.push(s.candidate(slices));
         }
-    }
+    });
     cands.sort_by(|a, b| b.payoff.total_cmp(&a.payoff));
     cands
 }
 
-/// Price and score one placement; hands it back as `Err` unless it places
-/// the whole gang with positive payoff.
-fn evaluate(
+/// The greedy's candidate search, with scratch space it reuses across the
+/// jobs of a round. Each geometry is built into one slice list,
+/// canonicalized in place and scored there; only a kept candidate becomes
+/// a [`JobPlacement`].
+#[derive(Debug, Default)]
+pub(crate) struct Search {
+    /// The geometry being generated.
+    geometry: Vec<PlacementSlice>,
+    /// The best geometry [`Search::best`] has kept so far.
+    kept: Vec<PlacementSlice>,
+}
+
+impl Search {
+    /// The strictly best positive-payoff candidate, the first in generation
+    /// order on ties: the first of [`find_candidates`], without ranking
+    /// the rest.
+    pub(crate) fn best(
+        &mut self,
+        state: &JobState,
+        env: &AllocEnv<'_>,
+        placer: &Placer<'_>,
+    ) -> Option<Candidate> {
+        let Self { geometry, kept } = self;
+        let mut best: Option<Score> = None;
+        each_geometry(state, env, placer, geometry, |slices| {
+            let Some(s) = score(state, env, placer.usage(), slices) else {
+                return;
+            };
+            if best.as_ref().is_none_or(|b| s.payoff > b.payoff) {
+                kept.clear();
+                kept.extend_from_slice(slices);
+                best = Some(s);
+            }
+        });
+        best.map(|s| s.candidate(kept))
+    }
+}
+
+/// Hand `visit` each of `state`'s geometries in generation order (see
+/// [`find_candidates`]), each as a canonical slice list built in
+/// `geometry`.
+fn each_geometry(
+    state: &JobState,
+    env: &AllocEnv<'_>,
+    placer: &Placer<'_>,
+    geometry: &mut Vec<PlacementSlice>,
+    mut visit: impl FnMut(&[PlacementSlice]),
+) {
+    if env.features.sticky && !state.placement.is_empty() && placer.fits(&state.placement) {
+        visit(state.placement.slices());
+    }
+    let prefs: &[GpuTypeId] = state.job.profile.types_by_preference();
+    let w = state.job.gang;
+    let mut emit = |geometry: &mut Vec<PlacementSlice>| {
+        canonicalize(geometry);
+        visit(geometry);
+    };
+    let pool = |r: GpuTypeId| placer.pool(r).iter().map(move |&(f, h)| (h, r, f));
+    for &r in prefs {
+        if let Some(machine) = consolidated_homogeneous(env, placer, r, w) {
+            geometry.clear();
+            geometry.push(PlacementSlice {
+                machine,
+                gpu: r,
+                count: w,
+            });
+            emit(geometry);
+        }
+        // All `w` workers of type `r`, spread most free first.
+        if fill(pool(r), w, geometry) {
+            emit(geometry);
+        }
+    }
+    if env.features.mixed_types {
+        // All `w` workers filled from the fastest types first, spreading
+        // over machines as needed — the fully flexible task-level
+        // placement.
+        if fill(prefs.iter().flat_map(|&r| pool(r)), w, geometry) {
+            emit(geometry);
+        }
+        if let Some(h) = mixed_best_single_machine(state, env, placer, prefs, w) {
+            let free = |r| placer.usage().free(env.cluster, h, r);
+            if fill(prefs.iter().map(|&r| (h, r, free(r))), w, geometry) {
+                emit(geometry);
+            }
+        }
+    }
+}
+
+/// A geometry's scored terms: a [`Candidate`] but for its placement.
+struct Score {
+    rate: f64,
+    utility: f64,
+    resource_cost: f64,
+    comm_cost: f64,
+    payoff: f64,
+    changed: bool,
+}
+
+impl Score {
+    fn candidate(self, slices: &[PlacementSlice]) -> Candidate {
+        Candidate {
+            placement: JobPlacement::from_slices(slices.iter().copied()),
+            rate: self.rate,
+            utility: self.utility,
+            resource_cost: self.resource_cost,
+            comm_cost: self.comm_cost,
+            payoff: self.payoff,
+            changed: self.changed,
+        }
+    }
+}
+
+/// Price and score one canonical slice list for `state`; `None` unless it
+/// places the whole gang with positive payoff.
+fn score(
     state: &JobState,
     env: &AllocEnv<'_>,
     usage: &Usage,
-    placement: JobPlacement,
-) -> Result<Candidate, JobPlacement> {
-    if placement.total_workers() != state.job.gang {
-        return Err(placement);
+    slices: &[PlacementSlice],
+) -> Option<Score> {
+    let workers: u32 = slices.iter().map(|s| s.count).sum();
+    if workers != state.job.gang {
+        return None;
     }
-    let changed = placement != state.placement;
-    let rate = job_rate(&state.job, &placement, env.machine_factors);
+    let changed = slices != state.placement.slices();
+    let rate = slices_rate(&state.job, slices, env.machine_factors);
     let stall = if changed {
         ASSUMED_REALLOC_STALL_S
     } else {
         0.0
     };
-    let Some(est) = estimate_completion(state, rate, env.now, stall) else {
-        return Err(placement);
-    };
+    let est = estimate_completion(state, rate, env.now, stall)?;
     let utility = env.utility.value(&state.job, est.jct, est.finish);
-    let resource_cost = price_of(env, usage, &placement);
-    let comm_cost = comm::comm_cost(
-        placement.num_machines(),
-        resource_cost,
-        placement.total_workers(),
-    );
+    let resource_cost = price_of(env, usage, slices);
+    let comm_cost = comm::comm_cost(machines_spanned(slices), resource_cost, workers);
     let payoff = utility - resource_cost - comm_cost;
-    if payoff > 0.0 {
-        Ok(Candidate {
-            payoff,
-            placement,
-            rate,
-            utility,
-            resource_cost,
-            comm_cost,
-            changed,
-        })
-    } else {
-        Err(placement)
-    }
+    (payoff > 0.0).then_some(Score {
+        rate,
+        utility,
+        resource_cost,
+        comm_cost,
+        payoff,
+        changed,
+    })
 }
 
-/// `Σ_h Σ_r k_h^r(γ_h^r) · w_{jh}^r` at the current usage.
-pub fn price_of(env: &AllocEnv<'_>, usage: &Usage, placement: &JobPlacement) -> f64 {
-    placement
-        .slices()
+/// `Σ_h Σ_r k_h^r(γ_h^r) · w_{jh}^r` at the current usage, read from the
+/// round's price table.
+fn price_of(env: &AllocEnv<'_>, usage: &Usage, slices: &[PlacementSlice]) -> f64 {
+    slices
         .iter()
         .map(|s| {
             let cap = env.cluster.capacity(s.machine, s.gpu);
             let gamma = usage.get(s.machine, s.gpu);
-            env.prices.price(s.gpu, gamma, cap) * s.count as f64
+            env.prices.tabulated(s.gpu, gamma, cap) * s.count as f64
         })
         .sum()
 }
 
+/// `pool` split into its runs of equal free count, most free first. The
+/// pool's order puts ids in ascending order inside each run; each run is
+/// found by one binary search, without walking the one before it.
+fn runs(mut pool: &[(u32, MachineId)]) -> impl Iterator<Item = &[(u32, MachineId)]> {
+    std::iter::from_fn(move || {
+        let &(free, _) = pool.first()?;
+        let (run, rest) = pool.split_at(pool.partition_point(|e| e.0 == free));
+        pool = rest;
+        Some(run)
+    })
+}
+
 /// All `w` workers of type `r` on one machine; among feasible machines, the
-/// cheapest (lowest current price — i.e. the least-loaded server).
+/// cheapest (lowest current price — i.e. the least-loaded server), ties to
+/// the lower machine id: the float argmin over machines in id order.
 ///
-/// Selected by exact comparison on the type's [`PriceShape`] rather than
-/// by computed float prices: zero-priced machines (`c_h^r = 0`, or a
-/// [`PriceShape::Zero`] type) rank before any positive price; on a
-/// [`PriceShape::Curve`] type the price is strictly increasing in the fill
-/// fraction `γ/c`, compared here by cross-multiplication; on a
-/// [`PriceShape::Constant`] type every machine prices identically. Strictly
-/// cheaper replaces, ties keep the lower machine id — the float argmin over
-/// machines in id order exactly.
+/// The feasible machines are the prefix of pool `r` with free ≥ `w`, read
+/// a run of equal free count at a time. On a [`PriceShape::Zero`] or
+/// [`PriceShape::Constant`] type every machine prices the same, so the
+/// answer is the lowest first id of a run. On a [`PriceShape::Curve`] type
+/// the price is strictly increasing in the fill fraction `γ/c = (c − f)/c`,
+/// compared exactly by cross-multiplication. No machine in a run of free
+/// `f` is below `(c_min − f)/c_min`, with `c_min` the smallest type-`r`
+/// capacity in the cluster: the search stops at the first run whose bound
+/// the best fraction found is strictly below, and inside a run at the
+/// first machine that reaches the run's bound. With one capacity per type,
+/// as every built-in cluster has, that reads one machine per run.
 fn consolidated_homogeneous(
     env: &AllocEnv<'_>,
     placer: &Placer<'_>,
     r: GpuTypeId,
     w: u32,
-) -> Option<Vec<PlacementSlice>> {
-    let shape = env.prices.shape(r);
-    // Cost key `(rank, γ, c)`: rank 0 ⇔ price exactly 0.0; within rank 1,
-    // `a < b ⇔ γ_a·c_b < γ_b·c_a` (constant shapes use γ = 0, c = 1 so all
-    // compare equal). The pool holds every usable machine with free > 0,
-    // most free first, so the feasible machines are exactly its prefix with
-    // free ≥ w; ties break on machine id explicitly because the pool is not
-    // in id order.
-    let mut best: Option<(u8, u64, u64, MachineId)> = None;
-    for &(free, h) in placer.pool(r) {
-        if free < w {
+) -> Option<MachineId> {
+    let pool = placer.pool(r);
+    let feasible = runs(&pool[..pool.partition_point(|e| e.0 >= w)]);
+    if env.prices.shape(r) != PriceShape::Curve {
+        return feasible.map(|run| run[0].1).min();
+    }
+    let c_min = u64::from(env.cluster.capacities_of_type(r).first().copied()?);
+    // `(γ, c)` below `(γ', c')` ⇔ `γ·c' < γ'·c`.
+    let below = |(g, c): (u64, u64), (g2, c2): (u64, u64)| g * c2 < g2 * c;
+    let mut best: Option<((u64, u64), MachineId)> = None;
+    for run in feasible {
+        let f = u64::from(run[0].0);
+        let bound = (c_min.saturating_sub(f), c_min);
+        if best.is_some_and(|(key, _)| below(key, bound)) {
             break;
         }
-        let cap = env.cluster.capacity(h, r);
-        let key: (u8, u64, u64) = if cap == 0 || shape == PriceShape::Zero {
-            (0, 0, 1)
-        } else if shape == PriceShape::Constant {
-            (1, 0, 1)
-        } else {
-            (
-                1,
-                u64::from(placer.usage().get(h, r).min(cap)),
-                u64::from(cap),
-            )
-        };
-        let cheaper = match &best {
-            None => true,
-            Some((rank, num, den, bh)) => {
-                key.0 < *rank
-                    || (key.0 == *rank
-                        && (key.1 * *den < *num * key.2
-                            || (key.1 * *den == *num * key.2 && h < *bh)))
+        for &(_, h) in run {
+            let c = u64::from(env.cluster.capacity(h, r));
+            let key = (c - f, c);
+            if best.is_none_or(|(b, bh)| below(key, b) || (!below(b, key) && h < bh)) {
+                best = Some((key, h));
             }
-        };
-        if cheaper {
-            best = Some((key.0, key.1, key.2, h));
+            if !below(bound, key) {
+                break;
+            }
         }
     }
-    best.map(|(_, _, _, h)| {
-        vec![PlacementSlice {
-            machine: h,
-            gpu: r,
-            count: w,
-        }]
-    })
+    best.map(|(_, h)| h)
 }
 
-/// All `w` workers of type `r`, spread across the fewest machines
-/// (most-free-first fill).
-fn spread_homogeneous(
-    pool: &[(u32, MachineId)],
-    r: GpuTypeId,
-    w: u32,
-) -> Option<Vec<PlacementSlice>> {
-    fill(pool.iter().map(|&(f, h)| (h, r, f)), w)
-}
-
-/// All `w` workers filled from the fastest types first, spreading over
-/// machines as needed — the fully flexible task-level placement.
-fn mixed_spread(placer: &Placer<'_>, prefs: &[GpuTypeId], w: u32) -> Option<Vec<PlacementSlice>> {
-    fill(
-        prefs
-            .iter()
-            .flat_map(|&r| placer.pool(r).iter().map(move |&(f, h)| (h, r, f))),
-        w,
-    )
-}
-
-/// All `w` workers on a single machine, mixing types (fastest first);
-/// evaluated per machine, returning the feasible fill with the highest
-/// bottleneck throughput (ties to lower machine id).
+/// All `w` workers on a single machine, mixing types (fastest first): the
+/// machine whose fill has the highest bottleneck throughput, ties to the
+/// lower machine id.
 ///
 /// A machine's fill takes its free GPUs of `prefs[0]`, `prefs[1]`, … until
 /// the gang is complete; the last type it takes from, `prefs[k]`, is the
 /// first at which its cumulative free count reaches `w`. `prefs` holds only
 /// positive-rate types in descending rate order, so that type is the fill's
 /// bottleneck and the score is `rate(prefs[k]) · factor(h)`. Every machine
-/// so scored has free `prefs[k]` GPUs, so scanning pool `k` for machines at
-/// level `k` visits each feasible machine exactly once.
+/// so scored has free `prefs[k]` GPUs, so reading pool `k` for machines at
+/// level `k` meets each feasible machine exactly once. Three bounds cut the
+/// reading short, with `F` the largest machine factor:
+///
+/// - no level `k` scores above `rate(prefs[k]) · F`, so the levels stop
+///   once the best score is strictly above that;
+/// - a machine in a run of free `f` holds at most `f + other(r)` GPUs a
+///   fill can take, `other(r)` being [`Cluster::max_other_gpus`], so a
+///   level stops at the first run where that is below `w`;
+/// - inside a run, a feasible machine with factor `F` scores what no later
+///   one can beat.
 fn mixed_best_single_machine(
     state: &JobState,
     env: &AllocEnv<'_>,
     placer: &Placer<'_>,
     prefs: &[GpuTypeId],
     w: u32,
-) -> Option<Vec<PlacementSlice>> {
+) -> Option<MachineId> {
     let free = |h, r| placer.usage().free(env.cluster, h, r);
+    let top = env.max_factor;
     let mut best: Option<(f64, MachineId)> = None;
     for (k, &r) in prefs.iter().enumerate() {
         let rate = state.job.profile.rate(r);
-        for &(f, h) in placer.pool(r) {
-            let below: u32 = prefs[..k].iter().map(|&q| free(h, q)).sum();
-            if below >= w || below + f < w {
-                continue;
+        if best.is_some_and(|(b, _)| b > rate * top) {
+            break;
+        }
+        let other = env.cluster.max_other_gpus(r);
+        for run in runs(placer.pool(r)) {
+            let f = run[0].0;
+            if f.saturating_add(other) < w {
+                break;
             }
-            let score = rate * env.machine_factor(h);
-            if best.is_none_or(|(b, bh)| score > b || (score == b && h < bh)) {
-                best = Some((score, h));
+            for &(_, h) in run {
+                let below: u32 = prefs[..k].iter().map(|&q| free(h, q)).sum();
+                if below >= w || below + f < w {
+                    continue;
+                }
+                let factor = env.machine_factor(h);
+                let score = rate * factor;
+                if best.is_none_or(|(b, bh)| score > b || (score == b && h < bh)) {
+                    best = Some((score, h));
+                }
+                if factor == top {
+                    break;
+                }
             }
         }
     }
-    let (_, h) = best?;
-    fill(prefs.iter().map(|&r| (h, r, free(h, r))), w)
+    best.map(|(_, h)| h)
 }
 
 #[cfg(test)]
@@ -374,14 +478,16 @@ mod tests {
         prices: &'a PriceState,
         utility: &'a EffectiveThroughput,
     ) -> AllocEnv<'a> {
-        AllocEnv {
-            cluster,
-            prices,
-            utility,
-            now: 0.0,
-            features: Features::default(),
-            machine_factors: &[],
-        }
+        with_factors(cluster, prices, utility, &[])
+    }
+
+    fn with_factors<'a>(
+        cluster: &'a Cluster,
+        prices: &'a PriceState,
+        utility: &'a EffectiveThroughput,
+        factors: &'a [f64],
+    ) -> AllocEnv<'a> {
+        AllocEnv::new(cluster, prices, utility, 0.0, Features::default(), factors)
     }
 
     /// The placer Hadar builds for `e` at `usage`, its type pools built
@@ -519,23 +625,14 @@ mod tests {
             0.0,
         );
         let factors = [0.3, 1.0];
-        let e = AllocEnv {
-            cluster: &cluster,
-            prices: &prices,
-            utility: &EffectiveThroughput,
-            now: 0.0,
-            features: Features::default(),
-            machine_factors: &factors,
-        };
+        let u = EffectiveThroughput;
+        let e = with_factors(&cluster, &prices, &u, &factors);
         let usage = Usage::empty(&cluster);
         let c = find_alloc(&state, &e, &usage).expect("healthy machine available");
         assert!(c.changed, "should migrate off the straggler");
         assert_eq!(c.placement.slices()[0].machine, MachineId(1));
         // And with the straggle gone, the sticky placement wins again.
-        let e2 = AllocEnv {
-            machine_factors: &[],
-            ..e
-        };
+        let e2 = env(&cluster, &prices, &u);
         let c2 = find_alloc(&state, &e2, &usage).unwrap();
         assert!(!c2.changed);
     }
@@ -568,14 +665,8 @@ mod tests {
             0.0,
         );
         let factors = [0.0, 1.0];
-        let e = AllocEnv {
-            cluster: &cluster,
-            prices: &prices,
-            utility: &EffectiveThroughput,
-            now: 0.0,
-            features: Features::default(),
-            machine_factors: &factors,
-        };
+        let u = EffectiveThroughput;
+        let e = with_factors(&cluster, &prices, &u, &factors);
         let usage = Usage::empty(&cluster);
         let cands = find_candidates(&state, &e, &placer(&e, usage.clone()));
         assert!(!cands.is_empty());
@@ -594,10 +685,7 @@ mod tests {
         assert_eq!(c.placement.slices()[0].machine, MachineId(1));
         // Whole cluster down ⇒ nothing schedulable.
         let all_down = [0.0, 0.0];
-        let e2 = AllocEnv {
-            machine_factors: &all_down,
-            ..e
-        };
+        let e2 = with_factors(&cluster, &prices, &u, &all_down);
         assert!(find_alloc(&state, &e2, &usage).is_none());
     }
 
@@ -609,7 +697,7 @@ mod tests {
         let e = env(&cluster, &prices, &u);
         let usage = Usage::empty(&cluster);
         let p = JobPlacement::single(MachineId(0), GpuTypeId(0), 2);
-        let got = price_of(&e, &usage, &p);
+        let got = price_of(&e, &usage, p.slices());
         let unit = prices.price(GpuTypeId(0), 0, 2);
         assert!((got - 2.0 * unit).abs() < 1e-12);
     }
@@ -673,10 +761,7 @@ mod tests {
         let (cluster, _, prices) = pool_cluster();
         let u = EffectiveThroughput;
         let factors = [1.0, 0.0, 1.0, 0.5];
-        let e = AllocEnv {
-            machine_factors: &factors,
-            ..env(&cluster, &prices, &u)
-        };
+        let e = with_factors(&cluster, &prices, &u, &factors);
         let mut pl = placer(&e, Usage::empty(&cluster));
         assert_eq!(ids(pl.pool(GpuTypeId(0))), [(3, 3), (2, 0), (2, 2)]);
         pl.add(&JobPlacement::single(MachineId(3), GpuTypeId(0), 2));
@@ -692,7 +777,7 @@ mod tests {
         usage: &Usage,
         r: GpuTypeId,
         w: u32,
-    ) -> Option<Vec<PlacementSlice>> {
+    ) -> Option<MachineId> {
         let mut best: Option<(f64, MachineId)> = None;
         for h in env.cluster.machine_ids() {
             if !env.machine_usable(h) || usage.free(env.cluster, h, r) < w {
@@ -704,13 +789,7 @@ mod tests {
                 best = Some((price, h));
             }
         }
-        best.map(|(_, h)| {
-            vec![PlacementSlice {
-                machine: h,
-                gpu: r,
-                count: w,
-            }]
-        })
+        best.map(|(_, h)| h)
     }
 
     /// The pre-pool scan of [`mixed_best_single_machine`]: every usable
@@ -722,7 +801,7 @@ mod tests {
         usage: &Usage,
         prefs: &[GpuTypeId],
         w: u32,
-    ) -> Option<Vec<PlacementSlice>> {
+    ) -> Option<MachineId> {
         let mut best: Option<(f64, MachineId)> = None;
         for h in env.cluster.machine_ids() {
             if !env.machine_usable(h) {
@@ -741,11 +820,62 @@ mod tests {
                 best = Some((bottleneck, h));
             }
         }
-        let (_, h) = best?;
-        fill(
-            prefs.iter().map(|&r| (h, r, usage.free(env.cluster, h, r))),
-            w,
-        )
+        best.map(|(_, h)| h)
+    }
+
+    /// A random cluster of up to 8 machines over three types, each machine
+    /// holding 0–3 GPUs of each type (so machines mix types and a type's
+    /// capacities differ), with a random usage within capacity.
+    fn random_cluster(rng: &mut hadar_rng::StdRng) -> (Cluster, Usage) {
+        use hadar_rng::Rng;
+        let mut b = hadar_cluster::ClusterBuilder::new();
+        let types: Vec<GpuTypeId> = ["V100", "P100", "K80"]
+            .iter()
+            .map(|n| b.gpu_type(n))
+            .collect();
+        for _ in 0..rng.gen_range_usize(1..9) {
+            let caps: Vec<(GpuTypeId, u32)> = types
+                .iter()
+                .map(|&r| (r, rng.gen_range_usize(0..4) as u32))
+                .collect();
+            b.machine(&caps);
+        }
+        let cluster = b.build();
+        let mut usage = Usage::empty(&cluster);
+        for h in cluster.machine_ids() {
+            for &r in &types {
+                let cap = cluster.capacity(h, r) as usize;
+                usage.add(h, r, rng.gen_range_usize(0..cap + 1) as u32);
+            }
+        }
+        (cluster, usage)
+    }
+
+    /// Random machine factors: some machines down (0.0), some straggling,
+    /// some faster than nominal (above 1.0); a quarter of the lists stop
+    /// short of the last machines, which then count as 1.0.
+    fn random_factors(rng: &mut hadar_rng::StdRng, cluster: &Cluster) -> Vec<f64> {
+        use hadar_rng::Rng;
+        let mut factors: Vec<f64> = cluster
+            .machine_ids()
+            .map(|_| [0.0, 0.3, 0.7, 1.0, 1.0, 1.5, 2.0][rng.gen_range_usize(0..7)])
+            .collect();
+        if rng.gen_range_usize(0..4) == 0 {
+            factors.truncate(rng.gen_range_usize(0..factors.len() + 1));
+        }
+        factors
+    }
+
+    /// A one-job profile with rates drawn from a small set, so ties and
+    /// zero-rate types occur.
+    fn random_job(rng: &mut hadar_rng::StdRng, id: u32) -> Job {
+        use hadar_rng::Rng;
+        let rates: Vec<f64> = (0..3)
+            .map(|_| [0.0, 10.0, 20.0, 20.0, 35.0][rng.gen_range_usize(0..5)])
+            .collect();
+        let profile = hadar_workload::ThroughputProfile::from_rates(rates);
+        let gang = rng.gen_range_usize(1..9) as u32;
+        Job::new(JobId(id), DlTask::Lstm, 0.0, gang, 1, 10, profile)
     }
 
     #[test]
@@ -754,47 +884,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5C4);
         let mut scored = 0;
         for case in 0..400 {
-            let mut b = hadar_cluster::ClusterBuilder::new();
-            let types: Vec<GpuTypeId> = ["V100", "P100", "K80"]
-                .iter()
-                .map(|n| b.gpu_type(n))
-                .collect();
-            let machines = rng.gen_range_usize(1..9);
-            for _ in 0..machines {
-                let caps: Vec<(GpuTypeId, u32)> = types
-                    .iter()
-                    .map(|&r| (r, rng.gen_range_usize(0..4) as u32))
-                    .collect();
-                b.machine(&caps);
-            }
-            let cluster = b.build();
-            let mut usage = Usage::empty(&cluster);
-            for h in cluster.machine_ids() {
-                for &r in &types {
-                    let cap = cluster.capacity(h, r) as usize;
-                    usage.add(h, r, rng.gen_range_usize(0..cap + 1) as u32);
-                }
-            }
-            // Straggler factors, some machines down; rates drawn from a
-            // small set so ties and zero-rate types occur.
-            let factors: Vec<f64> = cluster
-                .machine_ids()
-                .map(|_| [0.0, 0.3, 0.7, 1.0, 1.0][rng.gen_range_usize(0..5)])
-                .collect();
-            let rates: Vec<f64> = types
-                .iter()
-                .map(|_| [0.0, 10.0, 20.0, 20.0, 35.0][rng.gen_range_usize(0..5)])
-                .collect();
-            let profile = hadar_workload::ThroughputProfile::from_rates(rates);
-            let gang = rng.gen_range_usize(1..9) as u32;
-            let job = Job::new(JobId(0), DlTask::Lstm, 0.0, gang, 1, 10, profile);
-            let state = JobState::new(job);
-            let prices = prices_for(&cluster, &state);
-            let u = EffectiveThroughput;
-            let e = AllocEnv {
-                machine_factors: &factors,
-                ..env(&cluster, &prices, &u)
+            let (cluster, usage) = random_cluster(&mut rng);
+            let factors = random_factors(&mut rng, &cluster);
+            let state = JobState::new(random_job(&mut rng, 0));
+            let gang = state.job.gang;
+            // Curve prices from the job itself; every few cases the zero
+            // prices of an empty queue or constant prices instead.
+            let prices = match rng.gen_range_usize(0..6) {
+                0 => PriceState::compute(&[], &cluster, &EffectiveThroughput, 0.0),
+                1 => PriceState::with_bounds(2.0, vec![2.0; 3], 1.0, 0.0, &cluster),
+                _ => prices_for(&cluster, &state),
             };
+            let u = EffectiveThroughput;
+            let e = with_factors(&cluster, &prices, &u, &factors);
+            assert!(
+                cluster
+                    .machine_ids()
+                    .all(|h| e.machine_factor(h) <= e.max_factor),
+                "case {case}: F below a machine's factor"
+            );
             let prefs = state.job.profile.types_by_preference();
             let pl = placer(&e, usage.clone());
             let want = best_single_machine_by_full_scan(&state, &e, &usage, prefs, gang);
@@ -808,6 +916,54 @@ mod tests {
             }
         }
         assert!(scored > 50, "only {scored} cases had a feasible machine");
+    }
+
+    #[test]
+    fn greedy_pick_is_the_first_candidate() {
+        use hadar_rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x6AE);
+        let (mut picked, mut sticky_kept) = (0, 0);
+        for case in 0..300 {
+            let (cluster, usage) = random_cluster(&mut rng);
+            let factors = random_factors(&mut rng, &cluster);
+            let states: Vec<JobState> = (0..rng.gen_range_usize(1..6))
+                .map(|i| JobState::new(random_job(&mut rng, i as u32)))
+                .collect();
+            let prices = PriceState::compute(&states, &cluster, &EffectiveThroughput, 0.0);
+            let features = Features {
+                mixed_types: rng.gen_range_usize(0..4) > 0,
+                sticky: rng.gen_range_usize(0..4) > 0,
+            };
+            let u = EffectiveThroughput;
+            let e = AllocEnv::new(&cluster, &prices, &u, 0.0, features, &factors);
+            let mut pl = placer(&e, usage);
+            let mut search = Search::default();
+            for (i, mut state) in states.into_iter().enumerate() {
+                // A sticky placement: one the placer could give now (so it
+                // usually fits), or one from the idle cluster with every
+                // machine up (so it may sit on a down or busy machine).
+                if rng.gen_range_usize(0..2) == 0 {
+                    let idle = Placer::new(&cluster, Usage::empty(&cluster), |_| true);
+                    let from = if rng.gen_range_usize(0..2) == 0 {
+                        &pl
+                    } else {
+                        &idle
+                    };
+                    let gang = state.job.gang;
+                    state.placement = from.any_type(gang, |_| true).unwrap_or_default();
+                }
+                let want = find_candidates(&state, &e, &pl).into_iter().next();
+                let got = search.best(&state, &e, &pl);
+                assert_eq!(got, want, "case {case}, job {i}");
+                if let Some(c) = got {
+                    sticky_kept += usize::from(!c.changed);
+                    picked += 1;
+                    pl.add(&c.placement);
+                }
+            }
+        }
+        assert!(picked > 200, "only {picked} picks checked");
+        assert!(sticky_kept > 20, "only {sticky_kept} sticky picks checked");
     }
 
     #[test]

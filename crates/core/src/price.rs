@@ -27,6 +27,10 @@ pub struct PriceState {
     pub eta: f64,
     /// The horizon `T` used for the minimum-utility bound.
     pub horizon: f64,
+    /// `k^r(γ)` tabulated for the round: `table[r]` holds, per capacity `c`
+    /// that type `r` has in the cluster (ascending), the prices for
+    /// `γ = 0..=c`.
+    table: Vec<Vec<(u32, Vec<f64>)>>,
 }
 
 /// The functional *shape* of `k_h^r(γ)` for one GPU type this round.
@@ -81,51 +85,32 @@ impl PriceState {
     ) -> Self {
         let num_types = cluster.num_types();
         let total_capacity: f64 = cluster.total_gpus() as f64;
+        let runnable = || {
+            jobs.iter()
+                .filter(|s| s.job.worst_rate() > 0.0 && s.remaining_iters > 0.0)
+        };
 
-        let runnable: Vec<&JobState> = jobs
-            .iter()
-            .filter(|s| s.job.worst_rate() > 0.0 && s.remaining_iters > 0.0)
-            .collect();
-
-        if runnable.is_empty() || total_capacity == 0.0 {
-            return Self {
-                u_min: 0.0,
-                u_max: vec![0.0; num_types],
-                eta: 1.0,
-                horizon: now,
-            };
-        }
-
-        // Congestion-adjusted horizon.
-        let remaining_gpu_time: f64 = runnable
-            .iter()
-            .map(|s| s.job.gang as f64 * s.remaining_iters / s.job.best_rate())
-            .sum();
-        let max_tmin = runnable
-            .iter()
-            .map(|s| s.remaining_iters / s.job.best_rate())
-            .fold(0.0, f64::max);
-        let horizon = now + (2.0 * remaining_gpu_time / total_capacity).max(max_tmin) + 1.0;
-
-        // η = max_j Σc / (t_j^max W_j), clamped ≥ 1.
-        let mut eta = 1.0f64;
-        for s in &runnable {
-            let t_max = s.remaining_iters / s.job.worst_rate();
-            if t_max > 0.0 {
-                eta = eta.max(total_capacity / (t_max * s.job.gang as f64));
-            }
-        }
-
-        // Per-type maxima (Eq. 6): the best per-unit utility any job could
+        // First pass: everything but U_min. The congestion-adjusted
+        // horizon, η = max_j Σc / (t_j^max W_j) clamped ≥ 1, and the
+        // per-type maxima (Eq. 6): the best per-unit utility any job could
         // extract *from that type* — i.e. evaluated at the runtime the job
         // would see running entirely on type r. Faster types therefore
         // saturate at higher prices, pushing heterogeneity-insensitive jobs
         // toward slower (cheaper) accelerators as contention grows.
+        let mut any_runnable = false;
+        let mut remaining_gpu_time = 0.0f64;
+        let mut max_tmin = 0.0f64;
+        let mut eta = 1.0f64;
         let mut u_max = vec![0.0f64; num_types];
-        let mut u_min = f64::INFINITY;
-        for s in &runnable {
+        for s in runnable() {
+            any_runnable = true;
             let w = s.job.gang as f64;
+            remaining_gpu_time += w * s.remaining_iters / s.job.best_rate();
+            max_tmin = max_tmin.max(s.remaining_iters / s.job.best_rate());
             let t_max = s.remaining_iters / s.job.worst_rate();
+            if t_max > 0.0 {
+                eta = eta.max(total_capacity / (t_max * w));
+            }
             let elapsed = (now - s.job.arrival).max(0.0);
             for (r, slot) in u_max.iter_mut().enumerate() {
                 let x = s.job.profile.rate(hadar_cluster::GpuTypeId(r as u16));
@@ -136,7 +121,18 @@ impl PriceState {
                 let val = utility.value(&s.job, elapsed + t_r, now + t_r) / w;
                 *slot = slot.max(val);
             }
-            // Worst case (Eq. 7 numerator): finish at the horizon.
+        }
+        if !any_runnable || total_capacity == 0.0 {
+            return Self::with_bounds(0.0, vec![0.0; num_types], 1.0, now, cluster);
+        }
+        let horizon = now + (2.0 * remaining_gpu_time / total_capacity).max(max_tmin) + 1.0;
+
+        // Second pass, U_min (Eq. 7 numerator): each job finishing at the
+        // horizon.
+        let mut u_min = f64::INFINITY;
+        for s in runnable() {
+            let w = s.job.gang as f64;
+            let t_max = s.remaining_iters / s.job.worst_rate();
             let worst = utility.value(&s.job, horizon - s.job.arrival, horizon) / (t_max * w);
             if worst.is_finite() {
                 u_min = u_min.min(worst);
@@ -151,13 +147,36 @@ impl PriceState {
         // price is well-defined even on degenerate single-job queues.
         let global_max = u_max.iter().copied().fold(0.0, f64::max);
         let u_min = u_min.min(global_max / 2.0).max(0.0);
+        Self::with_bounds(u_min, u_max, eta, horizon, cluster)
+    }
 
-        Self {
+    /// The state for these bounds, with its price table tabulated over
+    /// `cluster`'s capacities by [`PriceState::price`].
+    pub(crate) fn with_bounds(
+        u_min: f64,
+        u_max: Vec<f64>,
+        eta: f64,
+        horizon: f64,
+        cluster: &Cluster,
+    ) -> Self {
+        let mut state = Self {
             u_min,
             u_max,
             eta,
             horizon,
-        }
+            table: Vec::new(),
+        };
+        state.table = cluster
+            .catalog()
+            .ids()
+            .map(|r| {
+                let caps = cluster.capacities_of_type(r);
+                caps.iter()
+                    .map(|&c| (c, (0..=c).map(|g| state.price(r, g, c)).collect()))
+                    .collect()
+            })
+            .collect();
+        state
     }
 
     /// `U_max^r`.
@@ -190,6 +209,22 @@ impl PriceState {
         }
         let frac = f64::from(gamma.min(capacity)) / f64::from(capacity);
         lo * (hi / lo).powf(frac)
+    }
+
+    /// [`PriceState::price`] read from the round's table: no exponential is
+    /// evaluated for a capacity the cluster has. `gamma` is clamped to
+    /// `capacity` as there; a capacity outside the cluster falls back to
+    /// computing the price.
+    #[inline]
+    pub(crate) fn tabulated(&self, r: GpuTypeId, gamma: u32, capacity: u32) -> f64 {
+        let row = self
+            .table
+            .get(r.index())
+            .and_then(|rows| rows.iter().find(|(c, _)| *c == capacity));
+        match row {
+            Some((_, prices)) => prices[gamma.min(capacity) as usize],
+            None => self.price(r, gamma, capacity),
+        }
     }
 
     /// The [`PriceShape`] of type `r` this round (mirrors the branch
@@ -316,15 +351,61 @@ mod tests {
         let empty = PriceState::compute(&[], &cluster, &EffectiveThroughput, 0.0);
         assert_eq!(empty.shape(GpuTypeId(0)), PriceShape::Zero);
         // Degenerate bounds (U_max ≤ U_min > 0) ⇒ constant price U_max.
-        let degenerate = PriceState {
-            u_min: 2.0,
-            u_max: vec![2.0],
-            eta: 1.0,
-            horizon: 0.0,
-        };
+        let degenerate = PriceState::with_bounds(2.0, vec![2.0], 1.0, 0.0, &cluster);
         assert_eq!(degenerate.shape(GpuTypeId(0)), PriceShape::Constant);
         assert_eq!(degenerate.price(GpuTypeId(0), 0, 4), 2.0);
         assert_eq!(degenerate.price(GpuTypeId(0), 4, 4), 2.0);
+    }
+
+    #[test]
+    fn table_matches_price_bit_for_bit() {
+        // Multi-type machines and several capacities per type.
+        let mut b = hadar_cluster::ClusterBuilder::new();
+        let v100 = b.gpu_type("V100");
+        let p100 = b.gpu_type("P100");
+        let k80 = b.gpu_type("K80");
+        b.machine(&[(v100, 4)]);
+        b.machine(&[(v100, 2), (k80, 3)]);
+        b.machine(&[(p100, 8)]);
+        b.machine(&[(v100, 1), (p100, 1), (k80, 1)]);
+        let cluster = b.build();
+        let jobs: Vec<JobState> = (0..6)
+            .map(|i| {
+                JobState::new(Job::for_model(
+                    JobId(i),
+                    DlTask::ALL[i as usize % 5],
+                    cluster.catalog(),
+                    0.0,
+                    1 + i % 3,
+                    20 + 5 * u64::from(i),
+                ))
+            })
+            .collect();
+        let curve = PriceState::compute(&jobs, &cluster, &EffectiveThroughput, 0.0);
+        let zero = PriceState::compute(&[], &cluster, &EffectiveThroughput, 0.0);
+        let constant = PriceState::with_bounds(2.0, vec![2.0, 1.0, 3.0], 1.0, 0.0, &cluster);
+        let mut shapes = Vec::new();
+        for p in [&curve, &zero, &constant] {
+            for r in cluster.catalog().ids() {
+                shapes.push(p.shape(r));
+                let caps = cluster.capacities_of_type(r);
+                let rows: Vec<u32> = p.table[r.index()].iter().map(|(c, _)| *c).collect();
+                assert_eq!(rows, caps, "type {r}: one row per capacity");
+                for &c in caps {
+                    for g in 0..=c {
+                        let (got, want) = (p.tabulated(r, g, c), p.price(r, g, c));
+                        assert_eq!(got.to_bits(), want.to_bits(), "type {r}, γ {g}, c {c}");
+                    }
+                    // γ is clamped to c, as `price` clamps it.
+                    assert_eq!(p.tabulated(r, c + 1, c), p.price(r, c + 1, c));
+                }
+                // A capacity the cluster lacks is computed, not looked up.
+                assert_eq!(p.tabulated(r, 3, 5), p.price(r, 3, 5));
+            }
+        }
+        for shape in [PriceShape::Zero, PriceShape::Constant, PriceShape::Curve] {
+            assert!(shapes.contains(&shape), "{shape:?} not covered");
+        }
     }
 
     #[test]

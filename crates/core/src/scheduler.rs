@@ -145,14 +145,14 @@ impl Scheduler for HadarScheduler {
             ctx.telemetry
                 .gauge("hadar.u_min", if lo.is_finite() { lo } else { 0.0 });
         }
-        let env = AllocEnv {
-            cluster: ctx.cluster,
-            prices: &prices,
-            utility: &self.config.utility,
-            now: ctx.time,
-            features: self.config.features,
-            machine_factors: ctx.machine_factors,
-        };
+        let env = AllocEnv::new(
+            ctx.cluster,
+            &prices,
+            &self.config.utility,
+            ctx.time,
+            self.config.features,
+            ctx.machine_factors,
+        );
         let usage = Usage::empty(ctx.cluster);
         let queue: Vec<&JobState> = states.iter().collect();
         let t_select = Instant::now();
@@ -247,14 +247,7 @@ mod tests {
         let states: Vec<JobState> = jobs.into_iter().map(JobState::new).collect();
         let utility = UtilityKind::default();
         let prices = PriceState::compute(&states, &cluster, &utility, 0.0);
-        let env = AllocEnv {
-            cluster: &cluster,
-            prices: &prices,
-            utility: &utility,
-            now: 0.0,
-            features: Features::default(),
-            machine_factors: &[],
-        };
+        let env = AllocEnv::new(&cluster, &prices, &utility, 0.0, Features::default(), &[]);
         let queue: Vec<&JobState> = states.iter().collect();
         let selection = dp_allocation(&queue, &env, &Usage::empty(&cluster));
         assert!(

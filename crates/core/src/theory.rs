@@ -142,14 +142,14 @@ mod tests {
     fn audit_jobs(cluster: &Cluster, jobs: Vec<Job>) -> RoundAudit {
         let states: Vec<JobState> = jobs.into_iter().map(JobState::new).collect();
         let prices = PriceState::compute(&states, cluster, &EffectiveThroughput, 0.0);
-        let env = AllocEnv {
+        let env = AllocEnv::new(
             cluster,
-            prices: &prices,
-            utility: &EffectiveThroughput,
-            now: 0.0,
-            features: Features::default(),
-            machine_factors: &[],
-        };
+            &prices,
+            &EffectiveThroughput,
+            0.0,
+            Features::default(),
+            &[],
+        );
         let queue: Vec<&JobState> = states.iter().collect();
         audit_round(&queue, &env, &prices)
     }
@@ -213,14 +213,14 @@ mod tests {
     fn empty_round_audit_is_trivial() {
         let cluster = Cluster::paper_simulation();
         let prices = PriceState::compute(&[], &cluster, &EffectiveThroughput, 0.0);
-        let env = AllocEnv {
-            cluster: &cluster,
-            prices: &prices,
-            utility: &EffectiveThroughput,
-            now: 0.0,
-            features: Features::default(),
-            machine_factors: &[],
-        };
+        let env = AllocEnv::new(
+            &cluster,
+            &prices,
+            &EffectiveThroughput,
+            0.0,
+            Features::default(),
+            &[],
+        );
         let a = audit_round(&[], &env, &prices);
         assert_eq!(a.admitted, 0);
         assert_eq!(a.primal, 0.0);

@@ -100,14 +100,14 @@ impl Scheduler for OracleChecked {
             self.estimator.observe(s.job.id);
         }
         let prices = PriceState::compute(&states, ctx.cluster, &self.utility, ctx.time);
-        let env = AllocEnv {
-            cluster: ctx.cluster,
-            prices: &prices,
-            utility: &self.utility,
-            now: ctx.time,
-            features: Features::default(),
-            machine_factors: ctx.machine_factors,
-        };
+        let env = AllocEnv::new(
+            ctx.cluster,
+            &prices,
+            &self.utility,
+            ctx.time,
+            Features::default(),
+            ctx.machine_factors,
+        );
         let usage = Usage::empty(ctx.cluster);
         let queue: Vec<&JobState> = states.iter().collect();
         let greedy = greedy_allocation(&queue, &env, &usage);

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use hadar_cluster::comm::placement_factor;
-use hadar_cluster::{Cluster, JobId, JobPlacement, MachineId};
+use hadar_cluster::{Cluster, JobId, JobPlacement, MachineId, PlacementSlice};
 use hadar_workload::Job;
 
 use crate::checkpoint::PreemptionPenalty;
@@ -408,7 +408,7 @@ impl Simulation {
                 held_gpu_seconds += workers * round;
 
                 let (rate, bottleneck) =
-                    rate_and_bottleneck(&state.job, &new_placement, machine_factors)
+                    rate_and_bottleneck(&state.job, new_placement.slices(), machine_factors)
                         .unwrap_or_default();
                 if rate > 0.0 && eff > 0.0 {
                     let capacity_iters = rate * eff;
@@ -503,21 +503,34 @@ impl Simulation {
 }
 
 /// Effective aggregate rate of a job on `placement` (iterations/sec):
-/// bottleneck per-task throughput (Eq. 1b), each task scaled by its
-/// machine's straggler factor (machines beyond `factors` count as healthy,
-/// 1.0), × gang size × the communication degradation for
-/// non-consolidated placements. 0.0 for an empty placement.
+/// [`slices_rate`] of its slices.
 pub fn job_rate(job: &Job, placement: &JobPlacement, factors: &[f64]) -> f64 {
-    rate_and_bottleneck(job, placement, factors).map_or(0.0, |(rate, _)| rate)
+    slices_rate(job, placement.slices(), factors)
 }
 
-/// [`job_rate`] together with the bottleneck per-task throughput it is
-/// built from; `None` for an empty placement.
-fn rate_and_bottleneck(job: &Job, placement: &JobPlacement, factors: &[f64]) -> Option<(f64, f64)> {
-    let bottleneck = placement.bottleneck_rate_per_slice(|h, r| {
-        job.profile.rate(r) * factors.get(h.index()).copied().unwrap_or(1.0)
-    })?;
-    let rate = bottleneck * placement.total_workers() as f64 * placement_factor(placement);
+/// Effective aggregate rate of a job on a canonical slice list
+/// (iterations/sec): bottleneck per-task throughput (Eq. 1b), each task
+/// scaled by its machine's straggler factor (machines beyond `factors`
+/// count as healthy, 1.0), × gang size × the communication degradation for
+/// non-consolidated placements. 0.0 for an empty list.
+pub fn slices_rate(job: &Job, slices: &[PlacementSlice], factors: &[f64]) -> f64 {
+    rate_and_bottleneck(job, slices, factors).map_or(0.0, |(rate, _)| rate)
+}
+
+/// [`slices_rate`] together with the bottleneck per-task throughput it is
+/// built from; `None` for an empty list. The synchronization barrier paces
+/// the gang at its slowest task.
+fn rate_and_bottleneck(
+    job: &Job,
+    slices: &[PlacementSlice],
+    factors: &[f64],
+) -> Option<(f64, f64)> {
+    let bottleneck = slices
+        .iter()
+        .map(|s| job.profile.rate(s.gpu) * factors.get(s.machine.index()).copied().unwrap_or(1.0))
+        .min_by(|a, b| a.partial_cmp(b).expect("throughput must not be NaN"))?;
+    let workers: u32 = slices.iter().map(|s| s.count).sum();
+    let rate = bottleneck * workers as f64 * placement_factor(slices);
     Some((rate, bottleneck))
 }
 

@@ -74,7 +74,7 @@ pub mod stats;
 pub mod telemetry;
 
 pub use checkpoint::PreemptionPenalty;
-pub use engine::{job_rate, SimConfig, Simulation};
+pub use engine::{job_rate, slices_rate, SimConfig, Simulation};
 pub use error::{SimError, SimResult};
 pub use event::{check_lifecycle, SimEvent};
 pub use faults::{FailureModel, StragglerModel};
